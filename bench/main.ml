@@ -1198,7 +1198,7 @@ let exp_p4 ~smoke ~json () =
            (* the checked path: P4's linear-tail claim is about
               re-admitting replay; P5 owns the trusted comparison *)
            fun () ->
-             let st', _ = Result.get_ok (Store.open_ ~trusted:false io) in
+             let st', _ = Result.get_ok (Store.Private.open_checked io) in
              Store.close st'))
   in
   let r =
@@ -1353,36 +1353,44 @@ let exp_p5 ~smoke ~json () =
      through every engine lands on the same instance *)
   let () =
     let io = prepared "p5check" (List.hd tails) in
-    let open_with ?ingest trusted =
-      let st, report = Result.get_ok (Store.open_ ~trusted ?ingest io) in
+    let open_with open_ =
+      let st, report = Result.get_ok (open_ io) in
       if report.Store.tail <> Store.Clean then
         failwith "P5: clean log recovered as damaged";
       let i = Directory.instance (Store.directory st) in
       Store.close st;
       i
     in
-    let checked = open_with false in
+    let checked = open_with Store.Private.open_checked in
     List.iter
-      (fun (label, ingest) ->
-        if not (Bounds_model.Instance.equal checked (open_with ~ingest true))
+      (fun (label, open_) ->
+        if not (Bounds_model.Instance.equal checked (open_with open_))
         then failwith ("P5: trusted recovery (" ^ label ^ ") diverged"))
-      [ ("auto", `Auto); ("batch", `Batch); ("incremental", `Incremental) ];
+      [
+        ("auto", fun io -> Store.open_ io);
+        ("batch", Store.Private.open_forced ~force:`Batch);
+        ("incremental", Store.Private.open_forced ~force:`Incremental);
+      ];
     Printf.printf
       "  answer equality: checked and trusted recovery (auto/batch/incremental)\n\
       \  agree on the recovered instance\n"
   in
-  let recover name ?ingest trusted =
+  let recover name open_ =
     Test.make_indexed ~name ~args:tails (fun k ->
         Staged.stage
           (let io = prepared name k in
            fun () ->
-             let st, _ = Result.get_ok (Store.open_ ~trusted ?ingest io) in
+             let st, _ = Result.get_ok (open_ io) in
              Store.close st))
   in
-  let rec_checked = recover "recover-checked" false in
-  let rec_trusted = recover "recover-trusted" true in
-  let rec_batch = recover "recover-batch" ~ingest:`Batch true in
-  let rec_incr = recover "recover-incremental" ~ingest:`Incremental true in
+  let rec_checked = recover "recover-checked" Store.Private.open_checked in
+  let rec_trusted = recover "recover-trusted" (fun io -> Store.open_ io) in
+  let rec_batch =
+    recover "recover-batch" (Store.Private.open_forced ~force:`Batch)
+  in
+  let rec_incr =
+    recover "recover-incremental" (Store.Private.open_forced ~force:`Incremental)
+  in
   (* ingest m entries into a small seed store: streaming bulk load with
      one final admission check, vs one logged transaction per entry
      (both end checkpointed, so the durable end states match) *)

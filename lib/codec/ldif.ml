@@ -267,10 +267,12 @@ let pp ppf inst = Format.pp_print_string ppf (to_string inst)
 
 (* LDIF change records against an existing instance: each record is
    `dn:` plus either `changetype: add` (the default) with the entry's
-   attribute lines, or `changetype: delete`.  DNs are resolved against
-   [inst] plus the records already built — an add may parent later adds
-   of the same document — and fresh ids are assigned past the
-   instance's; the ops are ready for Directory.apply / Store.apply.
+   attribute lines, or `changetype: delete`.  DNs resolve first against
+   the adds already built — an add may parent later adds of the same
+   document — then against [inst] through {!Instance.resolve_dn}, the
+   resolver searches use, so only the document's own adds are ever
+   tabled.  Fresh ids are assigned past the instance's; the ops are
+   ready for Directory.apply / Store.apply.
    Shared by the CLI `update` verb and the network server's write path
    (where the server resolves at admission time, against the version
    the transaction will actually apply to). *)
@@ -289,17 +291,14 @@ let parse_changes ~typing inst text =
     List.rev (match cur with [] -> recs | c -> List.rev c :: recs)
   in
   let next_id = ref (Instance.fresh_id inst) in
-  let dn_to_id = Hashtbl.create 16 in
-  Instance.iter
-    (fun e ->
-      Hashtbl.replace dn_to_id
-        (norm_dn (Instance.dn inst (Entry.id e)))
-        (Entry.id e))
-    inst;
+  let added = Hashtbl.create 16 in
   let resolve dn =
-    match Hashtbl.find_opt dn_to_id (norm_dn dn) with
+    match Hashtbl.find_opt added (norm_dn dn) with
     | Some id -> Ok id
-    | None -> Error (Printf.sprintf "unknown dn %S" dn)
+    | None -> (
+        match Instance.resolve_dn inst dn with
+        | Some id -> Ok id
+        | None -> Error (Printf.sprintf "unknown dn %S" dn))
   in
   let split line =
     match String.index_opt line ':' with
@@ -369,7 +368,7 @@ let parse_changes ~typing inst text =
                   else begin
                     let id = !next_id in
                     incr next_id;
-                    Hashtbl.replace dn_to_id (norm_dn dn) id;
+                    Hashtbl.replace added (norm_dn dn) id;
                     let entry =
                       Entry.make ~id ~rdn
                         ~classes:(Oclass.Set.of_list classes)

@@ -63,8 +63,9 @@ val b64_decode : string -> string
     [parse_changes ~typing inst text] reads LDIF change records —
     [dn:] plus [changetype: add] (the default; attribute lines follow)
     or [changetype: delete] — into update ops against [inst]: DNs
-    resolve against the instance {e and} the records already read (an
-    add may parent later adds), fresh ids are assigned past the
+    resolve against the adds already read (an add may parent later
+    adds), then against the instance through
+    {!Bounds_model.Instance.resolve_dn}; fresh ids are assigned past the
     instance's.  Because resolution is against a concrete version,
     callers admitting concurrently (the network server) must parse at
     admission time, against the version the transaction will apply to. *)

@@ -8,8 +8,9 @@
     — once a durable layer has logged it — the log sequence number.
 
     [lsn] is [None] at the {!Directory} layer (a session has no log) and
-    filled in by {!Bounds_store.Store.apply} after its commit hook has
-    made the record durable. *)
+    filled in by {!Bounds_store.Store.apply} with the position it logs
+    the record at — durable once the write's append has landed, which is
+    before [Store.apply] or [Store.batch] returns. *)
 
 open Bounds_model
 
@@ -34,8 +35,8 @@ val reason : result -> Monitor.rejection option
 (** Entry-count change; [0] for rejections. *)
 val entries_delta : result -> int
 
-(** Stamp the durable position onto an accepted verdict (identity on
-    rejections) — used by the store layer after its WAL append. *)
+(** Stamp the log position onto an accepted verdict (identity on
+    rejections) — used by the store layer as it encodes the record. *)
 val with_lsn : int -> result -> result
 
 val pp : Format.formatter -> result -> unit

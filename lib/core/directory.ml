@@ -37,9 +37,9 @@ module Snapshot = struct
   let search s ~base scope filter =
     Search.search ~vindex:s.vindex s.index ~base scope filter
 
-  let validate ?(extensions = true) ?pool ?memoize schema s =
+  let validate ?(extensions = true) ?pool schema s =
     Legality.check ~extensions ?pool ~index:s.index ~vindex:s.vindex
-      ~memo:s.memo ?memoize schema (instance s)
+      ~memo:s.memo schema (instance s)
 
   (* The raw structures, for oracles/benchmarks that differentially test
      them — the only sanctioned way past the snapshot surface. *)
@@ -66,17 +66,12 @@ type t = {
   monitor : Monitor.t;
   vindex : Vindex.t;
   memo : Plan.memo;
-  extensions : bool;
-  memoize : bool;
   pool : Pool.t option;
   owns_pool : bool;
   counters : counters;
-  store : (Update.op list -> t -> unit) option;
 }
 
-type commit_hook = Update.op list -> t -> unit
-
-let open_ ?(extensions = true) ?jobs ?pool ?(memoize = true) ?store schema inst =
+let open_ ?jobs ?pool schema inst =
   let pool, owns_pool =
     match (pool, jobs) with
     | (Some _ as p), _ -> (p, false)
@@ -90,11 +85,7 @@ let open_ ?(extensions = true) ?jobs ?pool ?(memoize = true) ?store schema inst 
   let memo = Plan.memo_create vindex in
   (* The admission scan prewarms [memo] with the Figure-4 obligation
      queries, so the session's first [validate] is all cache hits. *)
-  match
-    Monitor.create ~extensions ?pool ~index ~vindex
-      ?memo:(if memoize then Some memo else None)
-      ~memoize schema inst
-  with
+  match Monitor.create ?pool ~index ~vindex ~memo schema inst with
   | Error _ as e ->
       if owns_pool then Option.iter Pool.shutdown pool;
       e
@@ -105,12 +96,9 @@ let open_ ?(extensions = true) ?jobs ?pool ?(memoize = true) ?store schema inst 
           monitor;
           vindex;
           memo;
-          extensions;
-          memoize;
           pool;
           owns_pool;
           counters = { queries = 0; applied = 0; rejected = 0 };
-          store;
         }
 
 let schema t = t.schema
@@ -137,10 +125,18 @@ let search t ~base scope filter =
   Search.search ~vindex:t.vindex (index t) ~base scope filter
 
 let validate t =
-  Legality.check ~extensions:t.extensions ?pool:t.pool ~index:(index t)
-    ~vindex:t.vindex
-    ?memo:(if t.memoize then Some t.memo else None)
-    ~memoize:t.memoize t.schema (instance t)
+  Legality.check ?pool:t.pool ~index:(index t) ~vindex:t.vindex ~memo:t.memo
+    t.schema (instance t)
+
+(* The one carry behind [apply], [replay] and [Bulk]'s incremental
+   regime: the monitor already spliced the Δs into its live index; carry
+   the value tables across the same ops and the memo across the very
+   rank-space edits the index performed. *)
+let carry t ops (monitor, splices) =
+  let vindex = Vindex.apply ~index:(Monitor.index monitor) ops t.vindex in
+  let memo = Plan.memo_apply ~vindex ~splices ops t.memo in
+  t.counters.applied <- t.counters.applied + 1;
+  { t with monitor; vindex; memo }
 
 let apply t ops =
   let entries_before = size t in
@@ -148,46 +144,18 @@ let apply t ops =
   | Error reason ->
       t.counters.rejected <- t.counters.rejected + 1;
       (t, Admission.Rejected { reason; ops })
-  | Ok (monitor, splices) ->
-      (* the monitor already spliced the accepted Δs into its live index;
-         carry the value tables across the same ops and the memo across
-         the very rank-space edits the index performed *)
-      let index = Monitor.index monitor in
-      let vindex = Vindex.apply ~index ops t.vindex in
-      let memo =
-        if t.memoize then Plan.memo_apply ~vindex ~splices ops t.memo
-        else Plan.memo_create vindex
-      in
-      let t' = { t with monitor; vindex; memo } in
-      (* write-ahead durability: the hook must land the transaction
-         before it is acknowledged — if it raises, [t] is still the
-         session's current version and nothing was counted *)
-      Option.iter (fun hook -> hook ops t') t.store;
-      t.counters.applied <- t.counters.applied + 1;
+  | Ok step ->
+      let t' = carry t ops step in
       ( t',
         Admission.Accepted
           { lsn = None; ops; entries_before; entries_after = size t' } )
 
-let replay t ops =
-  match Monitor.replay ops t.monitor with
-  | Error _ as e -> e
-  | Ok (monitor, splices) ->
-      (* same carry as [apply], minus admission and minus the durability
-         hook: replay is for transactions that are already on disk *)
-      let index = Monitor.index monitor in
-      let vindex = Vindex.apply ~index ops t.vindex in
-      let memo =
-        if t.memoize then Plan.memo_apply ~vindex ~splices ops t.memo
-        else Plan.memo_create vindex
-      in
-      t.counters.applied <- t.counters.applied + 1;
-      Ok { t with monitor; vindex; memo }
+let replay t ops = Result.map (carry t ops) (Monitor.replay ops t.monitor)
 
 (* --- batched trusted ingest --------------------------------------------- *)
 
 module Bulk = struct
   type session = t
-  type mode = [ `Auto | `Batch | `Incremental ]
 
   type t = {
     mutable live : session;  (* incrementally-patched version *)
@@ -196,7 +164,7 @@ module Bulk = struct
     mutable txns : int;
     mutable pending : int;  (* ops folded in since [start] *)
     base_n : int;  (* live instance size at [start] *)
-    mode : mode;
+    force : [ `Batch | `Incremental ] option;  (* regime pinned by [Private] *)
   }
 
   (* Cost crossover.  One incremental splice pays a copy-on-write pass
@@ -209,30 +177,24 @@ module Bulk = struct
      the live instance. *)
   let rebuild_ratio = 8
 
-  let start ?(mode : mode = `Auto) (t : session) =
-    let b =
-      {
-        live = t;
-        inst = instance t;
-        batched = false;
-        txns = 0;
-        pending = 0;
-        base_n = size t;
-        mode;
-      }
-    in
-    if mode = `Batch then b.batched <- true;
-    b
+  let start_with ~force (t : session) =
+    {
+      live = t;
+      inst = instance t;
+      batched = force = Some `Batch;
+      txns = 0;
+      pending = 0;
+      base_n = size t;
+      force;
+    }
+
+  let start t = start_with ~force:None t
 
   let add b ops =
     let pending = b.pending + List.length ops in
     if
-      (not b.batched)
-      && (match b.mode with
-         | `Incremental -> false
-         | `Batch -> true
-         | `Auto ->
-             b.txns + 1 >= rebuild_ratio || 4 * pending >= b.base_n + 4)
+      (not b.batched) && b.force = None
+      && (b.txns + 1 >= rebuild_ratio || 4 * pending >= b.base_n + 4)
     then begin
       b.batched <- true;
       b.inst <- instance b.live
@@ -255,9 +217,6 @@ module Bulk = struct
           b.pending <- pending;
           Ok ()
 
-  let txns b = b.txns
-  let batched b = b.batched
-
   let finish b =
     if not b.batched then b.live
     else
@@ -267,10 +226,12 @@ module Bulk = struct
       let index = Index.create ?pool:t.pool b.inst in
       let vindex = Vindex.create ?pool:t.pool index in
       let memo = Plan.memo_create vindex in
-      let monitor =
-        Monitor.of_index_trusted ~extensions:t.extensions t.schema index
-      in
+      let monitor = Monitor.of_index_trusted t.schema index in
       { t with monitor; vindex; memo }
+end
+
+module Private = struct
+  let bulk_start ~force t = Bulk.start_with ~force:(Some force) t
 end
 
 let snapshot t =

@@ -90,12 +90,7 @@ module Snapshot : sig
   (** Full legality check of the snapshot's instance, reusing its index,
       vindex and memo. *)
   val validate :
-    ?extensions:bool ->
-    ?pool:Bounds_par.Pool.t ->
-    ?memoize:bool ->
-    Schema.t ->
-    t ->
-    Violation.t list
+    ?extensions:bool -> ?pool:Bounds_par.Pool.t -> Schema.t -> t -> Violation.t list
 
   (** Escape hatch to the raw per-version structures, for differential
       oracles and benchmarks that compare them against independently
@@ -113,38 +108,20 @@ end
 
 type t
 
-(** Durability hook: called by {!apply} with the accepted transaction
-    and the {e new} session version, after incremental legality has
-    admitted the ops but before the version is returned (and before it
-    is counted as applied).  This is where a write-ahead log makes the
-    transaction durable before it is acknowledged: an exception from
-    the hook aborts the apply, and the previous version stays usable —
-    an un-logged transaction is never observed as accepted.  See
-    {!Bounds_store.Store}. *)
-type commit_hook = Update.op list -> t -> unit
-
 (** [open_ schema inst] runs the full admission scan (via
-    {!Monitor.create}) and builds the session's index, value tables and
-    memo; the scan prewarms the memo with the Figure-4 obligation
-    queries.  [Error] carries the violations of an illegal [inst].
-
-    [extensions] (default [true]) also enforces single-valued attributes
-    and keys.  [memoize] (default [true]) keeps the query memo across
-    updates; [false] rebuilds it per version (the benchmark baseline).
+    {!Monitor.create}, with the Section 6.1 single-valued and key
+    extensions enforced) and builds the session's index, value tables
+    and memo; the scan prewarms the memo with the Figure-4 obligation
+    queries, and the memo is carried across every update.  [Error]
+    carries the violations of an illegal [inst].
 
     Parallelism: pass an existing [pool], or let the session own one via
     [jobs] — [1] (and the default) is sequential, [0] uses the machine's
     recommended domain count, [n > 1] uses [n] domains.  A session-owned
-    pool is shut down by {!close}.
-
-    [store] installs a durability hook, inherited by every version the
-    session produces. *)
+    pool is shut down by {!close}. *)
 val open_ :
-  ?extensions:bool ->
   ?jobs:int ->
   ?pool:Bounds_par.Pool.t ->
-  ?memoize:bool ->
-  ?store:commit_hook ->
   Schema.t ->
   Instance.t ->
   (t, Violation.t list) result
@@ -187,16 +164,17 @@ val validate : t -> Violation.t list
     [t] itself, unchanged and still usable.  Either way the
     {!Admission.result} carries the verdict — the one result shape every
     write surface ({!Bounds_store.Store.apply},
-    {!Bounds_store.Store.batch}, the network writer) reports. *)
+    {!Bounds_store.Store.batch}, the network writer) reports.  A session
+    has no log: making the version durable is the caller's business
+    ({!Bounds_store.Store.apply} logs it before acknowledging). *)
 val apply : t -> Update.op list -> t * Admission.result
 
 (** [replay t ops] — trusted fast path for transactions that {e already}
     passed admission when they were first acknowledged (WAL records
-    being recovered, pre-validated dumps): the instance, index, value
-    tables and memo are all maintained exactly as by {!apply}, but no
-    legality check runs and the durability hook is {e not} called (the
-    transaction is already on disk).  Structurally impossible ops —
-    damage, not illegality — still reject as [Bad_ops].  Feeding
+    being recovered, shipped records, pre-validated dumps): the
+    instance, index, value tables and memo are all maintained exactly
+    as by {!apply}, but no legality check runs.  Structurally impossible
+    ops — damage, not illegality — still reject as [Bad_ops].  Feeding
     never-admitted transactions through [replay] voids the session's
     legality invariant; see the safety argument in DESIGN.md. *)
 val replay : t -> Update.op list -> (t, Monitor.rejection) result
@@ -214,31 +192,29 @@ val replay : t -> Update.op list -> (t, Monitor.rejection) result
     memo and admission tables once against the final instance.  Recovery
     of k records over n entries thus costs O(n + Δ) instead of O(k·n).
 
-    Like {!replay}, no legality checks and no durability hook — callers
-    own both (see {!Bounds_store.Store} recovery and bulk load). *)
+    Like {!replay}, no legality checks — callers own them (see
+    {!Bounds_store.Store} recovery and bulk load). *)
 module Bulk : sig
   type session := t
   type t
 
-  (** [`Auto] applies the cost crossover; [`Batch] and [`Incremental]
-      force a regime (differential testing, benchmarks). *)
-  type mode = [ `Auto | `Batch | `Incremental ]
-
-  val start : ?mode:mode -> session -> t
+  (** A builder that applies the cost crossover. *)
+  val start : session -> t
 
   (** Fold one transaction in (mutates the builder).  On [Error] the
       builder is unchanged and still usable; the record is not counted. *)
   val add : t -> Update.op list -> (unit, Monitor.rejection) result
 
-  (** Transactions accepted so far. *)
-  val txns : t -> int
-
-  (** Whether the crossover has flipped to the batch regime. *)
-  val batched : t -> bool
-
   (** The ingested session: the live incremental version, or one bulk
       rebuild of every deferred structure. *)
   val finish : t -> session
+end
+
+(** Differential testing and benchmarks only. *)
+module Private : sig
+  (** A {!Bulk} builder pinned to one regime instead of the crossover:
+      [`Batch] from the first record, or [`Incremental] throughout. *)
+  val bulk_start : force:[ `Batch | `Incremental ] -> t -> Bulk.t
 end
 
 (** The current version's (index, vindex, memo) as an immutable
@@ -254,7 +230,9 @@ val close : t -> unit
 type stats = {
   entries : int;  (** instance size of the current version *)
   queries : int;  (** queries/searches/explains served by the session *)
-  applied : int;  (** accepted transactions *)
+  applied : int;
+      (** transactions accepted or replayed by any version of the
+          session; {!Bounds_store.Store.stats} counts only durable ones *)
   rejected : int;  (** rejected transactions *)
   memo_hits : int;
   memo_misses : int;

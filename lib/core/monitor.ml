@@ -161,9 +161,9 @@ let bump_keys delta_sign sub m kv =
     sub kv
 
 (* The two splice halves also hand back the rank-space edits the builder
-   recorded ({!Index.Builder.splices}) — {!apply}/{!replay} accumulate
-   them across steps so {!Directory} can migrate cached bitsets by
-   word-level splicing instead of per-member rank translation. *)
+   recorded ({!Index.Builder.splices}) — {!run} accumulates them across
+   steps so {!Directory} can migrate cached bitsets by word-level
+   splicing instead of per-member rank translation. *)
 
 let graft_indexed ~parent ~delta_index delta m =
   let b = Index.Builder.of_version m.index in
@@ -197,35 +197,51 @@ let prune_indexed root sub m =
     },
     splices )
 
-let insert_subtree ~parent delta m =
+(* One subtree step.  With [check] the Figure-5 Δ-checks (and the key
+   check) run first and any violation rejects the step; without, the
+   step is spliced as is — trusted replay.  Either way the index is
+   patched and the counting/key tables are bumped identically, so a
+   replayed monitor is indistinguishable from one that re-checked. *)
+
+let insert_step ~check ~parent delta m =
   (* one Δ index per step: the incremental check evaluates its Figure-5
      Δ-queries on it, and the accepted subtree is then spliced into the
      live index from the very same encoding *)
   let delta_index = Index.create delta in
-  match
-    Incremental.check_insert ~extensions:m.extensions ~delta_index m.schema
-      ~base:m.inst ~parent ~delta
-  with
-  | Error msg -> failwith msg
-  | Ok viols -> (
-      let viols =
-        if m.extensions then viols @ key_violations m delta else viols
-      in
-      match viols with
-      | _ :: _ -> Error viols
-      | [] -> Ok (graft_indexed ~parent ~delta_index delta m))
+  let viols =
+    if not check then []
+    else
+      match
+        Incremental.check_insert ~extensions:m.extensions ~delta_index m.schema
+          ~base:m.inst ~parent ~delta
+      with
+      | Error msg -> failwith msg
+      | Ok viols -> if m.extensions then viols @ key_violations m delta else viols
+  in
+  match viols with
+  | _ :: _ -> Error viols
+  | [] -> Ok (graft_indexed ~parent ~delta_index delta m)
 
-let delete_subtree root m =
-  match
-    Incremental.check_delete ~class_count:(class_count m) m.schema ~base:m.inst
-      ~root
-  with
-  | Error msg -> failwith msg
-  | Ok (_ :: _ as viols) -> Error viols
-  | Ok [] -> (
+let delete_step ~check root m =
+  let viols =
+    if not check then []
+    else
+      match
+        Incremental.check_delete ~class_count:(class_count m) m.schema
+          ~base:m.inst ~root
+      with
+      | Error msg -> failwith msg
+      | Ok viols -> viols
+  in
+  match viols with
+  | _ :: _ -> Error viols
+  | [] -> (
       match Instance.subtree m.inst root with
       | Error e -> failwith (Instance.error_to_string e)
       | Ok sub -> Ok (prune_indexed root sub m))
+
+let insert_subtree ~parent delta m = insert_step ~check:true ~parent delta m
+let delete_subtree root m = delete_step ~check:true root m
 
 let modify_entry id f m =
   let old_entry =
@@ -288,58 +304,33 @@ let pp_rejection ppf = function
         (Format.pp_print_list Violation.pp)
         violations
 
-let apply ops m =
+(* The one decomposition loop behind {!apply} and {!replay}.  Per-step
+   splices concatenate in application order: each step's splices are
+   expressed against the version the previous step produced, which is
+   exactly the order a sequential bitset migration replays them in. *)
+let run ~check ops m =
   match Transaction.decompose m.inst ops with
   | Error msg -> Error (Bad_ops msg)
   | Ok updates ->
-      (* Per-step splices concatenate in application order: each step's
-         splices are expressed against the version the previous step
-         produced, which is exactly the order a sequential bitset
-         migration replays them in. *)
       let rec go step m acc = function
         | [] -> Ok (m, List.concat (List.rev acc))
-        | Transaction.Insert_subtree { parent; subtree } :: rest -> (
-            match insert_subtree ~parent subtree m with
-            | Ok (m, sps) -> go (step + 1) m (sps :: acc) rest
-            | Error violations -> Error (Illegal { step; violations }))
-        | Transaction.Delete_subtree { root } :: rest -> (
-            match delete_subtree root m with
+        | u :: rest -> (
+            let stepped =
+              match u with
+              | Transaction.Insert_subtree { parent; subtree } ->
+                  insert_step ~check ~parent subtree m
+              | Transaction.Delete_subtree { root } -> delete_step ~check root m
+            in
+            match stepped with
             | Ok (m, sps) -> go (step + 1) m (sps :: acc) rest
             | Error violations -> Error (Illegal { step; violations }))
       in
       go 1 m [] updates
 
-(* --- trusted replay ------------------------------------------------------ *)
+let apply ops m = run ~check:true ops m
 
-(* The splice halves of [insert_subtree]/[delete_subtree] without their
-   Figure-5 Δ-checks: the index is patched and the counting/key tables
-   are bumped exactly as on the checked path, so the resulting monitor is
-   indistinguishable from one that re-checked the step. *)
-
-let splice_insert ~parent delta m =
-  let delta_index = Index.create delta in
-  graft_indexed ~parent ~delta_index delta m
-
-let splice_delete root m =
-  match Instance.subtree m.inst root with
-  | Error e -> failwith (Instance.error_to_string e)
-  | Ok sub -> prune_indexed root sub m
-
+(* Trusted: a record that no longer splices is damage, reported as
+   [Bad_ops] rather than raised. *)
 let replay ops m =
-  match Transaction.decompose m.inst ops with
-  | Error msg -> Error (Bad_ops msg)
-  | Ok updates -> (
-      try
-        let m, acc =
-          List.fold_left
-            (fun (m, acc) -> function
-              | Transaction.Insert_subtree { parent; subtree } ->
-                  let m, sps = splice_insert ~parent subtree m in
-                  (m, sps :: acc)
-              | Transaction.Delete_subtree { root } ->
-                  let m, sps = splice_delete root m in
-                  (m, sps :: acc))
-            (m, []) updates
-        in
-        Ok (m, List.concat (List.rev acc))
-      with Failure msg | Invalid_argument msg -> Error (Bad_ops msg))
+  try run ~check:false ops m
+  with Failure msg | Invalid_argument msg -> Error (Bad_ops msg)

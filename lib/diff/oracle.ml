@@ -895,11 +895,8 @@ let trusted_replay =
                           if i = 0 then Store.checkpoint st)
                         c.Case.ops;
                       Store.close st;
-                      let recover label ~trusted ?ingest () =
-                        match
-                          Store.open_ ~trusted ?ingest
-                            (Store_io.mem (Store_io.copy_fs fs))
-                        with
+                      let recover label open_ =
+                        match open_ (Store_io.mem (Store_io.copy_fs fs)) with
                         | Error e ->
                             Error (label ^ ": " ^ Store.error_to_string e)
                         | Ok (st', report) ->
@@ -908,15 +905,15 @@ let trusted_replay =
                                 (label ^ ": undamaged log recovered as damaged")
                             else Ok st'
                       in
-                      match recover "checked" ~trusted:false () with
+                      match recover "checked" Store.Private.open_checked with
                       | Error m -> Disagree m
                       | Ok ref_st -> (
                           let ref_dir = Store.directory ref_st in
                           let obligations =
                             Translate.all schema.Schema.structure
                           in
-                          let compare_one (label, ingest) =
-                            match recover label ~trusted:true ~ingest () with
+                          let compare_one (label, open_) =
+                            match recover label open_ with
                             | Error m -> Some m
                             | Ok st' ->
                                 let dir = Store.directory st' in
@@ -978,9 +975,11 @@ let trusted_replay =
                           let verdict =
                             List.find_map compare_one
                               [
-                                ("trusted-auto", `Auto);
-                                ("trusted-batch", `Batch);
-                                ("trusted-incremental", `Incremental);
+                                ("trusted-auto", fun io -> Store.open_ io);
+                                ( "trusted-batch",
+                                  Store.Private.open_forced ~force:`Batch );
+                                ( "trusted-incremental",
+                                  Store.Private.open_forced ~force:`Incremental );
                               ]
                           in
                           Store.close ref_st;

@@ -178,7 +178,5 @@ let parse s =
     else Ok f
   with Err e -> Error e
 
-let parse_string s = Result.map_error Parse_error.to_string (parse s)
-
 let parse_exn s =
   match parse s with Ok f -> f | Error e -> failwith (Parse_error.to_string e)

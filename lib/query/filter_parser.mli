@@ -17,8 +17,5 @@
     {!Bounds_model.Parse_error.t} shape. *)
 val parse : string -> (Filter.t, Bounds_model.Parse_error.t) result
 
-val parse_string : string -> (Filter.t, string) result
-[@@deprecated "use [parse]; render with [Bounds_model.Parse_error.to_string]"]
-
 (** [parse_exn] raises [Failure] with the rendered error message. *)
 val parse_exn : string -> Filter.t

@@ -237,7 +237,6 @@ let query t = t.query
 
 let eval ?pool vx q = exec ?pool (plan vx q)
 let eval_ids ?pool vx q = Index.ids_of (Vindex.index vx) (eval ?pool vx q)
-let is_empty ?pool vx q = Bitset.is_empty (eval ?pool vx q)
 
 (* {1 Explain} *)
 

@@ -53,8 +53,6 @@ val eval : ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> Bitset.t
 val eval_ids :
   ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> Bounds_model.Entry.id list
 
-val is_empty : ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> bool
-
 (** One line per plan node, indented, with [est=]/[actual=] columns;
     [actual=skipped] marks nodes an early exit never ran. *)
 val explain_lines : t -> string list

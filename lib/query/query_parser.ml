@@ -181,7 +181,5 @@ let parse s =
     else Ok q
   with Err e -> Error e
 
-let parse_string s = Result.map_error Parse_error.to_string (parse s)
-
 let parse_exn s =
   match parse s with Ok q -> q | Error e -> failwith (Parse_error.to_string e)

@@ -14,7 +14,4 @@
     {!Bounds_model.Parse_error.t} shape. *)
 val parse : string -> (Query.t, Bounds_model.Parse_error.t) result
 
-val parse_string : string -> (Query.t, string) result
-[@@deprecated "use [parse]; render with [Bounds_model.Parse_error.to_string]"]
-
 val parse_exn : string -> Query.t

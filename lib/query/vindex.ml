@@ -48,11 +48,10 @@ type range_idx = {
    and in exchange the version step patches only the postings of
    attributes actually touched by Δ.
 
-   A posting set has three representations.  [Building] — a count plus
-   a newest-first cons list — exists only inside a bulk build ({!create}
-   freezes every key before publishing).  [Frozen] — one sorted id
-   array, compact and cache-friendly to sweep — is what the planner's
-   hot path (bitset fills, cardinalities) runs on.  [Patched] — a frozen
+   A posting set has two representations.  [Frozen] — one sorted id
+   array, compact and cache-friendly to sweep — is what {!create}
+   publishes and what the planner's hot path (bitset fills,
+   cardinalities) runs on.  [Patched] — a frozen
    base plus a bounded overlay of pending adds and deletes — is what a
    {e dense} posting becomes under incremental maintenance: the
    [present] rows of universal attributes hold |D| ids, and re-copying
@@ -63,7 +62,6 @@ type range_idx = {
    and the rebuild cost is amortized over [patch_cap] transactions. *)
 type postings =
   | Frozen of Entry.id array (* sorted; duplicates kept (multi-valued) *)
-  | Building of int * Entry.id list (* count, ids newest-first *)
   | Patched of patched
 
 and patched = {
@@ -89,52 +87,21 @@ type t = {
   mutable trigrams : (string, Entry.id array) Hashtbl.t Pmap.t;
 }
 
-let p_count = function
-  | Frozen a -> Array.length a
-  | Building (c, _) -> c
-  | Patched p -> p.p_live
+let p_count = function Frozen a -> Array.length a | Patched p -> p.p_live
 
 let p_iter f = function
   | Frozen a -> Array.iter f a
-  | Building (_, l) -> List.iter f l
   | Patched { p_base; p_dels; p_adds; _ } ->
       if Pmap.is_empty p_dels then Array.iter f p_base
       else Array.iter (fun id -> if not (Pmap.mem id p_dels) then f id) p_base;
       List.iter f p_adds
 
-let thaw p =
-  match p with
-  | Frozen a -> (Array.length a, Array.to_list a)
-  | Building (c, l) -> (c, l)
-  | Patched { p_live; _ } ->
-      let l = ref [] in
-      p_iter (fun id -> l := id :: !l) p;
-      (p_live, !l)
-
-let freeze = function
-  | (Frozen _ | Patched _) as p -> p
-  | Building (_, l) ->
-      let a = Array.of_list l in
-      Array.sort Int.compare a;
-      Frozen a
-
-let push_tbl tbl k id =
-  match Hashtbl.find_opt tbl k with
-  | Some p ->
-      let c, l = thaw p in
-      Hashtbl.replace tbl k (Building (c + 1, id :: l))
-  | None -> Hashtbl.replace tbl k (Building (1, [ id ]))
-
-(* Prepend a later chunk's per-key list onto the accumulated one: chunks
-   are merged in increasing rank order and each per-chunk list is built
-   newest-first, so [l @ prev] reproduces exactly the lists of the
-   sequential build (the final freeze then sorts both the same way). *)
-let merge_into tbl k p =
-  match Hashtbl.find_opt tbl k with
-  | None -> Hashtbl.replace tbl k p
-  | Some p0 ->
-      let c, l = thaw p and c0, prev = thaw p0 in
-      Hashtbl.replace tbl k (Building (c + c0, l @ prev))
+(* Bulk-build accumulation: plain per-key id lists, in any order — each
+   list is sorted into one frozen array before publishing, so chunk and
+   push order never show. *)
+let push_ids tbl k ids =
+  Hashtbl.replace tbl k
+    (List.rev_append ids (Option.value ~default:[] (Hashtbl.find_opt tbl k)))
 
 let create ?pool ix =
   let n = Index.n ix in
@@ -150,10 +117,10 @@ let create ?pool ix =
       let id = Entry.id e in
       List.iter
         (fun (a, v) ->
-          push_tbl eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
+          push_ids eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) [ id ])
         (Entry.pairs e);
       Attr.Set.iter
-        (fun a -> push_tbl present (attr_key (Attr.to_string a)) id)
+        (fun a -> push_ids present (attr_key (Attr.to_string a)) [ id ])
         (Entry.attributes e)
     done;
     (eq, present)
@@ -164,14 +131,21 @@ let create ?pool ix =
     | (eq, present) :: rest ->
         List.iter
           (fun (eq', present') ->
-            Hashtbl.iter (merge_into eq) eq';
-            Hashtbl.iter (merge_into present) present')
+            Hashtbl.iter (push_ids eq) eq';
+            Hashtbl.iter (push_ids present) present')
           rest;
         (eq, present)
   in
   (* snapshot-build time is freeze time: every posting list becomes one
      sorted id array before the first lookup runs *)
-  let to_pmap tbl = Hashtbl.fold (fun k p m -> Pmap.add k (freeze p) m) tbl Pmap.empty in
+  let to_pmap tbl =
+    Hashtbl.fold
+      (fun k ids m ->
+        let a = Array.of_list ids in
+        Array.sort Int.compare a;
+        Pmap.add k (Frozen a) m)
+      tbl Pmap.empty
+  in
   {
     ix;
     eq = to_pmap eq;
@@ -394,9 +368,10 @@ let card_substr t a sub =
 
 (* {2 Incremental maintenance} *)
 
-(* Counts equal posting multiplicities by construction (one cons per
-   push, one array slot per frozen posting), so a multi-valued entry
-   contributing several postings to one key is fully unindexed here.
+(* Counts equal posting multiplicities by construction (one array slot
+   per posting, one overlay cell per pending add), so a multi-valued
+   entry contributing several postings to one key is fully unindexed
+   here.
 
    A [Frozen] posting never thaws to a list: below [patch_min] it is
    re-spliced in place (binary search plus one blit), above it the edit
@@ -404,8 +379,7 @@ let card_substr t a sub =
    person carries [uid] and [name], so the [present] rows hold |D| ids)
    costs O(log |D|) per transaction instead of the O(|D|) copy or the
    O(|D| log |D|) thaw-and-resort that made writes scale with directory
-   size.  Only [Building] postings (bulk-build residue) still need
-   {!Builder.seal}'s re-freeze. *)
+   size.  A key Δ creates starts out as a one-slot [Frozen] array. *)
 
 (* Splice threshold: smaller arrays are cheaper to copy than to wrap in
    an overlay, and staying [Frozen] keeps their reads branch-free. *)
@@ -497,8 +471,7 @@ let push m k id =
                  p_edits = p.p_edits + 1;
                  p_live = p.p_live + 1;
                })
-      | Some (Building (c, l)) -> Some (Building (c + 1, id :: l))
-      | None -> Some (Building (1, [ id ])))
+      | None -> Some (Frozen [| id |]))
     m
 
 let remove_from m k id =
@@ -564,13 +537,10 @@ let remove_from m k id =
                      p_adds = adds;
                      p_edits = p.p_edits - !ra + de;
                      p_live = live;
-                   })
-      | Some (Building (_, l)) -> (
-          match List.filter (fun i -> i <> id) l with
-          | [] -> None
-          | keep -> Some (Building (List.length keep, keep))))
+                   }))
     m
 
+(* One transaction's worth of posting edits against a base version. *)
 module Builder = struct
   type vindex = t
 
@@ -580,11 +550,6 @@ module Builder = struct
     mutable b_present : postings Pmap.t;
     mutable b_ranges : range_idx Pmap.t;
     mutable b_trigrams : (string, Entry.id array) Hashtbl.t Pmap.t;
-    (* Keys edited this transaction, re-frozen at seal (a no-op for
-       the Frozen/Patched splices; it catches keys first created here,
-       which are Building lists). *)
-    touched_eq : (int, unit) Hashtbl.t;
-    touched_present : (int, unit) Hashtbl.t;
     (* Entries inserted earlier in this same transaction are not in the
        base index; keep them at hand so a later delete can unindex
        them. *)
@@ -605,8 +570,6 @@ module Builder = struct
       b_present = base.present;
       b_ranges = ranges;
       b_trigrams = trigrams;
-      touched_eq = Hashtbl.create 16;
-      touched_present = Hashtbl.create 16;
       added = Hashtbl.create 16;
     }
 
@@ -620,14 +583,12 @@ module Builder = struct
     List.iter
       (fun (a, v) ->
         let k = eq_key (Attr.to_string a) (norm (Value.to_string v)) in
-        Hashtbl.replace b.touched_eq k ();
         b.b_eq <- push b.b_eq k id)
       (Entry.pairs entry);
     Attr.Set.iter
       (fun a ->
         let ak = attr_key (Attr.to_string a) in
         dirty b ak;
-        Hashtbl.replace b.touched_present ak ();
         b.b_present <- push b.b_present ak id)
       (Entry.attributes entry)
 
@@ -642,9 +603,7 @@ module Builder = struct
       (fun (a, v) ->
         match eq_key_opt (Attr.to_string a) (norm (Value.to_string v)) with
         | None -> ()
-        | Some k ->
-            Hashtbl.replace b.touched_eq k ();
-            b.b_eq <- remove_from b.b_eq k id)
+        | Some k -> b.b_eq <- remove_from b.b_eq k id)
       (Entry.pairs e);
     Attr.Set.iter
       (fun a ->
@@ -652,7 +611,6 @@ module Builder = struct
         | None -> ()
         | Some ak ->
             dirty b ak;
-            Hashtbl.replace b.touched_present ak ();
             b.b_present <- remove_from b.b_present ak id)
       (Entry.attributes e)
 
@@ -661,15 +619,10 @@ module Builder = struct
     | Update.Delete id -> delete b id
 
   let seal ~index b =
-    let refreeze touched m =
-      Hashtbl.fold
-        (fun k () m -> Pmap.update k (Option.map freeze) m)
-        touched m
-    in
     {
       ix = index;
-      eq = refreeze b.touched_eq b.b_eq;
-      present = refreeze b.touched_present b.b_present;
+      eq = b.b_eq;
+      present = b.b_present;
       lock = Mutex.create ();
       ranges = b.b_ranges;
       trigrams = b.b_trigrams;
@@ -680,11 +633,3 @@ let apply ~index ops t =
   let b = Builder.of_version t in
   List.iter (Builder.apply_op b) ops;
   Builder.seal ~index b
-
-let replace_entry ~index old_e new_e t =
-  apply ~index
-    [
-      Update.Delete (Entry.id old_e);
-      Update.Insert { parent = None; entry = new_e };
-    ]
-    t

@@ -65,44 +65,19 @@ val card_substr : t -> Attr.t -> Filter.substring -> int
     behind the lowest shifted rank.  At snapshot-build time ({!create})
     every posting set is frozen into one sorted id array — the compact,
     cache-friendly representation the planner's bitset fills and
-    cardinality probes sweep.  A {!Builder} thaws exactly the keys Δ
-    touches back into count+list form, the mutable build representation,
-    and {!Builder.seal} re-freezes that touched set — so a {e published}
-    version only ever holds frozen postings, no matter how many update
-    transactions produced it. *)
+    cardinality probes sweep.  A version step edits only the keys Δ
+    touches: a small array is re-spliced in place and stays frozen; a
+    large (dense) one takes the edit into a bounded overlay of pending
+    adds and deletes, folded back into one sorted array once enough
+    edits pile up.  A published version may therefore hold both frozen
+    and patched postings; reads stay within a constant factor of array
+    speed either way. *)
 
-(** Accumulates one transaction's worth of posting edits against a base
-    version.  Mirrors {!Index.Builder}: [of_version] is O(1) (the
-    persistent tables are shared, the lazy per-attribute structures
-    carry over minus the attributes Δ dirties), each op costs
-    O(pairs · (log + postings-per-touched-key)), and [seal] publishes an
-    immutable version re-freezing only the touched keys.  A builder is
-    single-transaction scratch state: not thread-safe, and unusable
-    after [seal]. *)
-module Builder : sig
-  type vindex := t
-  type t
-
-  val of_version : vindex -> t
-
-  (** Ops refer to ids of the {e base} version (or ids inserted earlier
-      in this same builder — same-transaction insert-then-delete is
-      handled). *)
-  val apply_op : t -> Update.op -> unit
-
-  (** [seal ~index b] — [index] must be the matching post-transaction
-      evaluation index. *)
-  val seal : index:Index.t -> t -> vindex
-end
-
-(** [apply ~index ops t] — one-shot builder round-trip: the value index
-    for the post-transaction version.  [index] must be the matching
-    evaluation index (e.g. [Index.apply ops (Vindex.index t)]).
-    O(|Δ| · log + touched-key re-freeze); everything untouched is shared
-    with [t]. *)
+(** [apply ~index ops t] — the value index for the post-transaction
+    version.  Ops refer to ids of [t] (or ids inserted earlier in [ops]
+    — same-transaction insert-then-delete is handled).  [index] must be
+    the matching evaluation index (e.g. [Index.apply ops (Vindex.index
+    t)]).  O(|Δ| · log) per touched key; everything untouched — postings
+    and the lazy per-attribute structures of untouched attributes — is
+    shared with [t]. *)
 val apply : index:Index.t -> Update.op list -> t -> t
-
-(** [replace_entry ~index old_e new_e t] — attribute-level modification:
-    unindex [old_e]'s pairs, index [new_e]'s.  [index] is the
-    post-modification evaluation index. *)
-val replace_entry : index:Index.t -> Entry.t -> Entry.t -> t -> t

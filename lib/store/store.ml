@@ -24,32 +24,38 @@ type ship =
   | Ship_txn of { lsn : int; ops : Update.op list }
   | Ship_mark of { lsn : int }
 
+(* Collapse the delta chain into a fresh full snapshot once it holds
+   this many segments. *)
+let delta_chain = 8
+
+(* The open write: transactions staged against the rolling version
+   since the last flush.  An unbatched {!apply} and a {!replica_apply}
+   are writes of one; {!batch} holds one open across its callback. *)
+type pending = {
+  dir0 : Directory.t;  (** the version a failed write rolls back to *)
+  lsn0 : int;
+  buf : Buffer.t;  (** encoded records, lsns [lsn0 + 1 ..] in order *)
+  mutable results : Admission.result list;  (** newest first *)
+}
+
 type t = {
   io : Io.t;
   schema_v : Schema.t;
   auto_checkpoint : int;
-  delta_chain : int;  (** collapse the delta chain past this many segments *)
-  (* the session's commit hook closes over this cell: a no-op while
-     recovery replays the tail (those records are already durable), the
-     log appender afterwards *)
-  hook : (Update.op list -> Directory.t -> unit) ref;
   mutable dir : Directory.t;
   mutable lsn_v : int;
   mutable wal_bytes_v : int;
   mutable wal_records_v : int;
   mutable chain_len : int;  (** delta segments since the last full snapshot *)
   mutable delta_bytes_v : int;
-  mutable base : Checkpoint.meta;  (** session totals at last checkpoint *)
-  mutable counted : Directory.stats;  (** live counters at last checkpoint *)
-  (* group commit: while [Some buf], accepted transactions buffer their
-     encoded log records here instead of appending — {!batch} lands the
-     whole buffer with one append (one shared fsync) before anything is
-     acknowledged *)
-  mutable batch_buf : Buffer.t option;
-  mutable batch_count : int;
-  mutable batch_results : Admission.result list;  (** newest first *)
+  mutable base_lsn : int;  (** lsn of the base checkpoint *)
+  (* totals across crashes, counted only once a write is durable *)
+  mutable applied : int;
+  mutable rejected : int;
+  queries0 : int;  (** query total carried in from the opened checkpoint *)
+  mutable pending : pending option;
   (* the replication feed, fired only after the record's bytes are
-     durable (post-append, post-shared-flush) — never mid-batch *)
+     durable — never mid-batch *)
   mutable ship : (ship -> unit) option;
   mutable recovery_v : report option;  (** how {!open_} found the logs *)
 }
@@ -105,48 +111,27 @@ let stats t =
   {
     Checkpoint.lsn = t.lsn_v;
     entries = s.Directory.entries;
-    applied = t.base.Checkpoint.applied + s.Directory.applied - t.counted.Directory.applied;
-    rejected = t.base.Checkpoint.rejected + s.Directory.rejected - t.counted.Directory.rejected;
-    queries = t.base.Checkpoint.queries + s.Directory.queries - t.counted.Directory.queries;
+    applied = t.applied;
+    rejected = t.rejected;
+    queries = t.queries0 + s.Directory.queries;
     memo_hits = s.Directory.memo_hits;
     memo_misses = s.Directory.memo_misses;
     memo_entries = s.Directory.memo_entries;
   }
-
-let wal_hook t ops _dir =
-  let lsn = t.lsn_v + 1 in
-  match t.batch_buf with
-  | Some buf ->
-      (* inside a batch: the record is encoded now (so lsns stay dense
-         and later records in the batch see the right sequence) but hits
-         the log only at the shared flush in {!batch} *)
-      Buffer.add_string buf (Wal.encode_record ~lsn ops);
-      t.lsn_v <- lsn;
-      t.batch_count <- t.batch_count + 1
-  | None ->
-      (* [append] reports the bytes it framed, so the accounting reuses
-         the encoding just written instead of encoding the transaction
-         twice *)
-      let bytes = Wal.append t.io wal_file ~lsn ops in
-      t.lsn_v <- lsn;
-      t.wal_bytes_v <- t.wal_bytes_v + bytes;
-      t.wal_records_v <- t.wal_records_v + 1
 
 (* Collapse: rewrite the whole snapshot (atomic temp+rename), then drop
    the delta chain and the log.  A crash after the rename leaves delta
    and log records with lsn ≤ the new checkpoint's, which recovery skips
    as duplicates — every intermediate state recovers. *)
 let full_checkpoint t =
-  let meta = stats t in
-  Checkpoint.write t.io checkpoint_file meta (Directory.instance t.dir);
+  Checkpoint.write t.io checkpoint_file (stats t) (Directory.instance t.dir);
   t.io.Io.write delta_file "";
   Wal.reset t.io wal_file;
   t.chain_len <- 0;
   t.delta_bytes_v <- 0;
   t.wal_bytes_v <- 0;
   t.wal_records_v <- 0;
-  t.base <- meta;
-  t.counted <- Directory.stats t.dir;
+  t.base_lsn <- t.lsn_v;
   fire_ship t (Ship_mark { lsn = t.lsn_v })
 
 (* Each delta segment starts with a marker record — lsn 0, no ops — so
@@ -177,100 +162,98 @@ let delta_checkpoint t =
   end
 
 let checkpoint ?(full = false) t =
-  if full || t.delta_chain <= 0 || t.chain_len >= t.delta_chain then
-    full_checkpoint t
+  if full || t.chain_len >= delta_chain then full_checkpoint t
   else delta_checkpoint t
 
-let apply t ops =
-  let dir, res = Directory.apply t.dir ops in
+(* --- the write path -------------------------------------------------------- *)
+
+let rollback t p =
+  t.pending <- None;
+  t.dir <- p.dir0;
+  t.lsn_v <- p.lsn0
+
+(* Stage one verdict: an accepted transaction becomes the rolling
+   version and takes the next lsn — dense, so later records of the same
+   write see the right sequence — but reaches the log only at [flush]. *)
+let stage t p dir res =
   let res =
     match res with
     | Admission.Rejected _ -> res
-    | Admission.Accepted _ ->
+    | Admission.Accepted { ops; _ } ->
+        let lsn = t.lsn_v + 1 in
+        Buffer.add_string p.buf (Wal.encode_record ~lsn ops);
         t.dir <- dir;
-        (* the commit hook ran inside [Directory.apply] — by now the
-           record is durable (or buffered, inside a batch) and [lsn_v]
-           is its log position *)
-        Admission.with_lsn t.lsn_v res
+        t.lsn_v <- lsn;
+        Admission.with_lsn lsn res
   in
-  (match t.batch_buf with
-  | Some _ -> t.batch_results <- res :: t.batch_results
-  | None ->
-      (match res with
-      | Admission.Accepted { ops; _ } ->
-          (* the append above made the record durable: ship it *)
-          fire_ship t (Ship_txn { lsn = t.lsn_v; ops })
-      | Admission.Rejected _ -> ());
-      (* auto-compaction waits for the batch flush: a checkpoint taken
-         mid-batch would cover records that are not on disk yet *)
-      if
-        Admission.accepted res
-        && t.auto_checkpoint > 0
-        && t.wal_records_v >= t.auto_checkpoint
-      then checkpoint t);
+  p.results <- res :: p.results;
   res
 
+(* Land the write: every staged record in one append — one fsync on a
+   durable handle — and only then count it, ship it and auto-compact.
+   If the append raises, the store rolls back to the write's start and
+   the exception propagates: nothing is acknowledged or counted. *)
+let flush t p =
+  t.pending <- None;
+  let bytes = Buffer.length p.buf in
+  if bytes > 0 then begin
+    (try Wal.append_raw t.io wal_file (Buffer.contents p.buf)
+     with e ->
+       rollback t p;
+       raise e);
+    t.wal_bytes_v <- t.wal_bytes_v + bytes;
+    t.wal_records_v <- t.wal_records_v + (t.lsn_v - p.lsn0)
+  end;
+  let results = List.rev p.results in
+  List.iter
+    (function
+      | Admission.Accepted { lsn = Some lsn; ops; _ } ->
+          t.applied <- t.applied + 1;
+          fire_ship t (Ship_txn { lsn; ops })
+      | Admission.Accepted { lsn = None; _ } -> ()
+      | Admission.Rejected _ -> t.rejected <- t.rejected + 1)
+    results;
+  (* a checkpoint taken mid-write would cover records not on disk yet:
+     auto-compaction waits for the flush *)
+  if bytes > 0 && t.auto_checkpoint > 0 && t.wal_records_v >= t.auto_checkpoint
+  then checkpoint t;
+  results
+
+(* Run [f] inside an open write, then flush it — or roll it back if [f]
+   or the append raises. *)
+let write t f =
+  if t.pending <> None then invalid_arg "Store.batch: batch already open";
+  let p = { dir0 = t.dir; lsn0 = t.lsn_v; buf = Buffer.create 256; results = [] } in
+  t.pending <- Some p;
+  match f p with
+  | exception e ->
+      rollback t p;
+      raise e
+  | result -> (result, flush t p)
+
+let admit t p ops =
+  let dir, res = Directory.apply t.dir ops in
+  stage t p dir res
+
 (* Group commit.  Every {!apply} inside [f] is admitted against the
-   rolling version as usual, but its log record lands in the batch
-   buffer; when [f] returns, the whole buffer is appended in one I/O
-   operation — one shared fsync on a durable handle — and only then does
-   [batch] return, which is when the caller may acknowledge any of the
-   batched transactions.  The on-disk bytes are identical to sequential
-   {!apply}s of the same accepted transactions.
+   rolling version as usual and staged; when [f] returns, the whole
+   write lands with one append, and only then does [batch] return,
+   which is when the caller may acknowledge any of the batched
+   transactions.  The on-disk bytes are identical to sequential
+   {!apply}s of the same accepted transactions — an unbatched apply is
+   a batch of one.
 
    Crash discipline: a crash before the flush leaves none of the batch
    on disk (none was acknowledged); a torn flush leaves a prefix of
    whole records that recovery replays (admitted-but-unacknowledged
    transactions — allowed, since durability promises acknowledged ⊆
-   recovered).  If the flush append raises, the store rolls back to the
-   batch-start version and lsn and the exception propagates: nothing is
-   acknowledged, the store handle stays usable. *)
-let batch t f =
-  if t.batch_buf <> None then invalid_arg "Store.batch: batch already open";
-  let dir0 = t.dir and lsn0 = t.lsn_v in
-  let buf = Buffer.create 1024 in
-  t.batch_buf <- Some buf;
-  t.batch_count <- 0;
-  t.batch_results <- [];
-  let rollback () =
-    t.dir <- dir0;
-    t.lsn_v <- lsn0;
-    t.batch_buf <- None;
-    t.batch_count <- 0;
-    t.batch_results <- []
-  in
-  match f () with
-  | exception e ->
-      rollback ();
-      raise e
-  | result ->
-      let n = t.batch_count in
-      let results = List.rev t.batch_results in
-      t.batch_buf <- None;
-      t.batch_count <- 0;
-      t.batch_results <- [];
-      if Buffer.length buf > 0 then begin
-        (try Wal.append_raw t.io wal_file (Buffer.contents buf)
-         with e ->
-           rollback ();
-           raise e);
-        t.wal_bytes_v <- t.wal_bytes_v + Buffer.length buf;
-        t.wal_records_v <- t.wal_records_v + n;
-        (* the shared flush is behind us: every accepted record of the
-           batch is durable, in lsn order — ship them on the same beat
-           the caller is allowed to acknowledge them *)
-        List.iter
-          (fun r ->
-            match r with
-            | Admission.Accepted { lsn = Some l; ops; _ } ->
-                fire_ship t (Ship_txn { lsn = l; ops })
-            | Admission.Accepted { lsn = None; _ } | Admission.Rejected _ ->
-                ())
-          results
-      end;
-      if t.auto_checkpoint > 0 && t.wal_records_v >= t.auto_checkpoint then
-        checkpoint t;
-      (result, results)
+   recovered). *)
+let batch t f = write t (fun _ -> f ())
+
+let apply t ops =
+  match t.pending with
+  | Some p -> admit t p ops
+  | None -> fst (write t (fun p -> admit t p ops))
 
 (* Streaming bulk load: the caller drives [feed], pushing one entry at a
    time into a {!Directory.Bulk} builder (so a million-entry dump never
@@ -295,7 +278,10 @@ let load ?(trust = false) t feed =
       match (if trust then [] else Directory.validate dir) with
       | _ :: _ as vs -> Error (Illegal vs)
       | [] ->
+          let loaded = Directory.size dir - before in
           t.dir <- dir;
+          (* each loaded entry counts as one applied insert *)
+          t.applied <- t.applied + loaded;
           (* commit: fresh FULL checkpoint at the current lsn, then log
              reset.  Loaded entries bypass the log, so only a whole
              snapshot captures them — a delta segment here would lose
@@ -303,20 +289,34 @@ let load ?(trust = false) t feed =
              lsn ≤ the checkpoint's, which recovery skips as
              duplicates. *)
           full_checkpoint t;
-          Ok (Directory.size dir - before))
+          Ok loaded)
 
 let close t = Directory.close t.dir
 
-let init ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8) io schema
-    inst =
+let make io schema_v ~auto_checkpoint dir (meta : Checkpoint.meta) =
+  {
+    io;
+    schema_v;
+    auto_checkpoint;
+    dir;
+    lsn_v = meta.lsn;
+    wal_bytes_v = 0;
+    wal_records_v = 0;
+    chain_len = 0;
+    delta_bytes_v = 0;
+    base_lsn = meta.lsn;
+    applied = meta.applied;
+    rejected = meta.rejected;
+    queries0 = meta.queries;
+    pending = None;
+    ship = None;
+    recovery_v = None;
+  }
+
+let init ?pool ?(auto_checkpoint = 0) io schema inst =
   if exists io then Error Already_a_store
   else
-    let hook = ref (fun _ _ -> ()) in
-    match
-      Directory.open_ ?extensions ?pool
-        ~store:(fun ops d -> !hook ops d)
-        schema inst
-    with
+    match Directory.open_ ?pool schema inst with
     | Error vs -> Error (Illegal vs)
     | Ok dir ->
         let s = Directory.stats dir in
@@ -340,30 +340,7 @@ let init ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8) io schema
         (* the schema is the store marker, written last: a crash anywhere
            during init leaves a directory [open_] refuses as Not_a_store *)
         io.Io.write schema_file (Spec_printer.to_string schema);
-        let t =
-          {
-            io;
-            schema_v = schema;
-            auto_checkpoint;
-            delta_chain;
-            hook;
-            dir;
-            lsn_v = 0;
-            wal_bytes_v = 0;
-            wal_records_v = 0;
-            chain_len = 0;
-            delta_bytes_v = 0;
-            base = meta;
-            counted = s;
-            batch_buf = None;
-            batch_count = 0;
-            batch_results = [];
-            ship = None;
-            recovery_v = None;
-          }
-        in
-        hook := wal_hook t;
-        Ok t
+        Ok (make io schema ~auto_checkpoint dir meta)
 
 (* --- recovery ----------------------------------------------------------- *)
 
@@ -382,14 +359,7 @@ type replay_state = {
    else — a gap, or a record that no longer applies — marks the damage
    point and ends replay.
 
-   [trusted] replays through {!Directory.Bulk}: acknowledged records
-   passed admission when they were logged and the CRC already vouches
-   they are the same bytes, so legality is not re-checked and index
-   maintenance is batched past the cost crossover.  [trusted:false]
-   keeps the original checked path ({!Directory.apply}, which re-runs
-   admission per record) — the differential twin and benchmark
-   baseline. *)
-(* One replay pass shared by the delta chain and the log: both files
+   One replay pass is shared by the delta chain and the log: both files
    hold the same CRC-framed records, and one lsn discipline covers the
    whole fold — base checkpoint, then every delta segment in append
    order, then the log.  Segment markers (lsn 0, no ops) are counted,
@@ -425,24 +395,38 @@ let replay_file st ~apply_record io file =
             })
     ()
 
-let replay_log ~trusted ~ingest io dir0 ~lsn:lsn0 =
-  let bulk =
-    if trusted then Some (Directory.Bulk.start ~mode:ingest dir0) else None
-  in
-  let checked_dir = ref dir0 in
-  let apply_record ops =
-    match bulk with
-    | Some b -> Directory.Bulk.add b ops
-    | None -> (
-        match Directory.apply !checked_dir ops with
+(* A replay engine folds logged records into the session built from the
+   checkpoint.  The default is trusted ({!Directory.Bulk}): acknowledged
+   records passed admission when they were logged (Theorem 4.1) and the
+   CRC vouches they are the same bytes, so legality is not re-checked
+   and index maintenance is batched past the cost crossover. *)
+type engine = {
+  add : Update.op list -> (unit, Monitor.rejection) result;
+  finish : unit -> Directory.t;
+}
+
+let trusted bulk =
+  { add = Directory.Bulk.add bulk; finish = (fun () -> Directory.Bulk.finish bulk) }
+
+(* Full admission per record ({!Directory.apply}): the differential twin
+   of trusted replay and the benchmark baseline. *)
+let checked dir0 =
+  let cur = ref dir0 in
+  {
+    add =
+      (fun ops ->
+        match Directory.apply !cur ops with
         | dir, Admission.Accepted _ ->
-            checked_dir := dir;
+            cur := dir;
             Ok ()
-        | _, Admission.Rejected { reason; _ } -> Error reason)
-  in
+        | _, Admission.Rejected { reason; _ } -> Error reason);
+    finish = (fun () -> !cur);
+  }
+
+let replay_log engine io ~lsn:lsn0 =
   (* Delta chain first: it holds the older folded segments. *)
   let st = { cur = lsn0; replayed = 0; skipped = 0; broke = None; segments = 0 } in
-  let delta_folded = replay_file st ~apply_record io delta_file in
+  let delta_folded = replay_file st ~apply_record:engine.add io delta_file in
   let delta_replayed = st.replayed and delta_skipped = st.skipped in
   let delta_broke =
     match st.broke with
@@ -453,19 +437,15 @@ let replay_log ~trusted ~ingest io dir0 ~lsn:lsn0 =
      lost suffix (a torn segment append leaves the log un-reset, so the
      same records replay from there as duplicates-then-fresh). *)
   st.broke <- None;
-  let folded = replay_file st ~apply_record io wal_file in
-  let dir =
-    match bulk with Some b -> Directory.Bulk.finish b | None -> !checked_dir
-  in
+  let folded = replay_file st ~apply_record:engine.add io wal_file in
   let wal_replayed = st.replayed - delta_replayed
   and wal_skipped = st.skipped - delta_skipped in
-  ( dir,
+  ( engine.finish (),
     `Wal (st.cur, wal_replayed, wal_skipped, st.broke, folded),
     `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
   )
 
-let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
-    ?(trusted = true) ?(ingest = `Auto) io =
+let recover ~engine ?pool ?(auto_checkpoint = 0) io =
   match io.Io.read schema_file with
   | None -> Error (Not_a_store ("missing " ^ schema_file))
   | Some spec -> (
@@ -478,21 +458,14 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
           with
           | Error m -> Error (Corrupt (checkpoint_file ^ ": " ^ m))
           | Ok (meta, inst) -> (
-              let hook = ref (fun _ _ -> ()) in
-              match
-                Directory.open_ ?extensions ?pool
-                  ~store:(fun ops d -> !hook ops d)
-                  schema inst
-              with
+              match Directory.open_ ?pool schema inst with
               | Error vs -> Error (Illegal vs)
               | Ok dir0 ->
-                  let counted = Directory.stats dir0 in
                   let ( dir,
                         `Wal (cur, wal_replayed, wal_skipped, wal_broke, folded),
                         `Delta (delta_replayed, delta_broke, delta_end, segments)
                       ) =
-                    replay_log ~trusted ~ingest io dir0
-                      ~lsn:meta.Checkpoint.lsn
+                    replay_log (engine dir0) io ~lsn:meta.Checkpoint.lsn
                   in
                   let delta_tail, delta_end =
                     match delta_broke with
@@ -528,30 +501,26 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
                       delta_tail;
                     }
                   in
-                  let t =
-                    {
-                      io;
-                      schema_v = schema;
-                      auto_checkpoint;
-                      delta_chain;
-                      hook;
-                      dir;
-                      lsn_v = cur;
-                      wal_bytes_v = valid_end;
-                      wal_records_v = wal_replayed + wal_skipped;
-                      chain_len = segments;
-                      delta_bytes_v = delta_end;
-                      base = meta;
-                      counted;
-                      batch_buf = None;
-                      batch_count = 0;
-                      batch_results = [];
-                      ship = None;
-                      recovery_v = Some report;
-                    }
-                  in
-                  hook := wal_hook t;
-                  Ok (t, report))))
+                  let t = make io schema ~auto_checkpoint dir meta in
+                  Ok
+                    ( {
+                        t with
+                        lsn_v = cur;
+                        wal_bytes_v = valid_end;
+                        wal_records_v = wal_replayed + wal_skipped;
+                        chain_len = segments;
+                        delta_bytes_v = delta_end;
+                        applied =
+                          meta.Checkpoint.applied + delta_replayed
+                          + wal_replayed;
+                        recovery_v = Some report;
+                      },
+                      report ))))
+
+let open_ ?pool ?auto_checkpoint io =
+  recover
+    ~engine:(fun d -> trusted (Directory.Bulk.start d))
+    ?pool ?auto_checkpoint io
 
 (* --- replication (WAL shipment) ------------------------------------------ *)
 
@@ -560,8 +529,8 @@ let open_ ?extensions ?pool ?(auto_checkpoint = 0) ?(delta_chain = 8)
    is no older than the base checkpoint (records at or below the base's
    lsn are folded into the snapshot and gone from the logs). *)
 let records_from t ~lsn:from_lsn =
-  if t.batch_buf <> None then invalid_arg "Store.records_from: inside a batch";
-  if from_lsn < t.base.Checkpoint.lsn || from_lsn > t.lsn_v then `Too_old
+  if t.pending <> None then invalid_arg "Store.records_from: inside a batch";
+  if from_lsn < t.base_lsn || from_lsn > t.lsn_v then `Too_old
   else
     let take acc (r : Wal.record) =
       if r.lsn = 0 && r.ops = [] then acc (* segment marker *)
@@ -576,7 +545,7 @@ let records_from t ~lsn:from_lsn =
    current version as one checkpoint blob, encoded through the same
    {!Checkpoint} codec the store trusts on disk.  O(|D|). *)
 let boot_blob t =
-  if t.batch_buf <> None then invalid_arg "Store.boot_blob: inside a batch";
+  if t.pending <> None then invalid_arg "Store.boot_blob: inside a batch";
   let meta = stats t in
   let scratch = Io.mem (Io.fresh_fs ()) in
   Checkpoint.write scratch checkpoint_file meta (Directory.instance t.dir);
@@ -614,36 +583,41 @@ let install_snapshot io ~schema ~checkpoint =
 
 (* The replica's write surface: apply one shipped record under the same
    lsn discipline recovery uses.  A duplicate (lsn already covered) is
-   skipped — the overlap a resume-from-lsn re-subscription produces; the
-   successor lsn is logged durably {e first} (acknowledged ⊆ recovered
-   holds on the replica too) and then applied through the trusted
-   {!Directory.replay} path: the primary admitted the record before
-   acknowledging it (Theorem 4.1), and the frame CRC vouches these are
-   the same bytes, so legality is not re-checked.  A gap means shipment
-   lost records — the caller must re-bootstrap, not guess. *)
+   skipped — the overlap a resume-from-lsn re-subscription produces.
+   The successor lsn is the trusted case of the primary's write step:
+   the primary admitted the record before acknowledging it (Theorem
+   4.1) and the frame CRC vouches these are the same bytes, so it is
+   replayed in memory without re-checking legality, then landed through
+   the same flush as {!apply} — durable before it counts (acknowledged ⊆
+   recovered holds on the replica too).  A record that does not replay
+   never touches the log.  A gap means shipment lost records — the
+   caller must re-bootstrap, not guess. *)
 let replica_apply t ~lsn ops =
-  if t.batch_buf <> None then invalid_arg "Store.replica_apply: inside a batch";
+  if t.pending <> None then invalid_arg "Store.replica_apply: inside a batch";
   if lsn <= t.lsn_v then Ok `Duplicate
   else if lsn <> t.lsn_v + 1 then
     Error
       (Printf.sprintf "lsn gap: expected %d, shipped %d" (t.lsn_v + 1) lsn)
-  else begin
-    let before = t.wal_bytes_v in
-    let bytes = Wal.append t.io wal_file ~lsn ops in
+  else
+    let entries_before = Directory.size t.dir in
     match Directory.replay t.dir ops with
-    | Ok dir ->
-        t.dir <- dir;
-        t.lsn_v <- lsn;
-        t.wal_bytes_v <- before + bytes;
-        t.wal_records_v <- t.wal_records_v + 1;
-        if t.auto_checkpoint > 0 && t.wal_records_v >= t.auto_checkpoint then
-          checkpoint t;
-        Ok `Applied
     | Error rej ->
-        (* a shipped record the trusted path cannot apply is damage, not
-           a verdict: un-log it so the durable prefix stays replayable *)
-        Wal.truncate t.io wal_file ~keep:before;
         Error
           (Format.asprintf "shipped record %d rejected: %a" lsn
              Monitor.pp_rejection rej)
-  end
+    | Ok dir ->
+        let res =
+          Admission.Accepted
+            { lsn = None; ops; entries_before; entries_after = Directory.size dir }
+        in
+        ignore (write t (fun p -> stage t p dir res));
+        Ok `Applied
+
+(* --- the checked and forced recovery engines -------------------------------- *)
+
+module Private = struct
+  let open_checked io = recover ~engine:checked io
+
+  let open_forced ~force io =
+    recover ~engine:(fun d -> trusted (Directory.Private.bulk_start ~force d)) io
+end

@@ -11,11 +11,18 @@
     - [delta.log] — the delta-checkpoint chain: each O(Δ) {!checkpoint}
       folds the current log into it as one CRC-framed segment behind a
       marker record, collapsed into a fresh full snapshot once the chain
-      exceeds the [delta_chain] threshold;
+      holds eight segments;
     - [wal.log] — the write-ahead transaction log: every transaction
       accepted since the last checkpoint, appended as one CRC-framed
-      record {e before} {!apply} acknowledges it (via
-      {!Bounds_core.Directory.commit_hook}).
+      record {e before} {!apply} acknowledges it.
+
+    The store writes its own log.  Every write — {!apply}, {!batch},
+    {!replica_apply} — is one step: admit through the hook-free
+    {!Bounds_core.Directory.apply} (or, for a shipped record, replay
+    through the trusted {!Bounds_core.Directory.replay}), encode the
+    record, and land the whole write with one append (one fsync), then
+    count, ship and auto-compact.  An unbatched [apply] is a batch of
+    one.
 
     Recovery ({!open_}) loads the checkpoint, folds the delta chain and
     then the log tail in lsn order, and {e truncates} the damaged file
@@ -90,10 +97,8 @@ val exists : Io.t -> bool
     [auto_checkpoint] (default [0] = never) compacts automatically once
     that many records accumulate in the log. *)
 val init :
-  ?extensions:bool ->
   ?pool:Bounds_par.Pool.t ->
   ?auto_checkpoint:int ->
-  ?delta_chain:int ->
   Io.t ->
   Schema.t ->
   Instance.t ->
@@ -104,24 +109,16 @@ val init :
     then truncates any damaged tail so subsequent appends extend the
     durable prefix.  The returned {!report} says how far recovery got.
 
-    [trusted] (default [true]) replays the tail through the trusted fast
-    path ({!Directory.replay} / {!Directory.Bulk}): every logged record
-    passed admission before it was acknowledged and the CRC frame
-    vouches the bytes are unchanged, so legality is not re-checked and
-    index maintenance is batched past a cost crossover — recovery is
-    codec-decode plus state maintenance, O(|D| + Δ) instead of
-    O(Δ · re-admission).  [trusted:false] re-runs full admission per
-    record (the original path, kept as the differential twin and
-    benchmark baseline); [ingest] forces the trusted path's batching
-    regime (testing/benchmarks — the default [`Auto] applies the
-    crossover). *)
+    The tail replays through the trusted path ({!Directory.Bulk}):
+    every logged record passed admission before it was acknowledged and
+    the CRC frame vouches the bytes are unchanged, so legality is not
+    re-checked and index maintenance is batched past a cost crossover —
+    recovery is codec-decode plus state maintenance, O(|D| + Δ) instead
+    of O(Δ · re-admission).  The checked engine and the forced regimes
+    live in {!Private}. *)
 val open_ :
-  ?extensions:bool ->
   ?pool:Bounds_par.Pool.t ->
   ?auto_checkpoint:int ->
-  ?delta_chain:int ->
-  ?trusted:bool ->
-  ?ingest:Directory.Bulk.mode ->
   Io.t ->
   (t * report, error) result
 
@@ -148,16 +145,19 @@ val delta_segments : t -> int
 val delta_bytes : t -> int
 
 (** Session statistics accumulated {e across} crashes: the checkpoint
-    header's totals plus everything the live session has done since. *)
+    header's totals plus everything the live session has done since.
+    [applied] and [rejected] count a transaction only once its write
+    has landed: a write that rolls back counts nothing. *)
 val stats : t -> Checkpoint.meta
 
-(** [apply t ops] — append the transaction to the log (inside the
-    session's commit hook, before acknowledgement), then advance the
-    store to the new version.  Rejected transactions touch neither the
-    log nor the session.  An accepted verdict carries the record's
-    durable lsn ({!Bounds_core.Admission.lsn}); the advanced session is
-    available through {!directory}.  Raises {!Io.Crash} only under a
-    fault schedule; the on-disk prefix then still recovers. *)
+(** [apply t ops] — admit the transaction, append its record to the log,
+    and only then advance the store to the new version — a {!batch} of
+    one.  Rejected transactions touch neither the log nor the session.
+    An accepted verdict carries the record's durable lsn
+    ({!Bounds_core.Admission.lsn}); the advanced session is available
+    through {!directory}.  If the append raises, the store stays at the
+    previous version and the exception propagates.  Inside {!batch},
+    the record is staged for the batch's shared append instead. *)
 val apply : t -> Update.op list -> Admission.result
 
 (** [batch t f] — group commit.  {!apply}s made by [f] are admitted
@@ -185,8 +185,8 @@ val batch : t -> (unit -> 'a) -> 'a * Admission.result list
 
 (** Compact in O(Δ): fold the current log into the delta chain — one
     append of the already-framed record bytes behind a segment marker —
-    then reset the log.  Once the chain reaches [delta_chain] segments
-    (or with [~full:true], or [delta_chain ≤ 0]), collapse instead:
+    then reset the log.  Once the chain holds eight segments (or with
+    [~full:true]), collapse instead:
     rewrite the whole snapshot (atomic replace), drop the chain, reset
     the log — the old O(|D|) behaviour, now amortized over the chain.
 
@@ -269,12 +269,27 @@ val boot_blob : t -> string * string * int
 val install_snapshot :
   Io.t -> schema:string -> checkpoint:string -> (unit, string) result
 
-(** [replica_apply t ~lsn ops] — the replica's write surface: log the
-    shipped record durably (acknowledged ⊆ recovered holds on the
-    replica too), then apply it through trusted {!Directory.replay}.
-    [Ok `Duplicate] when [lsn] is already covered (the overlap a
-    resume-from-lsn re-subscription produces — never re-applied);
-    [Error] on an lsn gap or an unappliable record, with the log left
-    on its durable prefix — the caller should re-bootstrap. *)
+(** [replica_apply t ~lsn ops] — the replica's write surface, the
+    trusted case of {!apply}: replay the shipped record in memory
+    through {!Directory.replay}, then land it through the same append as
+    {!apply}, at the shipped lsn (acknowledged ⊆ recovered holds on the
+    replica too).  [Ok `Duplicate] when [lsn] is already covered (the
+    overlap a resume-from-lsn re-subscription produces — never
+    re-applied); [Error] on an lsn gap or an unappliable record, with
+    the log untouched — the caller should re-bootstrap. *)
 val replica_apply :
   t -> lsn:int -> Update.op list -> ([ `Applied | `Duplicate ], string) result
+
+(** Differential testing and benchmarks only: recovery through the
+    engines {!open_} does not use. *)
+module Private : sig
+  (** Recover re-running full admission per record
+      ({!Directory.apply}) — the differential twin of trusted replay
+      and the benchmark baseline. *)
+  val open_checked : Io.t -> (t * report, error) result
+
+  (** Trusted recovery with the {!Directory.Bulk} regime pinned instead
+      of the cost crossover ({!Directory.Private.bulk_start}). *)
+  val open_forced :
+    force:[ `Batch | `Incremental ] -> Io.t -> (t * report, error) result
+end

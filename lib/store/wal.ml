@@ -50,11 +50,6 @@ let encode_record ~lsn ops = Frame.encode (Codec.encode_txn ~lsn ops)
 
 let append_raw io path framed = io.Io.append path framed
 
-let append io path ~lsn ops =
-  let framed = encode_record ~lsn ops in
-  append_raw io path framed;
-  String.length framed
-
 let record_size ops =
   Frame.header_size + String.length (Codec.encode_txn ~lsn:0 ops)
 

@@ -49,13 +49,8 @@ type scan = {
     whole list (e.g. the [log] inspection verb). *)
 val scan : Io.t -> string -> scan
 
-(** Appends one record and returns its size in bytes (frame included),
-    so the caller's byte accounting reuses the encoding just written
-    instead of encoding the transaction a second time. *)
-val append : Io.t -> string -> lsn:int -> Update.op list -> int
-
 (** One record as its on-log bytes (frame included) without writing it —
-    group commit buffers these and lands a whole batch with one
+    the store buffers these and lands a whole write with one
     {!append_raw}. *)
 val encode_record : lsn:int -> Update.op list -> string
 

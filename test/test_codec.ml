@@ -221,6 +221,96 @@ let test_b64_rejects_malformed () =
         (* the stray '=' is at offset 2 *)
         m = "stray base64 padding '=' at offset 2")
 
+(* --- change records ------------------------------------------------------ *)
+
+let base = lazy (Bounds_codec.Ldif.parse_exn ~typing sample_ldif)
+
+(* ids in [sample_ldif]: o=att 0, ou=research 1, uid=laks 2; adds take
+   fresh ids from 3 *)
+let changes ?(inst = Lazy.force base) text =
+  Bounds_codec.Ldif.parse_changes ~typing inst text
+
+let shape = function
+  | Update.Insert { parent; entry } ->
+      Printf.sprintf "add %d %s under %s" (Entry.id entry) (Entry.rdn entry)
+        (match parent with Some p -> string_of_int p | None -> "root")
+  | Update.Delete id -> Printf.sprintf "delete %d" id
+
+let check_changes label ?inst text expected =
+  match changes ?inst text with
+  | Ok ops -> Alcotest.(check (list string)) label expected (List.map shape ops)
+  | Error e -> Alcotest.failf "%s: %s" label e
+
+let person_record dn uid =
+  Printf.sprintf "dn: %s\nobjectClass: person\nobjectClass: top\nuid: %s\n" dn uid
+
+let unit_record dn ou =
+  Printf.sprintf "dn: %s\nobjectClass: orgUnit\nobjectClass: top\nou: %s\n" dn ou
+
+let delete_record dn = Printf.sprintf "dn: %s\nchangetype: delete\n" dn
+
+let test_changes_existing () =
+  check_changes "add under an existing parent"
+    (person_record "uid=ada,ou=research,o=att" "ada")
+    [ "add 3 uid=ada under 1" ];
+  check_changes "delete an existing entry"
+    (delete_record "uid=laks,ou=research,o=att")
+    [ "delete 2" ]
+
+let test_changes_same_document () =
+  check_changes "add under a parent added earlier"
+    (unit_record "ou=lab,o=att" "lab" ^ "\n"
+    ^ person_record "uid=bob,ou=lab,o=att" "bob")
+    [ "add 3 ou=lab under 0"; "add 4 uid=bob under 3" ];
+  check_changes "delete an entry added earlier"
+    (unit_record "ou=lab,o=att" "lab" ^ "\n" ^ delete_record "ou=lab,o=att")
+    [ "add 3 ou=lab under 0"; "delete 3" ]
+
+let test_changes_unknown () =
+  List.iter
+    (fun (label, text) ->
+      match changes text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: resolved" label)
+    [
+      ("delete of an unknown dn", delete_record "uid=nobody,o=att");
+      ( "add under an unknown parent",
+        person_record "uid=ada,ou=nowhere,o=att" "ada" );
+    ]
+
+let test_changes_case_and_spacing () =
+  check_changes "existing entry, other case and spacing"
+    (delete_record "UID=Laks , OU=Research,o=ATT")
+    [ "delete 2" ];
+  check_changes "same-document add, other case and spacing"
+    (unit_record "ou=lab,o=att" "lab" ^ "\n"
+    ^ person_record "uid=bob, OU=LAB ,o=att" "bob")
+    [ "add 3 ou=lab under 0"; "add 4 uid=bob under 3" ]
+
+let test_changes_shared_rdn () =
+  (* two siblings with one rdn: the DN is ambiguous, and change records
+     must pick the entry searches pick *)
+  let unit id =
+    Entry.make ~id ~rdn:"ou=dup"
+      ~classes:(Oclass.set_of_list [ "orgUnit"; "top" ])
+      [ (Attr.of_string "ou", Value.String "dup") ]
+  in
+  let inst =
+    Result.get_ok
+      (Update.apply (Lazy.force base)
+         [
+           Update.Insert { parent = Some 0; entry = unit 10 };
+           Update.Insert { parent = Some 0; entry = unit 11 };
+         ])
+  in
+  let id = Option.get (Instance.resolve_dn inst "ou=dup,o=att") in
+  check_changes ~inst "delete resolves like resolve_dn"
+    (delete_record "ou=dup,o=att")
+    [ Printf.sprintf "delete %d" id ];
+  check_changes ~inst "parent resolves like resolve_dn"
+    (person_record "uid=ada,ou=dup,o=att" "ada")
+    [ Printf.sprintf "add 12 uid=ada under %d" id ]
+
 let prop_b64_roundtrip =
   QCheck.Test.make ~name:"base64 roundtrip on random bytes" ~count:300
     QCheck.(string_of_size Gen.(int_bound 48))
@@ -242,6 +332,14 @@ let () =
           Alcotest.test_case "roundtrip generated" `Quick test_roundtrip_generated;
           QCheck_alcotest.to_alcotest prop_ldif_roundtrip;
           QCheck_alcotest.to_alcotest prop_ldif_adversarial;
+        ] );
+      ( "changes",
+        [
+          Alcotest.test_case "existing entries" `Quick test_changes_existing;
+          Alcotest.test_case "same-document adds" `Quick test_changes_same_document;
+          Alcotest.test_case "unknown dn" `Quick test_changes_unknown;
+          Alcotest.test_case "case and spacing" `Quick test_changes_case_and_spacing;
+          Alcotest.test_case "siblings sharing an rdn" `Quick test_changes_shared_rdn;
         ] );
       ( "base64",
         [

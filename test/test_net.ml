@@ -343,8 +343,13 @@ let prop_group_commit_equivalence =
       let wal fs =
         match Io.read_fs fs Store.wal_file with Some s -> s | None -> ""
       in
+      let counts st =
+        let m = Store.stats st in
+        Bounds_store.Checkpoint.(m.applied, m.rejected)
+      in
       Store.lsn st_bat = Store.lsn st_seq
       && wal fs_bat = wal fs_seq
+      && counts st_bat = counts st_seq
       && Instance.equal (Directory.instance (Store.directory st_bat)) final
       && Directory.validate (Store.directory st_bat) = []
       &&

@@ -8,8 +8,9 @@
    then crashes a scripted run at {e every} mutating operation and every
    intra-record byte boundary, and requires recovery to reproduce
    exactly the acknowledged prefix — through the trusted replay path
-   (the default) {e and} through the checked path ([~trusted:false]),
-   which must agree on every crash point. *)
+   (the default) {e and} through the checked path
+   ([Store.Private.open_checked]), which must agree on every crash
+   point. *)
 
 open Bounds_model
 open Bounds_core
@@ -343,31 +344,31 @@ let test_delta_checkpoint () =
   check_int "no empty segment" 2 (Store.delta_segments st')
 
 let test_delta_collapse () =
-  let fs = Io.fresh_fs () in
-  let st =
-    get_store "init"
-      (Store.init ~delta_chain:2 (Io.mem fs) WP.schema WP.instance)
+  (* the chain holds at most eight segments: eight checkpointed
+     transactions fill it, the ninth checkpoint collapses it *)
+  let fs, st = fresh_store () in
+  let txns =
+    List.init 9 (fun i -> ins (100 + i) (Printf.sprintf "wal%d" (i + 1)))
   in
-  let _ = get_apply "t1" (Store.apply st txn1) in
-  Store.checkpoint st;
-  let _ = get_apply "t2" (Store.apply st txn2) in
-  Store.checkpoint st;
-  check_int "chain at threshold" 2 (Store.delta_segments st);
-  let _ = get_apply "t3" (Store.apply st txn3) in
-  Store.checkpoint st;
-  (* chain was at the threshold: this one collapsed to a full snapshot *)
+  List.iteri
+    (fun i txn ->
+      let _ = get_apply (Printf.sprintf "t%d" (i + 1)) (Store.apply st txn) in
+      Store.checkpoint st;
+      if i < 8 then check_int "chain grows" (i + 1) (Store.delta_segments st))
+    txns;
+  (* chain was at the threshold: the ninth collapsed to a full snapshot *)
   check_int "collapsed" 0 (Store.delta_segments st);
   let meta =
     Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
   in
-  check_int "snapshot lsn" 3 meta.Checkpoint.lsn;
-  check_int "applied persisted" 3 meta.Checkpoint.applied;
+  check_int "snapshot lsn" 9 meta.Checkpoint.lsn;
+  check_int "applied persisted" 9 meta.Checkpoint.applied;
   let st', report = reopen "collapse reopen" fs in
-  check_int "lsn" 3 (Store.lsn st');
-  check_int "checkpoint lsn" 3 report.Store.checkpoint_lsn;
+  check_int "lsn" 9 (Store.lsn st');
+  check_int "checkpoint lsn" 9 report.Store.checkpoint_lsn;
   check_int "delta segments" 0 report.Store.delta_segments;
   check "delta clean" true (report.Store.delta_tail = Store.Clean);
-  check_state "collapse" st' (after [ txn1; txn2; txn3 ])
+  check_state "collapse" st' (after txns)
 
 let test_delta_torn_segment () =
   (* a torn segment append: the chain truncates back to whole records,
@@ -439,6 +440,49 @@ let test_auto_checkpoint () =
   check_int "delta segments recovered" 1 report.Store.delta_segments;
   check_int "delta replayed" 2 report.Store.delta_replayed;
   check_state "auto checkpoint" st' (after [ txn1; txn2 ])
+
+(* A write whose append fails without crashing (ENOSPC, say) rolls back
+   and counts nothing: [applied] moves only once a record is durable,
+   and that is the figure a full checkpoint persists. *)
+let test_failed_write_not_counted () =
+  let fs, st0 = fresh_store () in
+  ignore st0;
+  let fail_next = ref false in
+  let io = Io.mem fs in
+  let io =
+    {
+      io with
+      Io.append =
+        (fun name data ->
+          if !fail_next then begin
+            fail_next := false;
+            failwith "no space left on device"
+          end
+          else io.Io.append name data);
+    }
+  in
+  let st, _ = get_store "open" (Store.open_ io) in
+  let applied st = (Store.stats st).Checkpoint.applied in
+  fail_next := true;
+  (match Store.batch st (fun () -> ignore (Store.apply st txn1)) with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "failed batch append was acknowledged");
+  check_int "failed batch: lsn" 0 (Store.lsn st);
+  check_int "failed batch: applied" 0 (applied st);
+  fail_next := true;
+  (match Store.apply st txn1 with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "failed apply append was acknowledged");
+  check_int "failed apply: lsn" 0 (Store.lsn st);
+  check_int "failed apply: applied" 0 (applied st);
+  check_state "failed apply" st WP.instance;
+  let _ = get_apply "retry" (Store.apply st txn1) in
+  check_int "retry: lsn" 1 (Store.lsn st);
+  check_int "retry: applied" 1 (applied st);
+  Store.checkpoint ~full:true st;
+  let st', _ = reopen "after full checkpoint" fs in
+  check_int "reopen: applied" 1 (applied st');
+  check_state "reopen" st' (after [ txn1 ])
 
 let test_init_guards () =
   let fs, st0 = fresh_store () in
@@ -538,7 +582,7 @@ let check_recovery ~what script fs acked =
   (* the checked replay path (full admission per record) must reproduce
      the same acknowledged prefix as the trusted default below, on a
      copy of the same on-disk state *)
-  (match Store.open_ ~trusted:false (Io.mem (Io.copy_fs fs)) with
+  (match Store.Private.open_checked (Io.mem (Io.copy_fs fs)) with
   | Error e ->
       Alcotest.failf "%s: checked recovery failed: %s" what
         (Store.error_to_string e)
@@ -716,14 +760,12 @@ let test_ingest_modes () =
   (* the same three-record tail recovered through each batching regime of
      the trusted path lands on the same state as checked replay *)
   List.iter
-    (fun (label, ingest) ->
+    (fun (label, open_) ->
       let fs, st = fresh_store () in
       let _ = get_apply "t1" (Store.apply st txn1) in
       let _ = get_apply "t2" (Store.apply st txn2) in
       let _ = get_apply "t3" (Store.apply st txn3) in
-      let st', report =
-        get_store label (Store.open_ ~trusted:true ~ingest (Io.mem fs))
-      in
+      let st', report = get_store label (open_ (Io.mem fs)) in
       check (label ^ ": clean") true (report.Store.tail = Store.Clean);
       check_int (label ^ ": lsn") 3 (Store.lsn st');
       check_int (label ^ ": replayed") 3 report.Store.replayed;
@@ -733,7 +775,11 @@ let test_ingest_modes () =
       let _ = get_apply (label ^ ": t4") (Store.apply st' txn4) in
       check_state (label ^ ": after append") st'
         (after [ txn1; txn2; txn3; txn4 ]))
-    [ ("batch", `Batch); ("incremental", `Incremental); ("auto", `Auto) ]
+    [
+      ("batch", Store.Private.open_forced ~force:`Batch);
+      ("incremental", Store.Private.open_forced ~force:`Incremental);
+      ("auto", fun io -> Store.open_ io);
+    ]
 
 let orgunit_entry ~id ~ou =
   Entry.make ~id ~rdn:("ou=" ^ ou)
@@ -842,6 +888,8 @@ let () =
           Alcotest.test_case "delta duplicate log" `Quick
             test_delta_duplicate_log;
           Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
+          Alcotest.test_case "failed write not counted" `Quick
+            test_failed_write_not_counted;
           Alcotest.test_case "init guards" `Quick test_init_guards;
         ] );
       ( "ingest",
