@@ -1966,7 +1966,12 @@ let exp_p7 ~smoke ~json () =
    steady alternation of single-entry insert/delete transactions and
    reports transactions per second at 10^4 .. 10^6, next to a
    rebuild-per-transaction baseline that stands in for the old O(|D|)
-   write path.  Single timed runs like P7: the sweep is the measurement. *)
+   write path.  A read-after-write series runs the same pairs with one
+   root-scoped (uid=...) lookup through [Directory.Snapshot.search] on
+   each new version: its tx/s and the mean first-read time show what a
+   version costs when something reads it (the lazy flat mirror, built
+   on a version's first read).  Single timed runs like P7: the sweep is
+   the measurement. *)
 let exp_p8 ~smoke ~json () =
   header "P8   steady-state write throughput (chunked COW index versions)"
     "claim: with chunked copy-on-write versions (index spine + persistent\n\
@@ -2034,6 +2039,33 @@ let exp_p8 ~smoke ~json () =
           done)
     in
     let txns = 2 * iterations in
+    (* read after write: the same pairs, each transaction followed by a
+       root-scoped lookup of the person it inserted or deleted, on the
+       version it made *)
+    let root = List.hd (Bounds_model.Instance.roots base) in
+    let t_read = ref 0. in
+    let lookup id ~expect =
+      let snap = Directory.snapshot !dir in
+      let f = Filter.Eq (Attr.of_string "uid", Printf.sprintf "p8b%d" id) in
+      let t, hits =
+        time (fun () -> Directory.Snapshot.search snap ~base:(Some root) Search.Subtree f)
+      in
+      t_read := !t_read +. t;
+      if List.length hits <> expect then failwith "P8: wrong lookup answer"
+    in
+    let t_rw, () =
+      time (fun () ->
+          for i = 0 to iterations - 1 do
+            let id = 8_200_000 + i in
+            dir :=
+              ok "insert"
+                (Directory.apply !dir
+                   [ Update.Insert { parent = Some unit; entry = mk_person id } ]);
+            lookup id ~expect:1;
+            dir := ok "delete" (Directory.apply !dir [ Update.Delete id ]);
+            lookup id ~expect:0
+          done)
+    in
     (* the old write path rebuilt/copied every O(|D|) structure per
        transaction; a fresh index + value-table build per transaction is
        that cost, measured honestly at this size *)
@@ -2056,21 +2088,23 @@ let exp_p8 ~smoke ~json () =
       t_steady,
       float_of_int txns /. t_steady,
       float_of_int baseline_txns /. t_baseline,
+      (float_of_int txns /. t_rw, 1000. *. !t_read /. float_of_int txns),
       peak_heap_bytes () )
   in
   let results = List.map run_point sizes in
   Printf.printf
     "  steady-state single-entry transactions against a live session\n\
-    \  (insert+delete pairs; baseline rebuilds index+vindex per txn):\n";
-  Printf.printf "  %8s  %8s  %12s  %10s  %12s  %8s\n" "|D|" "txns" "elapsed"
-    "tx/s" "rebuild tx/s" "speedup";
+    \  (insert+delete pairs; baseline rebuilds index+vindex per txn;\n\
+    \  read-after-write adds one root-scoped uid lookup per txn):\n";
+  Printf.printf "  %8s  %8s  %12s  %10s  %12s  %8s  %10s  %12s\n" "|D|" "txns"
+    "elapsed" "tx/s" "rebuild tx/s" "speedup" "w+r tx/s" "1st read ms";
   List.iter
-    (fun (n, txns, t, rate, base_rate, _) ->
-      Printf.printf "  %8d  %8d  %s  %10.0f  %12.2f  %7.0fx\n" n txns (pp_s t)
-        rate base_rate (rate /. base_rate))
+    (fun (n, txns, t, rate, base_rate, (rw_rate, first_read_ms), _) ->
+      Printf.printf "  %8d  %8d  %s  %10.0f  %12.2f  %7.0fx  %10.0f  %12.3f\n" n
+        txns (pp_s t) rate base_rate (rate /. base_rate) rw_rate first_read_ms)
     results;
   (match List.rev results with
-  | (n, _, _, rate, base_rate, _) :: _ ->
+  | (n, _, _, rate, base_rate, _, _) :: _ ->
       Printf.printf
         "  shape: at |D| = %d the session absorbs %.0f tx/s steady-state;\n\
         \  the per-transaction rebuild baseline manages %.2f tx/s (%.0fx)\n"
@@ -2089,13 +2123,15 @@ let exp_p8 ~smoke ~json () =
       (Printf.sprintf "  \"peak_heap_bytes\": %d,\n" (peak_heap_bytes ()));
     Buffer.add_string buf "  \"points\": [\n";
     List.iteri
-      (fun i (n, txns, t, rate, base_rate, heap) ->
+      (fun i (n, txns, t, rate, base_rate, (rw_rate, first_read_ms), heap) ->
         Buffer.add_string buf
           (Printf.sprintf
              "    { \"n\": %d, \"txns\": %d, \"elapsed_s\": %.3f, \
               \"tx_per_sec\": %.1f, \"rebuild_tx_per_sec\": %.3f, \
-              \"speedup_vs_rebuild\": %.1f, \"peak_heap_bytes\": %d }%s\n"
-             n txns t rate base_rate (rate /. base_rate) heap
+              \"speedup_vs_rebuild\": %.1f, \
+              \"read_after_write_tx_per_sec\": %.1f, \"first_read_ms\": %.3f, \
+              \"peak_heap_bytes\": %d }%s\n"
+             n txns t rate base_rate (rate /. base_rate) rw_rate first_read_ms heap
              (if i = List.length results - 1 then "" else ",")))
       results;
     Buffer.add_string buf "  ]\n}\n";

@@ -708,6 +708,185 @@ let index_apply_vs_rebuild =
                                         (pp_violations vs))))))));
   }
 
+(* Scoped search against a walk over the instance.  A case is a forest
+   of a few hundred entries, most of them persons, so a dense filter
+   such as (objectClass=person) is cheaper to verify on a small scope and
+   cheaper to evaluate on a large one: every base and scope of a case
+   exercises both of [Search]'s branches.  The schema allows every
+   attribute the entries carry and constrains no structure, so the
+   transaction is accepted and the second version exists. *)
+
+let search_schema =
+  lazy
+    (Spec_parser.parse_exn
+       "attribute uid : string\n\
+        attribute cn : string\n\
+        attribute mail : string\n\
+        attribute ou : string\n\
+        class person extends top { allowed: uid, cn, mail }\n\
+        class unit extends top { allowed: ou, cn }\n\
+        class device extends top { allowed: cn, mail }\n")
+
+let cn_pool = [| "ada"; "Ada Lovelace"; "bob"; "carol" |]
+
+(* a random mix of upper and lower case: matching folds case *)
+let fold_case rng s =
+  String.map
+    (fun c -> if Random.State.bool rng then Char.uppercase_ascii c else c)
+    s
+
+let search_entry rng id =
+  let a = Attr.of_string and v s = Value.String (fold_case rng s) in
+  let cn = pick rng cn_pool in
+  let cls, rdn, pairs =
+    match Random.State.int rng 20 with
+    | 0 | 1 ->
+        let ou = Printf.sprintf "unit%d" id in
+        ("unit", "ou=" ^ ou, [ (a "ou", v ou); (a "cn", v cn) ])
+    | 2 -> ("device", "cn=" ^ cn, [ (a "cn", v cn) ])
+    | _ ->
+        let uid = Printf.sprintf "u%d" id in
+        ( "person",
+          "uid=" ^ uid,
+          (a "uid", v uid) :: (a "cn", v cn)
+          :: (if Random.State.bool rng then [ (a "mail", v (uid ^ "@x")) ] else []) )
+  in
+  Entry.make ~id ~rdn ~classes:(Oclass.set_of_list [ cls; "top" ]) pairs
+
+let rec search_filter ~depth rng =
+  let a = Attr.of_string in
+  if depth = 0 || Random.State.int rng 3 > 0 then
+    match Random.State.int rng 6 with
+    | 0 | 1 ->
+        Filter.Eq
+          ( Attr.object_class,
+            fold_case rng (pick rng [| "person"; "person"; "unit"; "device"; "top" |]) )
+    | 2 -> Filter.Eq (a "uid", fold_case rng (Printf.sprintf "u%d" (Random.State.int rng 320)))
+    | 3 -> Filter.Eq (a "cn", fold_case rng (pick rng cn_pool))
+    | 4 -> Filter.Present (a (pick rng [| "uid"; "cn"; "mail"; "ou" |]))
+    | _ -> Filter.Eq (a "ou", fold_case rng (Printf.sprintf "unit%d" (Random.State.int rng 320)))
+  else
+    let sub () = List.init (1 + Random.State.int rng 3) (fun _ -> search_filter ~depth:(depth - 1) rng) in
+    match Random.State.int rng 3 with
+    | 0 -> Filter.And (sub ())
+    | 1 -> Filter.Or (sub ())
+    | _ -> Filter.Not (search_filter ~depth:(depth - 1) rng)
+
+(* Deletes of up to two leaves, then up to four fresh entries under
+   surviving entries (earlier fresh ones included) or as new roots. *)
+let search_ops rng inst =
+  let leaves = Array.of_list (List.filter (Instance.is_leaf inst) (Instance.ids inst)) in
+  let deleted =
+    List.sort_uniq compare
+      (List.init (Random.State.int rng 3) (fun _ -> pick rng leaves))
+  in
+  let parents =
+    ref (Array.of_list (List.filter (fun id -> not (List.mem id deleted)) (Instance.ids inst)))
+  in
+  let inserts =
+    List.init (1 + Random.State.int rng 4) (fun i ->
+        let id = Instance.fresh_id inst + i in
+        let parent =
+          if Array.length !parents = 0 || Random.State.int rng 8 = 0 then None
+          else Some (pick rng !parents)
+        in
+        parents := Array.append !parents [| id |];
+        Update.Insert { parent; entry = search_entry rng id })
+  in
+  inserts @ List.map (fun id -> Update.Delete id) deleted
+
+(* The reference: the scope's entries in document order, by a walk over
+   the instance's root and child lists, each tested with
+   [Filter.matches]. *)
+let naive_search inst ~base scope f =
+  let rec walk id = id :: List.concat_map walk (Instance.children inst id) in
+  let roots = Instance.roots inst in
+  (match (base, scope) with
+  | None, Search.Base -> roots
+  | None, Search.One_level -> List.concat_map (Instance.children inst) roots
+  | None, Search.Subtree -> List.concat_map walk roots
+  | Some b, Search.Base -> [ b ]
+  | Some b, Search.One_level -> Instance.children inst b
+  | Some b, Search.Subtree -> walk b)
+  |> List.filter (fun id -> Filter.matches f (Instance.entry inst id))
+
+(* Every base (none, then each entry) and scope of one version. *)
+let search_diff what inst ~search ~count f =
+  List.find_map
+    (fun base ->
+      List.find_map
+        (fun scope ->
+          let want = naive_search inst ~base scope f in
+          let got = search ~base scope f and k = count ~base scope f in
+          if got = want && k = List.length want then None
+          else
+            Some
+              (Printf.sprintf "%s, base %s, scope %s: search %s count %d, naive %s"
+                 what
+                 (match base with None -> "none" | Some b -> string_of_int b)
+                 (Search.scope_to_string scope) (pp_ids got) k (pp_ids want)))
+        [ Search.Base; Search.One_level; Search.Subtree ])
+    (None :: List.map Option.some (Instance.ids inst))
+
+let search_vs_naive =
+  {
+    name = "search-vs-naive";
+    doc =
+      "scoped Search (search and count, every base and scope) agrees with a \
+       per-entry filter walk, on a fresh index and after an accepted \
+       Directory.apply";
+    generate =
+      (fun ~seed rng ->
+        let instance =
+          Gen.random_forest ~seed:(sub rng) ~size:(150 + Random.State.int rng 150)
+            ~mk_entry:search_entry ()
+        in
+        Case.make ~oracle:"search-vs-naive" ~seed ~schema:(Lazy.force search_schema)
+          ~instance ~ops:(search_ops rng instance)
+          ~filter:(search_filter ~depth:(Random.State.int rng 3) rng)
+          ());
+    check =
+      total (fun c ->
+          with_instance c (fun inst ->
+              with_filter c (fun f ->
+                  let ix = Index.create inst in
+                  let vindex = Vindex.create ix in
+                  let fresh =
+                    match
+                      search_diff "fresh index" inst f
+                        ~search:(Search.search ~vindex ix)
+                        ~count:(Search.count ~vindex ix)
+                    with
+                    | Some _ as d -> d
+                    | None ->
+                        search_diff "fresh index, no vindex" inst f
+                          ~search:(Search.search ix) ~count:(Search.count ix)
+                  in
+                  let applied () =
+                    match c.Case.schema with
+                    | None -> None
+                    | Some schema -> (
+                        match Directory.open_ schema inst with
+                        | Error _ -> None
+                        | Ok dir -> (
+                            match Directory.apply dir c.Case.ops with
+                            | _, Admission.Rejected _ -> None
+                            | dir, Admission.Accepted _ ->
+                                (* no flat mirror until this first read *)
+                                let snap = Directory.snapshot dir in
+                                let ix = Directory.Snapshot.Private.index snap in
+                                search_diff "after apply" (Directory.instance dir) f
+                                  ~search:(Directory.Snapshot.search snap)
+                                  ~count:
+                                    (Search.count
+                                       ~vindex:(Directory.Snapshot.Private.vindex snap)
+                                       ix)))
+                  in
+                  match (match fresh with Some _ -> fresh | None -> applied ()) with
+                  | None -> Agree
+                  | Some m -> Disagree m)));
+  }
+
 let par_vs_seq_legality =
   {
     name = "par-vs-seq-legality";
@@ -1314,6 +1493,7 @@ let all =
     monitor_vs_recheck;
     txn_witness;
     index_apply_vs_rebuild;
+    search_vs_naive;
     par_vs_seq_legality;
     par_vs_seq_eval;
     store_roundtrip;

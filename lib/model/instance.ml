@@ -217,21 +217,52 @@ let dn t id =
 
 let norm_rdn s = String.lowercase_ascii (String.trim s)
 
+(* [String.trim]'s whitespace *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec same_folded s off key k =
+  k = String.length key
+  || Char.lowercase_ascii s.[off + k] = key.[k]
+     && same_folded s off key (k + 1)
+
+(* [rdn_matches key rdn] is [norm_rdn rdn = key], compared in place:
+   resolving a DN tests every sibling at every level, and normalizing
+   each one allocated two strings per sibling. *)
+let rdn_matches key rdn =
+  let lo = ref 0 and hi = ref (String.length rdn) in
+  while !lo < !hi && is_space rdn.[!lo] do
+    incr lo
+  done;
+  while !hi > !lo && is_space rdn.[!hi - 1] do
+    decr hi
+  done;
+  !hi - !lo = String.length key && same_folded rdn !lo key 0
+
+(* Among siblings sharing an rdn the first-inserted one wins.  The
+   stored child lists are most-recent-first, so that is the match
+   nearest the tail: recursing to the tail first tests siblings in
+   insertion order and stops at the first match, with no reversed copy
+   of the list. *)
+let rec first_match t key = function
+  | [] -> None
+  | id :: rest -> (
+      match first_match t key rest with
+      | Some _ as found -> found
+      | None ->
+          if rdn_matches key (Entry.rdn (Imap.find id t.nodes).entry) then Some id
+          else None)
+
 let resolve_dn t dn_str =
   let parts = String.split_on_char ',' dn_str |> List.map norm_rdn in
   (* leaf-first; walk from the root end *)
-  let rec descend candidates = function
+  let rec descend rev_candidates = function
     | [] -> None
-    | [ rdn ] ->
-        List.find_opt (fun id -> norm_rdn (Entry.rdn (entry t id)) = rdn) candidates
     | rdn :: rest -> (
-        match
-          List.find_opt (fun id -> norm_rdn (Entry.rdn (entry t id)) = rdn) candidates
-        with
-        | Some id -> descend (children t id) rest
-        | None -> None)
+        match (first_match t rdn rev_candidates, rest) with
+        | Some id, _ :: _ -> descend (rev_children t id) rest
+        | found, _ -> found)
   in
-  descend (roots t) (List.rev parts)
+  descend t.rev_roots (List.rev parts)
 
 let equal t1 t2 =
   t1.size = t2.size

@@ -114,7 +114,9 @@ val fresh_id : t -> Entry.id
 val dn : t -> Entry.id -> string
 
 (** [resolve_dn t dn] finds the entry whose root-path of rdns matches
-    [dn] (rdn comparison is case- and whitespace-insensitive). *)
+    [dn] (rdn comparison is case- and whitespace-insensitive; among
+    siblings sharing an rdn, the first inserted).  Allocates per DN
+    component, not per sibling compared. *)
 val resolve_dn : t -> string -> Entry.id option
 
 (** Structural equality: same forest shape (parent relation) and equal

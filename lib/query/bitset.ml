@@ -230,8 +230,10 @@ let popcount_byte = Array.init 256 (fun i ->
 
 (* SWAR popcount.  The masks exceed OCaml's native max_int (2^62 - 1), so
    the reduction has to run in Int64 arithmetic; the compiler keeps the
-   intermediates unboxed. *)
-let popcount64 x =
+   intermediates unboxed.  Inlined, so the word read from [Bytes] is not
+   boxed to cross a call either: [cardinal] allocates nothing, and every
+   plan node counts its result with it. *)
+let[@inline] popcount64 x =
   let open Int64 in
   let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
   let x =

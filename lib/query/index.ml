@@ -30,7 +30,7 @@ open Bounds_model
    only rebuilds that move slots allocate fresh uids.
 
    Query sweeps (χ axes, filter scans) want flat arrays back: a version
-   lazily materializes a flat mirror (ranks table included) on first
+   lazily materializes a flat mirror (rank table included) on first
    sweep, under a mutex so concurrent snapshot readers race safely.
    The write path never forces it. *)
 
@@ -50,6 +50,57 @@ type chunk = {
   c_sizes : int array; (* slot -> subtree size *)
 }
 
+(* {2 The mirror's id->rank table}
+
+   Every posting-to-bitset fill looks up one rank per posting, so this
+   table is on the hot path of nearly every query.  It is open
+   addressing with linear probing over one int array of (id, rank) slot
+   pairs, at a power-of-two capacity of at least 2n: the load factor
+   stays at most 1/2, and a lookup allocates nothing (the polymorphic
+   [Hashtbl.find_opt] it replaced boxed one [Some] per posting).  A
+   dense id-indexed array would be faster still, but ids are never
+   reused ([Instance.fresh_id] is one past the largest id ever present),
+   so it would grow with the id history instead of with n.
+
+   An id's home slot is its low bits xor a multiplicative hash of its
+   high bits.  Each run of [cap] consecutive ids therefore lands on a
+   permutation of the slots (ids below [cap] on themselves), so a fill
+   walking a sorted posting probes the table in nearly increasing
+   order, while sparse ids still scatter. *)
+module Ranks = struct
+  type t = {
+    bits : int; (* capacity = 2^bits *)
+    mask : int;
+    slots : int array; (* slot s: id at 2s, rank at 2s+1 (-1 = empty) *)
+  }
+
+  let create n =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * n do
+      incr bits
+    done;
+    let cap = 1 lsl !bits in
+    { bits = !bits; mask = cap - 1; slots = Array.make (2 * cap) (-1) }
+
+  let[@inline] home t id =
+    (id lxor (((id lsr t.bits) * 0x2545F4914F6CDD1D) lsr (63 - t.bits)))
+    land t.mask
+
+  (* The slot holding [id], or the empty slot ending its probe run; a
+     top-level function, so a lookup builds no closure. *)
+  let rec probe slots mask id s =
+    if slots.((2 * s) + 1) < 0 || slots.(2 * s) = id then s
+    else probe slots mask id ((s + 1) land mask)
+
+  let add t id r =
+    let s = probe t.slots t.mask id (home t id) in
+    t.slots.(2 * s) <- id;
+    t.slots.((2 * s) + 1) <- r
+
+  (* The rank of [id], or -1. *)
+  let find t id = t.slots.((2 * probe t.slots t.mask id (home t id)) + 1)
+end
+
 (* Lazily-materialized flat mirror for rank sweeps; [f_parents] and
    [f_extents] are back in rank coordinates. *)
 type flat = {
@@ -58,7 +109,7 @@ type flat = {
   f_parents : int array;
   f_depths : int array;
   f_extents : int array;
-  f_ranks : (Entry.id, int) Hashtbl.t;
+  f_ranks : Ranks.t;
 }
 
 type t = {
@@ -131,7 +182,7 @@ let create ?pool instance =
   let parents = Array.make n (-1) in
   let depths = Array.make n 0 in
   let extents = Array.make n 0 in
-  let ranks = Hashtbl.create (max 16 n) in
+  let ranks = Ranks.create n in
   (* The preorder numbering itself is inherently order-dependent (a rank
      is the DFS position), so this pass stays sequential.  It consumes the
      stored (most-recent-first) child lists directly: pushing a reversed
@@ -166,7 +217,7 @@ let create ?pool instance =
     ids.(r) <- id;
     parents.(r) <- parent_rank;
     depths.(r) <- (if parent_rank < 0 then 0 else depths.(parent_rank) + 1);
-    Hashtbl.replace ranks id r;
+    Ranks.add ranks id r;
     push r (Instance.rev_children instance id)
   done;
   assert (!next = n);
@@ -235,7 +286,7 @@ let force_flat t =
           let n = t.n in
           let f_ids = Array.make n 0 in
           let f_depths = Array.make n 0 in
-          let f_ranks = Hashtbl.create (max 16 n) in
+          let f_ranks = Ranks.create n in
           let f_entries =
             if n = 0 then [||] else Array.make n t.chunks.(0).c_entries.(0)
           in
@@ -246,7 +297,7 @@ let force_flat t =
                 f_ids.(!r) <- c.c_ids.(i);
                 f_entries.(!r) <- c.c_entries.(i);
                 f_depths.(!r) <- c.c_depths.(i);
-                Hashtbl.replace f_ranks c.c_ids.(i) !r;
+                Ranks.add f_ranks c.c_ids.(i) !r;
                 incr r
               done)
             t.chunks;
@@ -257,7 +308,7 @@ let force_flat t =
             (fun c ->
               for i = 0 to c.len - 1 do
                 let pid = c.c_parents.(i) in
-                if pid >= 0 then f_parents.(!r) <- Hashtbl.find f_ranks pid;
+                if pid >= 0 then f_parents.(!r) <- Ranks.find f_ranks pid;
                 f_extents.(!r) <- !r + c.c_sizes.(i) - 1;
                 incr r
               done)
@@ -275,10 +326,9 @@ let materialize t = match t.flat with Some _ -> () | None -> ignore (force_flat 
 
 let rank t id =
   match t.flat with
-  | Some f -> (
-      match Hashtbl.find_opt f.f_ranks id with
-      | Some r -> r
-      | None -> raise Not_found)
+  | Some f ->
+      let r = Ranks.find f.f_ranks id in
+      if r < 0 then raise Not_found else r
   | None -> (
       match Pmap.find_opt id t.locs with
       | None -> raise Not_found
@@ -288,7 +338,9 @@ let rank t id =
 
 let rank_opt t id =
   match t.flat with
-  | Some f -> Hashtbl.find_opt f.f_ranks id
+  | Some f ->
+      let r = Ranks.find f.f_ranks id in
+      if r < 0 then None else Some r
   | None -> (
       match Pmap.find_opt id t.locs with
       | None -> None

@@ -30,7 +30,8 @@ val instance : t -> Instance.t
 (** Number of entries. *)
 val n : t -> int
 
-(** [rank ix id] — raises [Not_found] for ids absent from the instance. *)
+(** [rank ix id] — raises [Not_found] for ids absent from the instance
+    (any int may be asked, negative ones included). *)
 val rank : t -> Entry.id -> int
 
 val rank_opt : t -> Entry.id -> int option
@@ -50,10 +51,13 @@ val extent_of_rank : t -> int -> int
 (** Ranks back to entry ids. *)
 val ids_of : t -> Bitset.t -> Entry.id list
 
-(** Force the flat per-rank mirror (idempotent, thread-safe).  Call
-    before an O(n) rank sweep so per-rank accessors run at array speed;
-    accessors fall back to the chunk tier (binary search + persistent
-    map, fine for sparse access) when it is absent. *)
+(** Force the flat per-rank mirror (idempotent, thread-safe): five
+    per-rank arrays and an open-addressing id->rank table (power-of-two
+    capacity at least 2n), built in O(n).  Call before an O(n) rank
+    sweep or a posting-to-bitset fill: per-rank accessors then run at
+    array speed, and {!rank}/{!rank_opt} cost a probe or two with no
+    allocation.  Accessors fall back to the chunk tier (binary search +
+    persistent map, fine for sparse access) when it is absent. *)
 val materialize : t -> unit
 
 (** {2 Chunk introspection} — for memory/sharing properties and bench

@@ -70,6 +70,11 @@ let fnode fshape f_est = { fshape; f_est; f_actual = -1 }
    matters. *)
 let verify_factor = 16
 
+(* The one intersect-vs-verify rule: testing [candidates] entries one
+   by one with [Filter.matches] beats materializing a set whose
+   [mat_cost] is [mat]. *)
+let verify_cheaper ~mat ~candidates = verify_factor * candidates < mat
+
 (* Materialization cost of a plan subtree, in rank-fill units: access
    paths pay one fill per estimated member, trigram candidates
    additionally pay a per-candidate verification each, and complements
@@ -127,8 +132,9 @@ let rec plan_filter vx n f =
           (fun (cur, acc) (_, pred, r_est) ->
             let nd = plan_filter vx n pred in
             let c =
-              if mat_cost n nd <= verify_factor * cur then C_inter nd
-              else C_verify { pred; r_est }
+              if verify_cheaper ~mat:(mat_cost n nd) ~candidates:cur then
+                C_verify { pred; r_est }
+              else C_inter nd
             in
             (min cur r_est, c :: acc))
           (seed_e, []) rest
@@ -234,6 +240,11 @@ let rec exec_q ?pool vx ix node =
 
 let exec ?pool t = exec_q ?pool t.vx t.ix t.root
 let query t = t.query
+
+let prefers_verify t ~candidates =
+  match t.root.qshape with
+  | Q_select fn -> verify_cheaper ~mat:(mat_cost (Index.n t.ix) fn) ~candidates
+  | Q_minus _ | Q_union _ | Q_inter _ | Q_chi _ -> false
 
 let eval ?pool vx q = exec ?pool (plan vx q)
 let eval_ids ?pool vx q = Index.ids_of (Vindex.index vx) (eval ?pool vx q)

@@ -47,6 +47,15 @@ val exec : ?pool:Bounds_par.Pool.t -> t -> Bitset.t
 
 val query : t -> Query.t
 
+(** [prefers_verify t ~candidates] — the planner's intersect-vs-verify
+    rule applied to a candidate set of the given size: [true] when
+    testing [Filter.matches] on each candidate (one [verify_factor] of
+    cost apiece) is cheaper than {!exec}uting the selection [t] (its
+    estimated materialization cost).  The rule that places an [And]'s
+    conjuncts; {!Search} prices a scope with it.  [false] unless [t]'s
+    root is a selection, since only a filter can be tested per entry. *)
+val prefers_verify : t -> candidates:int -> bool
+
 (** [plan] + [exec] in one step. *)
 val eval : ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> Bitset.t
 

@@ -1,5 +1,3 @@
-open Bounds_model
-
 type scope = Base | One_level | Subtree
 
 let scope_to_string = function
@@ -14,59 +12,72 @@ let scope_of_string s =
   | "sub" | "subtree" -> Ok Subtree
   | other -> Error (Printf.sprintf "unknown scope %S (base/one/sub)" other)
 
-(* Fold over the ranks in scope, in increasing (preorder) order. *)
-let fold_scope ix ~base scope f init =
-  Index.materialize ix;
-  match (base, scope) with
-  | None, Base ->
-      (* the roots: ranks whose parent is -1 *)
-      let acc = ref init in
-      for r = 0 to Index.n ix - 1 do
-        if Index.parent_rank ix r = -1 then acc := f r !acc
-      done;
-      !acc
-  | None, (One_level | Subtree) ->
-      let acc = ref init in
-      let depth_limit = match scope with One_level -> Some 1 | _ -> None in
-      for r = 0 to Index.n ix - 1 do
-        match depth_limit with
-        | Some d -> if Index.depth_of_rank ix r = d then acc := f r !acc
-        | None -> acc := f r !acc
-      done;
-      !acc
-  | Some id, Base -> f (Index.rank ix id) init
-  | Some id, One_level ->
-      (* validates that the base exists, even when childless *)
-      ignore (Index.rank ix id);
-      List.fold_left
-        (fun acc child -> f (Index.rank ix child) acc)
-        init
-        (Instance.children (Index.instance ix) id)
-  | Some id, Subtree ->
-      let r0 = Index.rank ix id in
-      let r1 = Index.extent_of_rank ix r0 in
-      let acc = ref init in
-      for r = r0 to r1 do
-        acc := f r !acc
-      done;
-      !acc
+(* A scope's candidates, in increasing (preorder) rank order: one rank
+   interval [[lo, hi]] — the base alone, its subtree, or without a base
+   the whole forest — or a list of sibling ranks — the base's children,
+   the roots, or the roots' children. *)
+type candidates = Interval of int * int | Ranks of int list
 
-let matches ?vindex ix filter =
-  (* with a value index, pre-evaluate the filter once and test membership;
-     otherwise test the filter per entry *)
-  match vindex with
-  | None -> fun r -> Filter.matches filter (Index.entry_of_rank ix r)
-  | Some _ ->
-      let bs = Eval.eval ?vindex ix (Query.Select filter) in
-      fun r -> Bitset.mem bs r
+(* The ranks whose subtrees tile [[lo, hi]]: the next sibling of rank
+   [c] is [extent c + 1], so listing k siblings costs O(k) extent
+   reads, not a scan of their subtrees. *)
+let siblings ix ~lo ~hi =
+  let rec go c acc =
+    if c > hi then List.rev acc else go (Index.extent_of_rank ix c + 1) (c :: acc)
+  in
+  go lo []
+
+let children ix r = siblings ix ~lo:(r + 1) ~hi:(Index.extent_of_rank ix r)
+
+let candidates ix ~base scope =
+  let n = Index.n ix in
+  match (base, scope) with
+  | None, Subtree -> Interval (0, n - 1)
+  | None, Base -> Ranks (siblings ix ~lo:0 ~hi:(n - 1))
+  | None, One_level ->
+      Ranks (List.concat_map (children ix) (siblings ix ~lo:0 ~hi:(n - 1)))
+  | Some id, Base ->
+      let r = Index.rank ix id in
+      Interval (r, r)
+  | Some id, One_level -> Ranks (children ix (Index.rank ix id))
+  | Some id, Subtree ->
+      let r = Index.rank ix id in
+      Interval (r, Index.extent_of_rank ix r)
+
+(* Scope first: [f] sees each candidate satisfying [filter], in rank
+   order.  Without a value index, or when the planner's own rule prices
+   [verify_factor] x candidates below materializing the filter, each
+   candidate is tested with [Filter.matches]; otherwise the filter is
+   evaluated once and only its members inside the scope are visited. *)
+let iter_matches ?vindex ix ~base scope filter f =
+  let cands = candidates ix ~base scope in
+  let k =
+    match cands with Interval (lo, hi) -> hi - lo + 1 | Ranks rs -> List.length rs
+  in
+  let members =
+    match vindex with
+    | Some vx when k > 0 ->
+        let plan = Plan.plan vx (Query.Select filter) in
+        if Plan.prefers_verify plan ~candidates:k then None else Some (Plan.exec plan)
+    | _ -> None
+  in
+  let test r = Filter.matches filter (Index.entry_of_rank ix r) in
+  match (members, cands) with
+  | None, Interval (lo, hi) ->
+      for r = lo to hi do
+        if test r then f r
+      done
+  | None, Ranks rs -> List.iter (fun r -> if test r then f r) rs
+  | Some bs, Interval (lo, hi) -> Bitset.iter_range f bs ~lo ~hi:(hi + 1)
+  | Some bs, Ranks rs -> List.iter (fun r -> if Bitset.mem bs r then f r) rs
 
 let search ?vindex ix ~base scope filter =
-  let keep = matches ?vindex ix filter in
-  fold_scope ix ~base scope
-    (fun r acc -> if keep r then Index.id_of_rank ix r :: acc else acc)
-    []
-  |> List.rev
+  let acc = ref [] in
+  iter_matches ?vindex ix ~base scope filter (fun r ->
+      acc := Index.id_of_rank ix r :: !acc);
+  List.rev !acc
 
 let count ?vindex ix ~base scope filter =
-  let keep = matches ?vindex ix filter in
-  fold_scope ix ~base scope (fun r acc -> if keep r then acc + 1 else acc) 0
+  let k = ref 0 in
+  iter_matches ?vindex ix ~base scope filter (fun _ -> incr k);
+  !k

@@ -70,6 +70,37 @@ let test_generation_is_deterministic () =
   let b = List.rev (List.map gen [ 4; 3; 2; 1; 0 ]) in
   List.iter2 (fun x y -> check "same case" true (Case.equal x y)) a b
 
+(* [search-vs-naive] checks every (base, scope) of its cases; the
+   planner's own rule must send some of them down Search's verify branch
+   and some down its evaluate branch, or the oracle would hold only one
+   of the two against the reference. *)
+let test_search_oracle_takes_both_branches () =
+  let o = Option.get (Oracle.find "search-vs-naive") in
+  let verify = ref 0 and evaluate = ref 0 in
+  for i = 0 to 9 do
+    let c =
+      o.Oracle.generate ~seed:i
+        (Random.State.make [| 42; Hashtbl.hash o.Oracle.name; i |])
+    in
+    let inst = Option.get c.Case.instance in
+    let plan =
+      Plan.plan (Vindex.create (Index.create inst)) (Query.Select (Option.get c.Case.filter))
+    in
+    let kids id = List.length (Instance.children inst id) in
+    let roots = Instance.roots inst in
+    (* candidate counts: roots, their children, the forest; then per base
+       itself, its children, its subtree *)
+    [ List.length roots; List.fold_left (fun k r -> k + kids r) 0 roots; Instance.size inst ]
+    @ List.concat_map
+        (fun id -> [ 1; kids id; 1 + List.length (Instance.descendants inst id) ])
+        (Instance.ids inst)
+    |> List.iter (fun k ->
+           if k > 0 then
+             incr (if Plan.prefers_verify plan ~candidates:k then verify else evaluate))
+  done;
+  check "some scopes verify" true (!verify > 0);
+  check "some scopes evaluate" true (!evaluate > 0)
+
 (* --- sexp ------------------------------------------------------------ *)
 
 let test_sexp_round_trip () =
@@ -236,6 +267,8 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "smoke: all oracles agree" `Quick test_smoke_all_oracles_agree;
+          Alcotest.test_case "search-vs-naive takes both branches" `Quick
+            test_search_oracle_takes_both_branches;
           Alcotest.test_case "deterministic generation" `Quick test_generation_is_deterministic;
         ] );
       ( "sexp",

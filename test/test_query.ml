@@ -750,24 +750,130 @@ let prop_search_reference =
           ()
       in
       let ix = Index.create inst in
-      let ids = Instance.ids inst in
+      let vx = Vindex.create ix in
+      let ids = Instance.ids inst and roots = Instance.roots inst in
       let base = List.nth ids (k mod List.length ids) in
       let f = Filter.class_eq (Oclass.of_string (List.nth classes_pool (k mod 3))) in
       let keep id = Filter.matches f (Instance.entry inst id) in
-      let reference scope =
-        (match scope with
-        | Search.Base -> [ base ]
-        | Search.One_level -> Instance.children inst base
-        | Search.Subtree -> base :: Instance.descendants inst base)
+      let reference base scope =
+        (match (base, scope) with
+        | Some b, Search.Base -> [ b ]
+        | Some b, Search.One_level -> Instance.children inst b
+        | Some b, Search.Subtree -> b :: Instance.descendants inst b
+        | None, Search.Base -> roots
+        | None, Search.One_level -> List.concat_map (Instance.children inst) roots
+        | None, Search.Subtree -> ids)
         |> List.filter keep
         |> List.sort compare
       in
       List.for_all
-        (fun scope ->
-          List.sort compare (Search.search ix ~base:(Some base) scope f)
-          = reference scope
-          && Search.count ix ~base:(Some base) scope f = List.length (reference scope))
-        [ Search.Base; Search.One_level; Search.Subtree ])
+        (fun (vindex, base, scope) ->
+          List.sort compare (Search.search ?vindex ix ~base scope f)
+          = reference base scope
+          && Search.count ?vindex ix ~base scope f = List.length (reference base scope))
+        (List.concat_map
+           (fun vindex ->
+             List.concat_map
+               (fun base ->
+                 List.map
+                   (fun scope -> (vindex, base, scope))
+                   [ Search.Base; Search.One_level; Search.Subtree ])
+               [ None; Some base ])
+           [ None; Some vx ]))
+
+(* --- the flat mirror's rank table ---------------------------------------- *)
+
+(* Ids with gaps of up to 10^9 between them: the rank table must not
+   assume ids are dense, small or sequential. *)
+let sparse_ids rng ~from k =
+  let next = ref from in
+  List.init k (fun _ ->
+      let id = !next in
+      next := !next + 1 + Random.State.int rng 1_000_000_000;
+      id)
+
+let sparse_forest rng ids =
+  List.fold_left
+    (fun (inst, placed) id ->
+      let parent =
+        if placed = [||] || Random.State.int rng 8 = 0 then None
+        else Some placed.(Random.State.int rng (Array.length placed))
+      in
+      (Result.get_ok (Instance.add ~parent (mk id "a") inst), Array.append placed [| id |]))
+    (Instance.empty, [||]) ids
+  |> fst
+
+(* rank and rank_opt of every probe id, as (rank_opt, rank or None on
+   Not_found) pairs *)
+let rank_answers ix probes =
+  List.map
+    (fun id ->
+      (Index.rank_opt ix id, match Index.rank ix id with r -> Some r | exception Not_found -> None))
+    probes
+
+let prop_rank_table_sparse =
+  QCheck.Test.make ~name:"rank table: chunk tier = mirror on sparse ids" ~count:100
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let ids = sparse_ids rng ~from:(Random.State.int rng 1000) (1 + Random.State.int rng 80) in
+      let inst = sparse_forest rng ids in
+      let v0 = Index.create inst in
+      let fresh = ref (Instance.max_id inst + 1 + Random.State.int rng 1_000_000_000) in
+      let take k =
+        let l = sparse_ids rng ~from:!fresh k in
+        fresh := List.fold_left max !fresh l + 1 + Random.State.int rng 1_000_000_000;
+        l
+      in
+      let pick ?(except = []) inst =
+        match List.filter (fun id -> not (List.mem id except)) (Instance.ids inst) with
+        | [] -> None
+        | l -> Some (List.nth l (Random.State.int rng (List.length l)))
+      in
+      (* Index.apply: fresh entries under random parents, then the delete
+         of a leaf no insert went under *)
+      let ops =
+        let leaf = Option.to_list (List.find_opt (Instance.is_leaf inst) (Instance.ids inst)) in
+        List.map
+          (fun id -> Update.Insert { parent = pick ~except:leaf inst; entry = mk id "b" })
+          (take (1 + Random.State.int rng 5))
+        @ List.map (fun id -> Update.Delete id) leaf
+      in
+      let v1 = Index.apply ops v0 in
+      let delta = sparse_forest rng (take (1 + Random.State.int rng 20)) in
+      let v2 = Index.graft ~parent:(pick (Index.instance v1)) delta v1 in
+      let v3 =
+        match pick (Index.instance v2) with
+        | Some root -> Index.prune root v2
+        | None -> v2
+      in
+      List.for_all
+        (fun v ->
+          let present = Instance.ids (Index.instance v) in
+          let unused = take 5 in
+          let absent =
+            [ -1; -2; -1_000_000_007; min_int; max_int ]
+            @ List.filter (fun id -> not (Instance.mem (Index.instance v) id)) (ids @ unused)
+          in
+          let probes = present @ absent in
+          (* a sealed version has no mirror: these go through the chunk tier *)
+          let chunk_tier = rank_answers v probes in
+          Index.materialize v;
+          let mirror = rank_answers v probes in
+          let rebuilt = rank_answers (Index.create (Index.instance v)) probes in
+          chunk_tier = mirror && mirror = rebuilt
+          && List.for_all
+               (fun id ->
+                 match Index.rank_opt v id with
+                 | Some r -> Index.id_of_rank v r = id && Index.rank v id = r
+                 | None -> false)
+               present
+          && List.for_all
+               (fun id ->
+                 Index.rank_opt v id = None
+                 && match Index.rank v id with _ -> false | exception Not_found -> true)
+               absent)
+        [ v1; v2; v3 ])
 
 (* extent_of_rank really brackets the subtree *)
 let prop_extent_brackets_subtree =
@@ -859,6 +965,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_word_kernels;
           QCheck_alcotest.to_alcotest prop_bitset_splice;
           QCheck_alcotest.to_alcotest prop_search_reference;
+          QCheck_alcotest.to_alcotest prop_rank_table_sparse;
           QCheck_alcotest.to_alcotest prop_extent_brackets_subtree;
         ] );
     ]
