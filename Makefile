@@ -112,7 +112,7 @@ fault-smoke:
 # Quick differential-fuzzing pass over every registered oracle.  Exits
 # non-zero if any oracle pair disagrees.
 fuzz-smoke:
-	dune exec -- ldapschema fuzz --budget 200 --seed 42 -j 0
+	dune exec -- ldapschema fuzz --budget 200 --seed 42
 
 # API documentation (requires odoc; dune reports a clear error if the
 # toolchain lacks it).

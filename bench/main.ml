@@ -460,146 +460,55 @@ let exp_a3 () =
         (pp_ratio (p /. o)))
     sizes
 
-(* --- P1: domain-pool parallel legality engine ------------------------------ *)
+(* --- P1: legality engine scaling -------------------------------------------- *)
 
-(* Sweeps the domain count at fixed |D| and |D| at a fixed domain count,
-   always asserting verdict-equality against the sequential engine before
-   timing anything.  With [json] the per-point estimates are written to
-   BENCH_legality.json so the perf trajectory is machine-readable across
-   PRs. *)
+(* Full Legality.check over white-pages instances of doubling size.  With
+   [json] the per-point estimates are written to BENCH_legality.json so
+   the perf trajectory is machine-readable across PRs. *)
 let exp_p1 ~smoke ~json () =
-  header "P1   domain-pool parallel legality engine (Theorem 3.1, multicore)"
-    "claim: the Figure-4 reduction stays linear in |D| while the constant\n\
-     divides by the worker count - same verdicts bit-for-bit, wall-clock\n\
-     falling with domains (hardware permitting).";
-  let module Pool = Bounds_par.Pool in
+  header "P1   legality engine scaling (Theorem 3.1)"
+    "claim: a full legality check (content, Figure-4 structure queries,\n\
+     single-valued attributes and keys) stays linear in |D|.";
   let quota = if smoke then 0.05 else 0.4 in
-  let n_fixed = if smoke then 400 else 8000 in
   let sizes = if smoke then [ 200; 400 ] else [ 2000; 4000; 8000; 16000 ] in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let fixed_domains = 4 in
-  let instance_of n = WP.generate ~seed:n ~units:(n / 25) ~persons_per_unit:20 () in
-  let pools =
-    List.filter_map
-      (fun d -> if d = 1 then None else Some (d, Pool.create ~domains:d ()))
-      domain_counts
-  in
-  let pool_of d = if d = 1 then None else Some (List.assoc d pools) in
-  (* verdict equality: every pool size must reproduce the sequential
-     violation list exactly (here: on a legal instance and on one with
-     seeded violations) *)
-  let damaged =
-    let inst = instance_of (min n_fixed 1000) in
-    Bounds_model.Instance.add_root_exn
-      (Entry.make ~id:999_999 ~rdn:"uid=rogue"
-         ~classes:(Oclass.set_of_list [ "person"; "top" ])
-         [ (Attr.of_string "uid", Value.String "rogue") ])
-      inst
-  in
-  List.iter
-    (fun d ->
-      let pool = pool_of d in
-      List.iter
-        (fun inst ->
-          let seq = Legality.check WP.schema inst in
-          let par = Legality.check ?pool WP.schema inst in
-          if seq <> par then
-            failwith
-              (Printf.sprintf
-                 "P1: %d-domain verdict differs from the sequential engine" d))
-        [ instance_of n_fixed; damaged ])
-    domain_counts;
-  Printf.printf "  verdict equality: all of {1,2,4,8} domains match the sequential engine\n";
-  let by_domains =
-    Test.make_indexed ~name:"domains" ~args:domain_counts (fun d ->
+  let by_size =
+    Test.make_indexed ~name:"check" ~args:sizes (fun n ->
         Staged.stage
-          (let inst = instance_of n_fixed in
-           let pool = pool_of d in
-           fun () -> ignore (Legality.check ?pool WP.schema inst)))
-  in
-  let by_size_seq =
-    Test.make_indexed ~name:"seq" ~args:sizes (fun n ->
-        Staged.stage
-          (let inst = instance_of n in
+          (let inst = WP.generate ~seed:n ~units:(n / 25) ~persons_per_unit:20 () in
            fun () -> ignore (Legality.check WP.schema inst)))
   in
-  let by_size_par =
-    Test.make_indexed ~name:"par" ~args:sizes (fun n ->
-        Staged.stage
-          (let inst = instance_of n in
-           let pool = pool_of fixed_domains in
-           fun () -> ignore (Legality.check ?pool WP.schema inst)))
-  in
-  let r =
-    run_test ~quota
-      (Test.make_grouped ~name:"p1" [ by_domains; by_size_seq; by_size_par ])
-  in
-  let base = point r "p1/domains" 1 in
-  Printf.printf "  domain sweep at |D| = %d:\n  %8s  %12s  %8s\n" n_fixed "domains"
-    "check" "speedup";
+  let r = run_test ~quota (Test.make_grouped ~name:"p1" [ by_size ]) in
+  Printf.printf "  %8s  %12s\n" "|D|" "check";
   List.iter
-    (fun d ->
-      let t = point r "p1/domains" d in
-      Printf.printf "  %8d  %s    %s\n" d (pp_time t) (pp_ratio (base /. t)))
-    domain_counts;
-  Printf.printf "  |D| sweep at %d domains:\n  %8s  %12s  %12s  %8s\n" fixed_domains
-    "|D|" "sequential" "parallel" "speedup";
-  List.iter
-    (fun n ->
-      let s = point r "p1/seq" n and p = point r "p1/par" n in
-      Printf.printf "  %8d  %s    %s  %s\n" n (pp_time s) (pp_time p)
-        (pp_ratio (s /. p)))
+    (fun n -> Printf.printf "  %8d  %s\n" n (pp_time (point r "p1/check" n)))
     sizes;
-  Printf.printf
-    "  shape: per-doubling growth - parallel %.2fx (linear=2; the pool divides\n\
-    \  the constant, not the exponent); %d recommended domain(s) on this machine\n"
-    (avg (growth (List.map (point r "p1/par") sizes)))
-    (Domain.recommended_domain_count ());
+  Printf.printf "  shape: per-doubling growth %.2fx (linear=2)\n"
+    (avg (growth (List.map (point r "p1/check") sizes)));
   if json then begin
     let buf = Buffer.create 1024 in
     let j_num ns = if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns in
     Buffer.add_string buf "{\n";
     Buffer.add_string buf "  \"experiment\": \"P1\",\n";
     Buffer.add_string buf "  \"workload\": \"white-pages\",\n";
-    Buffer.add_string buf
-      (Printf.sprintf "  \"smoke\": %b,\n  \"recommended_domains\": %d,\n" smoke
-         (Domain.recommended_domain_count ()));
+    Buffer.add_string buf (Printf.sprintf "  \"smoke\": %b,\n" smoke);
     Buffer.add_string buf
       (Printf.sprintf "  \"peak_heap_bytes\": %d,\n" (peak_heap_bytes ()));
-    Buffer.add_string buf (Printf.sprintf "  \"fixed_size\": %d,\n" n_fixed);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"fixed_domains\": %d,\n" fixed_domains);
-    Buffer.add_string buf
-      (Printf.sprintf "  \"speedup_4_domains_over_1\": %s,\n"
-         (let t4 = point r "p1/domains" 4 in
-          if Float.is_nan base || Float.is_nan t4 then "null"
-          else Printf.sprintf "%.3f" (base /. t4)));
     Buffer.add_string buf "  \"points\": [\n";
-    let points =
-      List.map
-        (fun d -> ("domains-sweep", d, n_fixed, point r "p1/domains" d))
-        domain_counts
-      @ List.map (fun n -> ("size-sweep-seq", 1, n, point r "p1/seq" n)) sizes
-      @ List.map
-          (fun n -> ("size-sweep-par", fixed_domains, n, point r "p1/par" n))
-          sizes
-    in
     List.iteri
-      (fun i (series, d, n, ns) ->
+      (fun i n ->
         Buffer.add_string buf
           (Printf.sprintf
-             "    { \"series\": \"%s\", \"domains\": %d, \"n\": %d, \
-              \"ns_per_run\": %s }%s\n"
-             series d n (j_num ns)
-             (if i = List.length points - 1 then "" else ",")))
-      points;
+             "    { \"series\": \"size-sweep\", \"n\": %d, \"ns_per_run\": %s }%s\n"
+             n
+             (j_num (point r "p1/check" n))
+             (if i = List.length sizes - 1 then "" else ",")))
+      sizes;
     Buffer.add_string buf "  ]\n}\n";
     let oc = open_out "BENCH_legality.json" in
     output_string oc (Buffer.contents buf);
     close_out oc;
-    Printf.printf "  wrote BENCH_legality.json (%d points)\n" (List.length points)
-  end;
-  List.iter (fun (_, p) -> Pool.shutdown p) pools
+    Printf.printf "  wrote BENCH_legality.json (%d points)\n" (List.length sizes)
+  end
 
 (* --- P2: cost-based query planner ------------------------------------------ *)
 
@@ -2082,7 +1991,6 @@ let exp_p8 ~smoke ~json () =
             ignore (Vindex.create ix)
           done)
     in
-    Directory.close !dir;
     ( n_real,
       txns,
       t_steady,

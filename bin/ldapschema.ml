@@ -62,24 +62,6 @@ let schema_arg =
     & opt (some file) None
     & info [ "s"; "schema" ] ~docv:"SPEC" ~doc:"Bounding-schema specification file.")
 
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel legality/query engine.  1 \
-           (default) runs the sequential engine; 0 uses the recommended \
-           domain count of the machine.  Results are identical for every \
-           value.")
-
-(* [with_jobs jobs f] — run [f] with the domain pool the [--jobs] flag
-   asks for ([None] = sequential), shutting the pool down afterwards. *)
-let with_jobs jobs f =
-  if jobs = 1 then f None
-  else
-    let domains = if jobs <= 0 then None else Some jobs in
-    Bounds_par.Pool.with_pool ?domains (fun pool -> f (Some pool))
-
 let data_arg =
   Arg.(
     required
@@ -124,9 +106,9 @@ let store_io dir =
 
 (* recover an existing store, announcing how far recovery got on [ppf]
    (stderr for subcommands whose stdout is data) *)
-let open_store ?pool ?(ppf = Format.std_formatter) ?auto_checkpoint dir =
+let open_store ?(ppf = Format.std_formatter) ?auto_checkpoint dir =
   let io = store_io dir in
-  match Store.open_ ?pool ?auto_checkpoint io with
+  match Store.open_ ?auto_checkpoint io with
   | Ok (st, report) ->
       Format.fprintf ppf "store: %a@." Store.pp_report report;
       st
@@ -136,10 +118,10 @@ let open_store ?pool ?(ppf = Format.std_formatter) ?auto_checkpoint dir =
 (* --- validate ----------------------------------------------------------- *)
 
 (* one plan per Figure-4 obligation query, with est/actual columns *)
-let explain_obligations ?pool snap (schema : Schema.t) =
+let explain_obligations snap (schema : Schema.t) =
   List.iter
     (fun (_, q, _) ->
-      let plan, _ = Directory.Snapshot.explain ?pool snap q in
+      let plan, _ = Directory.Snapshot.explain snap q in
       Format.printf "%a@." Profile.pp_plan_explain (Profile.explain_plan plan))
     (Translate.all schema.Schema.structure)
 
@@ -152,20 +134,18 @@ let report_viols what entries = function
       List.iter (fun v -> Printf.printf "  - %s\n" (Violation.to_string v)) viols;
       1
 
-let validate schema_path data_path naive no_extensions explain jobs store =
+let validate schema_path data_path naive no_extensions explain store =
   match store with
   | Some dir ->
       (* the store's admission scan already vouches for the instance;
          this re-runs the full check on the recovered state *)
-      with_jobs jobs (fun pool ->
-          let st = open_store ?pool dir in
-          Fun.protect
-            ~finally:(fun () -> Store.close st)
-            (fun () ->
-              let d = Store.directory st in
-              if explain then
-                explain_obligations ?pool (Directory.snapshot d) (Store.schema st);
-              report_viols dir (Directory.size d) (Directory.validate d)))
+      let st = open_store dir in
+      Fun.protect
+        ~finally:(fun () -> Store.close st)
+        (fun () ->
+          let d = Store.directory st in
+          if explain then explain_obligations (Directory.snapshot d) (Store.schema st);
+          report_viols dir (Directory.size d) (Directory.validate d))
   | None ->
       let schema = or_die (load_schema (required_arg "-s/--schema" schema_path)) in
       let data_path = required_arg "-d/--data" data_path in
@@ -174,17 +154,14 @@ let validate schema_path data_path naive no_extensions explain jobs store =
       let viols =
         if naive then begin
           if explain then
-            with_jobs jobs (fun pool ->
-                explain_obligations ?pool
-                  (Directory.Snapshot.of_instance ?pool inst)
-                  schema);
+            explain_obligations (Directory.Snapshot.of_instance inst) schema;
           Naive_legality.check ~extensions schema inst
         end
-        else
-          with_jobs jobs (fun pool ->
-              let snap = Directory.Snapshot.of_instance ?pool inst in
-              if explain then explain_obligations ?pool snap schema;
-              Directory.Snapshot.validate ~extensions ?pool schema snap)
+        else begin
+          let snap = Directory.Snapshot.of_instance inst in
+          if explain then explain_obligations snap schema;
+          Directory.Snapshot.validate ~extensions schema snap
+        end
       in
       report_viols data_path (Instance.size inst) viols
 
@@ -212,7 +189,7 @@ let validate_cmd =
     (Cmd.info "validate" ~doc:"Check that an LDIF directory is legal w.r.t. a schema.")
     Term.(
       const validate $ schema_opt_arg $ data_opt_arg $ naive $ no_ext $ explain
-      $ jobs_arg $ store_arg)
+      $ store_arg)
 
 (* --- consistent ---------------------------------------------------------- *)
 
@@ -259,7 +236,7 @@ let print_ids inst ids =
   Printf.printf "%d entries\n" (List.length ids);
   List.iter (fun id -> Printf.printf "%s\n" (Instance.dn inst id)) ids
 
-let query schema_path data_path expr explain jobs store =
+let query schema_path data_path expr explain store =
   let q =
     match Bounds_query.Query_parser.parse expr with
     | Ok q -> q
@@ -267,26 +244,25 @@ let query schema_path data_path expr explain jobs store =
   in
   match store with
   | Some dir ->
-      with_jobs jobs (fun pool ->
-          (* recovery notes go to stderr: stdout is the result set *)
-          let st = open_store ?pool ~ppf:Format.err_formatter dir in
-          Fun.protect
-            ~finally:(fun () -> Store.close st)
-            (fun () ->
-              let d = Store.directory st in
-              let ids =
-                if explain then begin
-                  let plan, result = Directory.explain d q in
-                  Format.printf "%a@." Profile.pp_plan_explain
-                    (Profile.explain_plan plan);
-                  Bounds_query.Index.ids_of
-                    (Directory.Snapshot.Private.index (Directory.snapshot d))
-                    result
-                end
-                else Directory.query_ids d q
-              in
-              print_ids (Directory.instance d) ids;
-              0))
+      (* recovery notes go to stderr: stdout is the result set *)
+      let st = open_store ~ppf:Format.err_formatter dir in
+      Fun.protect
+        ~finally:(fun () -> Store.close st)
+        (fun () ->
+          let d = Store.directory st in
+          let ids =
+            if explain then begin
+              let plan, result = Directory.explain d q in
+              Format.printf "%a@." Profile.pp_plan_explain
+                (Profile.explain_plan plan);
+              Bounds_query.Index.ids_of
+                (Directory.Snapshot.Private.index (Directory.snapshot d))
+                result
+            end
+            else Directory.query_ids d q
+          in
+          print_ids (Directory.instance d) ids;
+          0)
   | None ->
       let typing =
         match schema_path with
@@ -294,17 +270,15 @@ let query schema_path data_path expr explain jobs store =
         | None -> Typing.default
       in
       let inst = or_die (load_data ~typing (required_arg "-d/--data" data_path)) in
+      let snap = Directory.Snapshot.of_instance inst in
       let ids =
-        with_jobs jobs (fun pool ->
-            let snap = Directory.Snapshot.of_instance ?pool inst in
-            if explain then begin
-              let plan, result = Directory.Snapshot.explain ?pool snap q in
-              Format.printf "%a@." Profile.pp_plan_explain
-                (Profile.explain_plan plan);
-              Bounds_query.Index.ids_of
-                (Directory.Snapshot.Private.index snap) result
-            end
-            else Directory.Snapshot.query_ids ?pool snap q)
+        if explain then begin
+          let plan, result = Directory.Snapshot.explain snap q in
+          Format.printf "%a@." Profile.pp_plan_explain
+            (Profile.explain_plan plan);
+          Bounds_query.Index.ids_of (Directory.Snapshot.Private.index snap) result
+        end
+        else Directory.Snapshot.query_ids snap q
       in
       print_ids inst ids;
       0
@@ -337,12 +311,11 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate a hierarchical selection query over an LDIF file.")
     Term.(
-      const query $ schema_opt $ data_opt_arg $ expr $ explain $ jobs_arg
-      $ store_arg)
+      const query $ schema_opt $ data_opt_arg $ expr $ explain $ store_arg)
 
 (* --- search ---------------------------------------------------------------- *)
 
-let search schema_path data_path base_dn scope_str filter_str optimize jobs =
+let search schema_path data_path base_dn scope_str filter_str optimize =
   let schema =
     match schema_path with Some p -> Some (or_die (load_schema p)) | None -> None
   in
@@ -378,11 +351,8 @@ let search schema_path data_path base_dn scope_str filter_str optimize jobs =
     | true, None -> or_die (Error "--optimize needs --schema")
     | false, _ -> filter
   in
-  let ids =
-    with_jobs jobs (fun pool ->
-        let snap = Directory.Snapshot.of_instance ?pool inst in
-        Directory.Snapshot.search snap ~base scope filter)
-  in
+  let snap = Directory.Snapshot.of_instance inst in
+  let ids = Directory.Snapshot.search snap ~base scope filter in
   Printf.printf "%d entries\n" (List.length ids);
   List.iter (fun id -> Printf.printf "%s\n" (Instance.dn inst id)) ids;
   0
@@ -420,8 +390,7 @@ let search_cmd =
   Cmd.v
     (Cmd.info "search" ~doc:"LDAP-style scoped search over an LDIF file.")
     Term.(
-      const search $ schema_opt $ data_arg $ base $ scope $ filter $ optimize
-      $ jobs_arg)
+      const search $ schema_opt $ data_arg $ base $ scope $ filter $ optimize)
 
 (* --- update ---------------------------------------------------------------- *)
 
@@ -436,59 +405,58 @@ let write_out out_path dir =
       Printf.printf "updated directory written to %s\n" path
   | None -> ()
 
-let update schema_path data_path ops_path out_path stats jobs store every =
+let update schema_path data_path ops_path out_path stats store every =
   match store with
   | Some dir ->
-      with_jobs jobs (fun pool ->
-          let io = Bounds_store.Io.real ~root:dir () in
-          let st =
-            if Store.exists io then
-              open_store ?pool ~auto_checkpoint:every dir
-            else begin
-              (* first update creates the store: -s seeds the schema, -d
-                 (optional) the initial instance *)
-              let schema =
-                or_die (load_schema (required_arg "-s/--schema" schema_path))
-              in
-              let inst =
-                match data_path with
-                | Some p -> or_die (load_data ~typing:schema.Schema.typing p)
-                | None -> Instance.empty
-              in
-              match Store.init ?pool ~auto_checkpoint:every io schema inst with
-              | Ok st ->
-                  Printf.printf "store: initialized %s (%d entries)\n" dir
-                    (Instance.size inst);
-                  st
-              | Error e ->
-                  or_die
-                    (Error (Printf.sprintf "%s: %s" dir (Store.error_to_string e)))
-            end
+      let io = Bounds_store.Io.real ~root:dir () in
+      let st =
+        if Store.exists io then
+          open_store ~auto_checkpoint:every dir
+        else begin
+          (* first update creates the store: -s seeds the schema, -d
+             (optional) the initial instance *)
+          let schema =
+            or_die (load_schema (required_arg "-s/--schema" schema_path))
           in
-          Fun.protect
-            ~finally:(fun () -> Store.close st)
-            (fun () ->
-              let typing = (Store.schema st).Schema.typing in
-              let inst = Directory.instance (Store.directory st) in
-              let ops =
-                or_die (parse_changes ~typing inst (read_file ops_path))
-              in
-              match Store.apply st ops with
-              | Admission.Accepted _ ->
-                  let d = Store.directory st in
-                  Printf.printf
-                    "transaction accepted: %d operation(s), %d entries now\n"
-                    (List.length ops) (Directory.size d);
-                  Printf.printf "logged at lsn %d (%d record(s), %d bytes)\n"
-                    (Store.lsn st) (Store.wal_records st) (Store.wal_bytes st);
-                  if stats then
-                    Format.printf "%a@." Directory.pp_stats (Directory.stats d);
-                  write_out out_path d;
-                  0
-              | Admission.Rejected { reason; _ } ->
-                  Format.printf "transaction REJECTED: %a@." Monitor.pp_rejection
-                    reason;
-                  1))
+          let inst =
+            match data_path with
+            | Some p -> or_die (load_data ~typing:schema.Schema.typing p)
+            | None -> Instance.empty
+          in
+          match Store.init ~auto_checkpoint:every io schema inst with
+          | Ok st ->
+              Printf.printf "store: initialized %s (%d entries)\n" dir
+                (Instance.size inst);
+              st
+          | Error e ->
+              or_die
+                (Error (Printf.sprintf "%s: %s" dir (Store.error_to_string e)))
+        end
+      in
+      Fun.protect
+        ~finally:(fun () -> Store.close st)
+        (fun () ->
+          let typing = (Store.schema st).Schema.typing in
+          let inst = Directory.instance (Store.directory st) in
+          let ops =
+            or_die (parse_changes ~typing inst (read_file ops_path))
+          in
+          match Store.apply st ops with
+          | Admission.Accepted _ ->
+              let d = Store.directory st in
+              Printf.printf
+                "transaction accepted: %d operation(s), %d entries now\n"
+                (List.length ops) (Directory.size d);
+              Printf.printf "logged at lsn %d (%d record(s), %d bytes)\n"
+                (Store.lsn st) (Store.wal_records st) (Store.wal_bytes st);
+              if stats then
+                Format.printf "%a@." Directory.pp_stats (Directory.stats d);
+              write_out out_path d;
+              0
+          | Admission.Rejected { reason; _ } ->
+              Format.printf "transaction REJECTED: %a@." Monitor.pp_rejection
+                reason;
+              1)
   | None ->
       let schema = or_die (load_schema (required_arg "-s/--schema" schema_path)) in
       let inst =
@@ -500,28 +468,25 @@ let update schema_path data_path ops_path out_path stats jobs store every =
         or_die (parse_changes ~typing:schema.Schema.typing inst (read_file ops_path))
       in
       let dir =
-        match Directory.open_ ~jobs schema inst with
+        match Directory.open_ schema inst with
         | Ok d -> d
         | Error viols ->
             prerr_endline "error: the starting directory is already illegal:";
             List.iter (fun v -> prerr_endline ("  - " ^ Violation.to_string v)) viols;
             exit 2
       in
-      Fun.protect
-        ~finally:(fun () -> Directory.close dir)
-        (fun () ->
-          match Directory.apply dir ops with
-          | dir, Admission.Accepted _ ->
-              Printf.printf "transaction accepted: %d operation(s), %d entries now\n"
-                (List.length ops) (Directory.size dir);
-              if stats then
-                Format.printf "%a@." Directory.pp_stats (Directory.stats dir);
-              write_out out_path dir;
-              0
-          | _, Admission.Rejected { reason; _ } ->
-              Format.printf "transaction REJECTED: %a@." Monitor.pp_rejection
-                reason;
-              1)
+      match Directory.apply dir ops with
+      | dir, Admission.Accepted _ ->
+          Printf.printf "transaction accepted: %d operation(s), %d entries now\n"
+            (List.length ops) (Directory.size dir);
+          if stats then
+            Format.printf "%a@." Directory.pp_stats (Directory.stats dir);
+          write_out out_path dir;
+          0
+      | _, Admission.Rejected { reason; _ } ->
+          Format.printf "transaction REJECTED: %a@." Monitor.pp_rejection
+            reason;
+          1
 
 let update_cmd =
   let ops =
@@ -560,52 +525,51 @@ let update_cmd =
        ~doc:"Apply an update transaction under incremental legality checking.")
     Term.(
       const update $ schema_opt_arg $ data_opt_arg $ ops $ out $ stats
-      $ jobs_arg $ store_arg $ every)
+      $ store_arg $ every)
 
 (* --- load (streaming bulk ingest) --------------------------------------- *)
 
-let load_bulk ldif_path trust jobs dir =
-  with_jobs jobs (fun pool ->
-      let st = open_store ?pool dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          let typing = (Store.schema st).Schema.typing in
-          let text = read_file ldif_path in
-          (* fresh ids for the streamed records; parents resolve among
-             them (a dump's forest shape), new roots stay roots *)
-          let base = Instance.fresh_id (Directory.instance (Store.directory st)) in
-          let outcome =
-            Store.load ~trust st (fun add ->
-                match
-                  Bounds_codec.Ldif.fold_entries ~typing
-                    ~id_of:(fun k -> base + k)
-                    (fun ~parent e () -> add ~parent e)
-                    () text
-                with
-                | Ok () -> Ok ()
-                | Error e ->
-                    Error
-                      (Printf.sprintf "%s: %s" ldif_path
-                         (Bounds_codec.Ldif.error_to_string e)))
-          in
-          match outcome with
-          | Ok n ->
-              Printf.printf "loaded %d entries (%s); %d entries now\n" n
-                (if trust then "trusted, admission skipped"
-                 else "one admission check on the final instance")
-                (Directory.size (Store.directory st));
-              Printf.printf "checkpointed at lsn %d; log reset\n" (Store.lsn st);
-              0
-          | Error (Store.Illegal vs) ->
-              Printf.printf
-                "load REJECTED — final instance is illegal, store unchanged:\n";
-              List.iter
-                (fun v -> Printf.printf "  - %s\n" (Violation.to_string v))
-                vs;
-              1
-          | Error e ->
-              or_die (Error (Printf.sprintf "%s: %s" dir (Store.error_to_string e)))))
+let load_bulk ldif_path trust dir =
+  let st = open_store dir in
+  Fun.protect
+    ~finally:(fun () -> Store.close st)
+    (fun () ->
+      let typing = (Store.schema st).Schema.typing in
+      let text = read_file ldif_path in
+      (* fresh ids for the streamed records; parents resolve among
+         them (a dump's forest shape), new roots stay roots *)
+      let base = Instance.fresh_id (Directory.instance (Store.directory st)) in
+      let outcome =
+        Store.load ~trust st (fun add ->
+            match
+              Bounds_codec.Ldif.fold_entries ~typing
+                ~id_of:(fun k -> base + k)
+                (fun ~parent e () -> add ~parent e)
+                () text
+            with
+            | Ok () -> Ok ()
+            | Error e ->
+                Error
+                  (Printf.sprintf "%s: %s" ldif_path
+                     (Bounds_codec.Ldif.error_to_string e)))
+      in
+      match outcome with
+      | Ok n ->
+          Printf.printf "loaded %d entries (%s); %d entries now\n" n
+            (if trust then "trusted, admission skipped"
+             else "one admission check on the final instance")
+            (Directory.size (Store.directory st));
+          Printf.printf "checkpointed at lsn %d; log reset\n" (Store.lsn st);
+          0
+      | Error (Store.Illegal vs) ->
+          Printf.printf
+            "load REJECTED — final instance is illegal, store unchanged:\n";
+          List.iter
+            (fun v -> Printf.printf "  - %s\n" (Violation.to_string v))
+            vs;
+          1
+      | Error e ->
+          or_die (Error (Printf.sprintf "%s: %s" dir (Store.error_to_string e))))
 
 let load_cmd =
   let ldif =
@@ -638,7 +602,7 @@ let load_cmd =
           or log records), then the final instance passes one admission \
           check (unless $(b,--trust)) and is committed as an atomic \
           checkpoint.")
-    Term.(const load_bulk $ ldif $ trust $ jobs_arg $ store)
+    Term.(const load_bulk $ ldif $ trust $ store)
 
 (* --- repair ------------------------------------------------------------------ *)
 
@@ -830,7 +794,7 @@ let generate_cmd =
 
 (* --- fuzz --------------------------------------------------------------------- *)
 
-let fuzz list oracle_names seed budget jobs corpus max_failures =
+let fuzz list oracle_names seed budget corpus max_failures =
   let open Bounds_diff in
   if list then begin
     List.iter
@@ -840,10 +804,9 @@ let fuzz list oracle_names seed budget jobs corpus max_failures =
   end
   else begin
     let oracles = match oracle_names with [] -> None | l -> Some l in
-    let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
     let log line = Printf.eprintf "%s\n%!" line in
     let reports =
-      or_die (Fuzz.run ~jobs ?oracles ~max_failures ~log ~budget ~seed ())
+      or_die (Fuzz.run ?oracles ~max_failures ~log ~budget ~seed ())
     in
     (match corpus with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
@@ -909,12 +872,11 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: run pairs of independently-implemented \
           engines (codec round-trips, indexed vs naive evaluation, \
-          incremental vs full legality, parallel vs sequential) on random \
-          adversarial inputs, and shrink any disagreement to a minimal \
+          incremental vs full legality, recovered store vs in-memory twin) \
+          on random adversarial inputs, and shrink any disagreement to a minimal \
           counterexample.")
     Term.(
-      const fuzz $ list $ oracle $ seed $ budget $ jobs_arg $ corpus
-      $ max_failures)
+      const fuzz $ list $ oracle $ seed $ budget $ corpus $ max_failures)
 
 (* --- log / checkpoint (durable stores) ---------------------------------- *)
 
@@ -994,23 +956,22 @@ let log_cmd =
           damaged (recovery would truncate it).")
     Term.(const log_ $ store_pos_arg)
 
-let checkpoint_verb dir full jobs =
-  with_jobs jobs (fun pool ->
-      let st = open_store ?pool dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          Store.checkpoint ~full st;
-          if Store.delta_segments st = 0 then
-            Printf.printf
-              "checkpointed at lsn %d (%d entries); chain collapsed, log reset\n"
-              (Store.lsn st)
-              (Directory.size (Store.directory st))
-          else
-            Printf.printf
-              "delta checkpoint at lsn %d (%d segment(s), %d bytes); log reset\n"
-              (Store.lsn st) (Store.delta_segments st) (Store.delta_bytes st);
-          0))
+let checkpoint_verb dir full =
+  let st = open_store dir in
+  Fun.protect
+    ~finally:(fun () -> Store.close st)
+    (fun () ->
+      Store.checkpoint ~full st;
+      if Store.delta_segments st = 0 then
+        Printf.printf
+          "checkpointed at lsn %d (%d entries); chain collapsed, log reset\n"
+          (Store.lsn st)
+          (Directory.size (Store.directory st))
+      else
+        Printf.printf
+          "delta checkpoint at lsn %d (%d segment(s), %d bytes); log reset\n"
+          (Store.lsn st) (Store.delta_segments st) (Store.delta_bytes st);
+      0)
 
 let full_arg =
   Arg.(
@@ -1027,21 +988,20 @@ let checkpoint_cmd =
          "Compact a durable store: recover it, fold the write-ahead log into \
           the delta-checkpoint chain (or rewrite the full snapshot with \
           $(b,--full) or past the chain threshold), and reset the log.")
-    Term.(const checkpoint_verb $ store_pos_arg $ full_arg $ jobs_arg)
+    Term.(const checkpoint_verb $ store_pos_arg $ full_arg)
 
 (* Recover the store and report the live session's counters, including
    the hash-cons pool stats the recovery populated — at directory scale
    the interesting figure is how many duplicate strings the load would
    otherwise have held. *)
-let stats_verb dir jobs =
-  with_jobs jobs (fun pool ->
-      let st = open_store ?pool dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          Format.printf "%a@." Directory.pp_stats
-            (Directory.stats (Store.directory st));
-          0))
+let stats_verb dir =
+  let st = open_store dir in
+  Fun.protect
+    ~finally:(fun () -> Store.close st)
+    (fun () ->
+      Format.printf "%a@." Directory.pp_stats
+        (Directory.stats (Store.directory st));
+      0)
 
 let stats_cmd =
   Cmd.v
@@ -1050,7 +1010,7 @@ let stats_cmd =
          "Recover a durable store and print session counters plus intern \
           pool statistics (distinct strings, hash-cons hits, heap bytes \
           saved).")
-    Term.(const stats_verb $ store_pos_arg $ jobs_arg)
+    Term.(const stats_verb $ store_pos_arg)
 
 (* --- serve / client / traffic (network) --------------------------------- *)
 
@@ -1073,24 +1033,23 @@ let port_req_arg =
     & opt (some int) None
     & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
 
-let serve dir host port batch_max max_clients replicate jobs =
-  with_jobs jobs (fun pool ->
-      let st = open_store ?pool dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          let srv =
-            Server.start ~host ~port ~batch_max ~max_clients ~replicate st
-          in
-          let stop _ = Server.stop srv in
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Printf.printf "listening on %s:%d (store %s, %d entries)\n%!" host
-            (Server.port srv) dir
-            (Directory.size (Store.directory st));
-          Server.wait srv;
-          print_endline (Server.stats_text (Server.stats srv));
-          0))
+let serve dir host port batch_max max_clients replicate =
+  let st = open_store dir in
+  Fun.protect
+    ~finally:(fun () -> Store.close st)
+    (fun () ->
+      let srv =
+        Server.start ~host ~port ~batch_max ~max_clients ~replicate st
+      in
+      let stop _ = Server.stop srv in
+      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+      Printf.printf "listening on %s:%d (store %s, %d entries)\n%!" host
+        (Server.port srv) dir
+        (Directory.size (Store.directory st));
+      Server.wait srv;
+      print_endline (Server.stats_text (Server.stats srv));
+      0)
 
 let serve_cmd =
   let batch_max =
@@ -1123,7 +1082,7 @@ let serve_cmd =
     Term.(
       const serve $ store_pos_arg $ host_arg
       $ port_opt_arg ~doc:"Port to listen on (0 = ephemeral, printed at start)."
-      $ batch_max $ max_clients $ replicate $ jobs_arg)
+      $ batch_max $ max_clients $ replicate)
 
 let replica_verb dir from host port max_clients =
   let primary_host, primary_port =

@@ -101,16 +101,9 @@ let check_typing (schema : Schema.t) e =
 let check_entry schema e =
   check_typing schema e @ check_classes schema e @ check_attributes schema e
 
-(* Content legality is a per-entry test (Section 3.1), so the instance is
-   embarrassingly parallel: chunk the entries (in traversal order) across
-   the pool and concatenate the per-entry lists in that same order — the
-   result is identical to the sequential fold. *)
-let check ?pool schema inst =
-  let entries =
-    Array.of_list (List.rev (Instance.fold (fun e acc -> e :: acc) inst []))
-  in
-  Bounds_par.Pool.map_array ?pool (check_entry schema) entries
-  |> Array.to_list |> List.concat
+(* Content legality is a per-entry test (Section 3.1): the per-entry
+   lists, concatenated in traversal order. *)
+let check schema inst = List.concat_map (check_entry schema) (Instance.entries inst)
 
 let entry_is_legal schema e = check_entry schema e = []
 let is_legal schema inst = Instance.fold (fun e ok -> ok && entry_is_legal schema e) inst true

@@ -20,10 +20,9 @@ val check_attributes : Schema.t -> Entry.t -> Violation.t list
 (** Typing (Definition 2.1, condition 3a). *)
 val check_typing : Schema.t -> Entry.t -> Violation.t list
 
-(** [check schema inst] checks every entry.  With a [pool], entries are
-    chunked across the workers; the violation list is identical to the
-    sequential check (per-entry lists concatenated in traversal order). *)
-val check : ?pool:Bounds_par.Pool.t -> Schema.t -> Instance.t -> Violation.t list
+(** [check schema inst] checks every entry: the per-entry violation
+    lists, concatenated in traversal order. *)
+val check : Schema.t -> Instance.t -> Violation.t list
 
 val entry_is_legal : Schema.t -> Entry.t -> bool
 val is_legal : Schema.t -> Instance.t -> bool

@@ -3,43 +3,42 @@ module Index = Bounds_query.Index
 module Vindex = Bounds_query.Vindex
 module Plan = Bounds_query.Plan
 module Search = Bounds_query.Search
-module Pool = Bounds_par.Pool
 
 (* --- read-only snapshots ---------------------------------------------- *)
 
 module Snapshot = struct
   type t = { index : Index.t; vindex : Vindex.t; memo : Plan.memo }
 
-  let of_index ?pool index =
-    let vindex = Vindex.create ?pool index in
+  let of_index index =
+    let vindex = Vindex.create index in
     { index; vindex; memo = Plan.memo_create vindex }
 
-  let of_instance ?pool inst = of_index ?pool (Index.create ?pool inst)
+  let of_instance inst = of_index (Index.create inst)
   let index s = s.index
   let vindex s = s.vindex
   let memo s = s.memo
   let instance s = Index.instance s.index
-  let query ?pool s q = Plan.memo_eval ?pool s.memo q
-  let query_ids ?pool s q = Index.ids_of s.index (query ?pool s q)
+  let query s q = Plan.memo_eval s.memo q
+  let query_ids s q = Index.ids_of s.index (query s q)
 
   (* Read-only twins: never write the snapshot's memo, so any number of
-     concurrent readers (threads or domains) may evaluate over one
-     published snapshot — the lock-free read path of the network
-     server's snapshot-isolation discipline. *)
-  let query_ro ?pool s q = Plan.memo_eval_ro ?pool s.memo q
-  let query_ids_ro ?pool s q = Index.ids_of s.index (query_ro ?pool s q)
+     concurrent reader threads may evaluate over one published snapshot
+     — the lock-free read path of the network server's
+     snapshot-isolation discipline. *)
+  let query_ro s q = Plan.memo_eval_ro s.memo q
+  let query_ids_ro s q = Index.ids_of s.index (query_ro s q)
 
-  let explain ?pool s q =
+  let explain s q =
     let plan = Plan.plan s.vindex q in
-    let result = Plan.exec ?pool plan in
+    let result = Plan.exec plan in
     (plan, result)
 
   let search s ~base scope filter =
     Search.search ~vindex:s.vindex s.index ~base scope filter
 
-  let validate ?(extensions = true) ?pool schema s =
-    Legality.check ~extensions ?pool ~index:s.index ~vindex:s.vindex
-      ~memo:s.memo schema (instance s)
+  let validate ?(extensions = true) schema s =
+    Legality.check ~extensions ~index:s.index ~vindex:s.vindex ~memo:s.memo
+      schema (instance s)
 
   (* The raw structures, for oracles/benchmarks that differentially test
      them — the only sanctioned way past the snapshot surface. *)
@@ -66,58 +65,41 @@ type t = {
   monitor : Monitor.t;
   vindex : Vindex.t;
   memo : Plan.memo;
-  pool : Pool.t option;
-  owns_pool : bool;
   counters : counters;
 }
 
-let open_ ?jobs ?pool schema inst =
-  let pool, owns_pool =
-    match (pool, jobs) with
-    | (Some _ as p), _ -> (p, false)
-    | None, (None | Some 1) -> (None, false)
-    | None, Some j ->
-        let domains = if j <= 0 then None else Some j in
-        (Some (Pool.create ?domains ()), true)
-  in
-  let index = Index.create ?pool inst in
-  let vindex = Vindex.create ?pool index in
+let open_ schema inst =
+  let index = Index.create inst in
+  let vindex = Vindex.create index in
   let memo = Plan.memo_create vindex in
   (* The admission scan prewarms [memo] with the Figure-4 obligation
      queries, so the session's first [validate] is all cache hits. *)
-  match Monitor.create ?pool ~index ~vindex ~memo schema inst with
-  | Error _ as e ->
-      if owns_pool then Option.iter Pool.shutdown pool;
-      e
-  | Ok monitor ->
-      Ok
-        {
-          schema;
-          monitor;
-          vindex;
-          memo;
-          pool;
-          owns_pool;
-          counters = { queries = 0; applied = 0; rejected = 0 };
-        }
+  Monitor.create ~index ~vindex ~memo schema inst
+  |> Result.map (fun monitor ->
+         {
+           schema;
+           monitor;
+           vindex;
+           memo;
+           counters = { queries = 0; applied = 0; rejected = 0 };
+         })
 
 let schema t = t.schema
 let monitor t = t.monitor
 let instance t = Monitor.instance t.monitor
 let index t = Monitor.index t.monitor
-let pool t = t.pool
 let size t = Instance.size (instance t)
 
 let query t q =
   t.counters.queries <- t.counters.queries + 1;
-  Plan.memo_eval ?pool:t.pool t.memo q
+  Plan.memo_eval t.memo q
 
 let query_ids t q = Index.ids_of (index t) (query t q)
 
 let explain t q =
   t.counters.queries <- t.counters.queries + 1;
   let plan = Plan.plan t.vindex q in
-  let result = Plan.exec ?pool:t.pool plan in
+  let result = Plan.exec plan in
   (plan, result)
 
 let search t ~base scope filter =
@@ -125,8 +107,8 @@ let search t ~base scope filter =
   Search.search ~vindex:t.vindex (index t) ~base scope filter
 
 let validate t =
-  Legality.check ?pool:t.pool ~index:(index t) ~vindex:t.vindex ~memo:t.memo
-    t.schema (instance t)
+  Legality.check ~index:(index t) ~vindex:t.vindex ~memo:t.memo t.schema
+    (instance t)
 
 (* The one carry behind [apply], [replay] and [Bulk]'s incremental
    regime: the monitor already spliced the Δs into its live index; carry
@@ -223,8 +205,8 @@ module Bulk = struct
       (* one bulk (re)build of every deferred structure, against the
          final instance — O(n + Δ) total instead of O(txns · n) *)
       let t = b.live in
-      let index = Index.create ?pool:t.pool b.inst in
-      let vindex = Vindex.create ?pool:t.pool index in
+      let index = Index.create b.inst in
+      let vindex = Vindex.create index in
       let memo = Plan.memo_create vindex in
       let monitor = Monitor.of_index_trusted t.schema index in
       { t with monitor; vindex; memo }
@@ -236,8 +218,6 @@ end
 
 let snapshot t =
   { Snapshot.index = index t; vindex = t.vindex; memo = t.memo }
-
-let close t = if t.owns_pool then Option.iter Pool.shutdown t.pool
 
 (* --- stats -------------------------------------------------------------- *)
 

@@ -42,42 +42,33 @@ open Bounds_model
 module Snapshot : sig
   type t
 
-  (** Build every auxiliary structure for [inst] (index construction is
-      parallelized by [pool]). *)
-  val of_instance : ?pool:Bounds_par.Pool.t -> Instance.t -> t
+  (** Build every auxiliary structure for [inst]. *)
+  val of_instance : Instance.t -> t
 
   (** Wrap an existing evaluation index. *)
-  val of_index : ?pool:Bounds_par.Pool.t -> Bounds_query.Index.t -> t
+  val of_index : Bounds_query.Index.t -> t
 
   val instance : t -> Instance.t
 
   (** Evaluate through the snapshot's memo (caching — sequential use
-      only; [pool] parallelizes χ sweeps inside one evaluation). *)
-  val query :
-    ?pool:Bounds_par.Pool.t -> t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
+      only). *)
+  val query : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
 
-  val query_ids :
-    ?pool:Bounds_par.Pool.t -> t -> Bounds_query.Query.t -> Entry.id list
+  val query_ids : t -> Bounds_query.Query.t -> Entry.id list
 
   (** Read-only evaluation: hits the snapshot's memo but never writes
       it, so any number of concurrent readers may evaluate over one
       snapshot (cold subqueries are recomputed rather than cached) —
       the lock-free read path of {!Bounds_net.Server}'s snapshot
       isolation. *)
-  val query_ro :
-    ?pool:Bounds_par.Pool.t -> t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
-
-  val query_ids_ro :
-    ?pool:Bounds_par.Pool.t -> t -> Bounds_query.Query.t -> Entry.id list
+  val query_ro : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
+  val query_ids_ro : t -> Bounds_query.Query.t -> Entry.id list
 
   (** Evaluate through the cost-based planner, returning the executed
       plan (with actual cardinalities recorded) alongside the result —
       the [--explain] path. *)
   val explain :
-    ?pool:Bounds_par.Pool.t ->
-    t ->
-    Bounds_query.Query.t ->
-    Bounds_query.Plan.t * Bounds_query.Bitset.t
+    t -> Bounds_query.Query.t -> Bounds_query.Plan.t * Bounds_query.Bitset.t
 
   (** LDAP-style scoped search over the snapshot. *)
   val search :
@@ -89,8 +80,7 @@ module Snapshot : sig
 
   (** Full legality check of the snapshot's instance, reusing its index,
       vindex and memo. *)
-  val validate :
-    ?extensions:bool -> ?pool:Bounds_par.Pool.t -> Schema.t -> t -> Violation.t list
+  val validate : ?extensions:bool -> Schema.t -> t -> Violation.t list
 
   (** Escape hatch to the raw per-version structures, for differential
       oracles and benchmarks that compare them against independently
@@ -113,30 +103,18 @@ type t
     extensions enforced) and builds the session's index, value tables
     and memo; the scan prewarms the memo with the Figure-4 obligation
     queries, and the memo is carried across every update.  [Error]
-    carries the violations of an illegal [inst].
-
-    Parallelism: pass an existing [pool], or let the session own one via
-    [jobs] — [1] (and the default) is sequential, [0] uses the machine's
-    recommended domain count, [n > 1] uses [n] domains.  A session-owned
-    pool is shut down by {!close}. *)
-val open_ :
-  ?jobs:int ->
-  ?pool:Bounds_par.Pool.t ->
-  Schema.t ->
-  Instance.t ->
-  (t, Violation.t list) result
+    carries the violations of an illegal [inst]. *)
+val open_ : Schema.t -> Instance.t -> (t, Violation.t list) result
 
 val schema : t -> Schema.t
 val monitor : t -> Monitor.t
 val instance : t -> Instance.t
-val pool : t -> Bounds_par.Pool.t option
 
 (** Number of entries in the current version. *)
 val size : t -> int
 
 (** Evaluate a hierarchical selection query through the session memo.
-    Caching — call sequentially (the underlying χ sweeps may still use
-    the session pool). *)
+    Caching — call sequentially. *)
 val query : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
 
 val query_ids : t -> Bounds_query.Query.t -> Entry.id list
@@ -220,10 +198,6 @@ end
 (** The current version's (index, vindex, memo) as an immutable
     {!Snapshot} — remains valid after further [apply]s on the session. *)
 val snapshot : t -> Snapshot.t
-
-(** Shut down the session-owned pool, if any ([jobs] in {!open_}).  The
-    session data remains usable (sequentially) afterwards. *)
-val close : t -> unit
 
 (** {1 Stats} *)
 

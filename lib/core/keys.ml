@@ -1,18 +1,13 @@
 open Bounds_model
 
-let check ?pool (schema : Schema.t) inst =
+let check (schema : Schema.t) inst =
   if Attr.Set.is_empty schema.keys then []
   else begin
-    (* Per-chunk (key value → holders) tables built over disjoint entry
-       ranges, merged in chunk order; the final per-key sort and the
-       violation sort make the output independent of the partitioning. *)
-    let entries =
-      Array.of_list (List.rev (Instance.fold (fun e acc -> e :: acc) inst []))
-    in
-    let build ~lo ~hi =
-      let seen : (string * string, Entry.id list) Hashtbl.t = Hashtbl.create 64 in
-      for i = lo to hi - 1 do
-        let e = entries.(i) in
+    (* (key value → holders) table; the final per-key sort and the
+       violation sort make the output independent of traversal order. *)
+    let seen : (string * string, Entry.id list) Hashtbl.t = Hashtbl.create 64 in
+    Instance.iter
+      (fun e ->
         Attr.Set.iter
           (fun attr ->
             List.iter
@@ -23,28 +18,8 @@ let check ?pool (schema : Schema.t) inst =
                 in
                 Hashtbl.replace seen k (Entry.id e :: prev))
               (Entry.values e attr))
-          schema.keys
-      done;
-      seen
-    in
-    let seen =
-      match
-        Bounds_par.Pool.map_chunks ?pool ~align:1 (Array.length entries) build
-      with
-      | [] -> Hashtbl.create 16
-      | first :: rest ->
-          List.iter
-            (fun tbl ->
-              Hashtbl.iter
-                (fun k l ->
-                  let prev =
-                    match Hashtbl.find_opt first k with Some l -> l | None -> []
-                  in
-                  Hashtbl.replace first k (l @ prev))
-                tbl)
-            rest;
-          first
-    in
+          schema.keys)
+      inst;
     Hashtbl.fold
       (fun (a, v) entries acc ->
         match entries with

@@ -8,7 +8,5 @@
 
 open Bounds_model
 
-(** One violation per (attribute, value) shared by ≥ 2 entries.  With a
-    [pool], per-chunk tables are merged before reporting; the sorted
-    output is identical to the sequential check. *)
-val check : ?pool:Bounds_par.Pool.t -> Schema.t -> Instance.t -> Violation.t list
+(** One violation per (attribute, value) shared by ≥ 2 entries, sorted. *)
+val check : Schema.t -> Instance.t -> Violation.t list

@@ -1,10 +1,10 @@
-let check ?(extensions = true) ?pool ?index ?vindex ?memo ?memoize schema inst =
-  Content_legality.check ?pool schema inst
-  @ Structure_legality.check ?pool ?index ?vindex ?memo ?memoize schema inst
+let check ?(extensions = true) ?index ?vindex ?memo ?memoize schema inst =
+  Content_legality.check schema inst
+  @ Structure_legality.check ?index ?vindex ?memo ?memoize schema inst
   @
   if extensions then
-    Single_valued.check ?pool schema inst @ Keys.check ?pool schema inst
+    Single_valued.check schema inst @ Keys.check schema inst
   else []
 
-let is_legal ?extensions ?pool ?index ?vindex ?memo ?memoize schema inst =
-  check ?extensions ?pool ?index ?vindex ?memo ?memoize schema inst = []
+let is_legal ?extensions ?index ?vindex ?memo ?memoize schema inst =
+  check ?extensions ?index ?vindex ?memo ?memoize schema inst = []

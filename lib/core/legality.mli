@@ -13,20 +13,12 @@ open Bounds_query
 (** All violations: typing, content, structure — and, when [extensions]
     is [true] (default), the Section 6.1 single-valued and key checks.
 
-    With a [pool] every O(|D|) stage runs data-parallel over the workers
-    — per-entry content/extension checks chunked over the entries, the
-    Figure-4 obligations fanned out one per task, the evaluation indexes
-    built chunk-wise — while keeping the linear bound and producing a
-    violation list {e bit-identical} to the sequential engine (stable
-    obligation order, chunk-ordered merges).
-
     [memoize] (default [true]) routes the structure obligations through
     the shared-subquery memo of {!Structure_legality.check}; [memo]
     supplies a session's migrated cache to reuse instead of building a
     fresh one. *)
 val check :
   ?extensions:bool ->
-  ?pool:Bounds_par.Pool.t ->
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
@@ -37,7 +29,6 @@ val check :
 
 val is_legal :
   ?extensions:bool ->
-  ?pool:Bounds_par.Pool.t ->
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->

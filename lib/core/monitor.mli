@@ -16,16 +16,15 @@ type t
 
 (** [create schema inst] runs a full legality check and builds the
     indexes.  [extensions] (default [true]) also enforces single-valued
-    attributes and keys.  [pool] parallelizes the initial full check (the
-    expensive O(|D|) admission scan); subsequent incremental checks are
-    O(|Δ|) and run sequentially.  [index]/[vindex]/[memo]/[memoize] are
-    passed through to {!Legality.check} for the admission scan — an
+    attributes and keys.  The initial full check is the O(|D|) admission
+    scan; subsequent incremental checks are O(|Δ|).
+    [index]/[vindex]/[memo]/[memoize] are passed through to
+    {!Legality.check} for the admission scan — an
     existing evaluation-index snapshot of [inst] is reused rather than
     rebuilt, and a caller-supplied memo comes back prewarmed with the
     obligation queries (see {!Directory.open_}). *)
 val create :
   ?extensions:bool ->
-  ?pool:Bounds_par.Pool.t ->
   ?index:Bounds_query.Index.t ->
   ?vindex:Bounds_query.Vindex.t ->
   ?memo:Bounds_query.Plan.memo ->

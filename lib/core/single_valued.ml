@@ -10,11 +10,4 @@ let check_entry (schema : Schema.t) e =
     schema.single_valued []
   |> List.rev
 
-(* Per-entry test: chunked across the pool, merged in traversal order —
-   output identical to the sequential fold. *)
-let check ?pool schema inst =
-  let entries =
-    Array.of_list (List.rev (Instance.fold (fun e acc -> e :: acc) inst []))
-  in
-  Bounds_par.Pool.map_array ?pool (check_entry schema) entries
-  |> Array.to_list |> List.concat
+let check schema inst = List.concat_map (check_entry schema) (Instance.entries inst)

@@ -8,5 +8,5 @@ open Bounds_model
 
 val check_entry : Schema.t -> Entry.t -> Violation.t list
 
-(** With a [pool], chunked per-entry; output identical to sequential. *)
-val check : ?pool:Bounds_par.Pool.t -> Schema.t -> Instance.t -> Violation.t list
+(** Every entry's violations, in traversal order. *)
+val check : Schema.t -> Instance.t -> Violation.t list

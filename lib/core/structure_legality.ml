@@ -11,39 +11,31 @@ let find_targets inst f cj src =
   | Structure_schema.F_descendant ->
       List.filter has_class (Instance.descendants inst src)
 
-(* The (obligation, query, expectation) triples of [Translate.all] are
-   independent of one another, so with a pool they are evaluated
-   obligation-per-task across the workers ([Pool.map_array]); the
-   per-obligation violation lists are concatenated in the stable
-   obligation order of [Translate.all], so the output is bit-identical to
-   the sequential engine.  Each task's own query evaluation runs
-   sequentially — the obligation is the unit of parallelism here (a
-   nested pool submission would be executed inline anyway). *)
-let check ?pool ?index ?vindex ?memo ?(memoize = true) (schema : Schema.t) inst =
-  let ix = match index with Some ix -> ix | None -> Index.create ?pool inst in
-  let obligations = Array.of_list (Translate.all schema.structure) in
+let check ?index ?vindex ?memo ?(memoize = true) (schema : Schema.t) inst =
+  let ix = match index with Some ix -> ix | None -> Index.create inst in
+  let obligations = Translate.all schema.structure in
   let eval_q =
     if memoize || memo <> None then begin
       (* Hash-consed memo over this (index, vindex) snapshot: the
          obligation queries share their class selections and χ frames
          heavily (σ−(s_i, χ(ax, s_i, s_j)) alone names s_i twice), so the
-         shared subqueries are evaluated-and-cached once, sequentially,
-         before the obligation fan-out reads the cache from the workers
-         ([memo_eval_ro] never writes — concurrent reads of a frozen
-         table are safe).  A caller-supplied [memo] (e.g. a session's
-         cache migrated across updates by [Plan.memo_apply]) is used as
-         is: prewarm only tops up what migration dropped. *)
+         shared subqueries are evaluated-and-cached once, then every
+         obligation reads the cache without writing it.  Only shared
+         work is cached, so a session's memo — which [Plan.memo_apply]
+         carries across every update, and which the server's reader
+         threads read concurrently — stays small.  A caller-supplied
+         [memo] (e.g. a session's cache migrated across updates) is used
+         as is: prewarm only tops up what migration dropped. *)
       let memo =
         match memo with
         | Some m -> m
         | None ->
             let vx =
-              match vindex with Some vx -> vx | None -> Vindex.create ?pool ix
+              match vindex with Some vx -> vx | None -> Vindex.create ix
             in
             Plan.memo_create vx
       in
-      Plan.prewarm ?pool memo
-        (Array.to_list (Array.map (fun (_, q, _) -> q) obligations));
+      Plan.prewarm memo (List.map (fun (_, q, _) -> q) obligations);
       fun q -> Plan.memo_eval_ro memo q
     end
     else fun q -> Eval.eval ?vindex ix q
@@ -76,8 +68,7 @@ let check ?pool ?index ?vindex ?memo ?(memoize = true) (schema : Schema.t) inst 
         assert false (* Translate.all pairs expectations correctly *));
     List.rev !viols
   in
-  Bounds_par.Pool.map_array ?pool viols_of obligations
-  |> Array.to_list |> List.concat
+  List.concat_map viols_of obligations
 
-let is_legal ?pool ?index ?vindex ?memo ?memoize schema inst =
-  check ?pool ?index ?vindex ?memo ?memoize schema inst = []
+let is_legal ?index ?vindex ?memo ?memoize schema inst =
+  check ?index ?vindex ?memo ?memoize schema inst = []

@@ -13,15 +13,12 @@ open Bounds_query
 (** [check schema inst] returns all structure violations, with witness
     entries extracted from the query results.  [index]/[vindex] may be
     supplied to reuse work across calls on the same instance version.
-    With a [pool], the independent obligations of [Translate.all] are
-    evaluated one-per-task across the workers and merged in stable
-    obligation order — the output is bit-identical to the sequential
-    engine.
+    Violations come in the obligation order of [Translate.all].
 
     When [memoize] is [true] (default), the obligation queries evaluate
     through a {!Bounds_query.Plan} memo scoped to this snapshot: shared
     subqueries (class selections, χ frames) are computed exactly once,
-    sequentially, before the fan-out reads the cache.  A vindex is built
+    before the obligations read the cache.  A vindex is built
     automatically if none is supplied.  [memoize:false] restores the
     direct per-obligation {!Eval.eval} path (the benchmark baseline).
 
@@ -31,7 +28,6 @@ open Bounds_query
     entries migration dropped are re-evaluated by the prewarm.  The memo
     must be scoped to an (index, vindex) snapshot of [inst]. *)
 val check :
-  ?pool:Bounds_par.Pool.t ->
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
@@ -41,7 +37,6 @@ val check :
   Violation.t list
 
 val is_legal :
-  ?pool:Bounds_par.Pool.t ->
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->

@@ -1,10 +1,8 @@
-module Pool = Bounds_par.Pool
-
-type failure = { case : Case.t; message : string; shrink_tests : int }
+type failure = { case : Case.t; message : string }
 type report = { oracle : string; budget : int; failures : failure list }
 
 (* Independent PRNG per (oracle, seed, index): a failing case replays from
-   the seed alone, whatever the budget or parallelism around it. *)
+   the seed alone, whatever the budget or oracle selection around it. *)
 let case_rng ~seed ~name ~index =
   Random.State.make [| seed; Hashtbl.hash name; index |]
 
@@ -34,15 +32,13 @@ let run_oracle ?(max_failures = 3) ?(log = ignore) ~budget ~seed (o : Oracle.t) 
             log
               (Printf.sprintf "%s: case %d disagrees (%d -> %d after shrink): %s"
                  o.name index (Case.size case) (Case.size shrunk) message);
-            failures :=
-              { case = shrunk; message; shrink_tests = Shrink.last_tests () }
-              :: !failures
+            failures := { case = shrunk; message } :: !failures
           end
         end
   done;
   { oracle = o.name; budget; failures = List.rev !failures }
 
-let run ?(jobs = 1) ?oracles ?max_failures ?log ~budget ~seed () =
+let run ?oracles ?max_failures ?log ~budget ~seed () =
   let selected =
     match oracles with
     | None -> Ok Oracle.all
@@ -62,15 +58,7 @@ let run ?(jobs = 1) ?oracles ?max_failures ?log ~budget ~seed () =
   match selected with
   | Error _ as e -> e
   | Ok selected ->
-      let worker o = run_oracle ?max_failures ?log ~budget ~seed o in
-      let arr = Array.of_list selected in
-      let reports =
-        if jobs <= 1 || Array.length arr <= 1 then Array.map worker arr
-        else
-          Pool.with_pool ~domains:(min jobs (Array.length arr)) (fun pool ->
-              Pool.map_array ~pool worker arr)
-      in
-      Ok (Array.to_list reports)
+      Ok (List.map (run_oracle ?max_failures ?log ~budget ~seed) selected)
 
 let total_failures reports =
   List.fold_left (fun n r -> n + List.length r.failures) 0 reports

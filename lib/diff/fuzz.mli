@@ -4,12 +4,11 @@
     shrink any discrepancy to a local minimum.  Case generation derives an
     independent PRNG per (oracle, seed, index), so a single failing case
     can be regenerated — and the whole run reproduced — from the seed
-    alone, regardless of oracle selection or parallelism. *)
+    alone, regardless of oracle selection. *)
 
 type failure = {
   case : Case.t;  (** shrunk counterexample *)
   message : string;  (** discrepancy report from the oracle *)
-  shrink_tests : int;  (** oracle evaluations spent shrinking *)
 }
 
 type report = {
@@ -30,12 +29,10 @@ val run_oracle :
   Oracle.t ->
   report
 
-(** [run ~budget ~seed ()] — fuzz every oracle (or just [oracles]),
-    [jobs] oracle streams in parallel.  Reports come back in registry
-    order either way; results are independent of [jobs].  Errors on an
-    unknown oracle name. *)
+(** [run ~budget ~seed ()] — fuzz every oracle (or just [oracles]), one
+    after another.  Reports come back in registry order (or in the order
+    of [oracles]).  Errors on an unknown oracle name. *)
 val run :
-  ?jobs:int ->
   ?oracles:string list ->
   ?max_failures:int ->
   ?log:(string -> unit) ->

@@ -3,7 +3,6 @@ open Bounds_core
 open Bounds_query
 open Bounds_codec
 module Gen = Bounds_workload.Gen
-module Pool = Bounds_par.Pool
 module Store = Bounds_store.Store
 module Store_io = Bounds_store.Io
 
@@ -887,46 +886,6 @@ let search_vs_naive =
                   | Some m -> Disagree m)));
   }
 
-let par_vs_seq_legality =
-  {
-    name = "par-vs-seq-legality";
-    doc = "pooled Legality.check is bit-identical to the sequential engine";
-    generate =
-      (fun ~seed rng -> legality_case "par-vs-seq-legality" ~seed rng);
-    check =
-      total (fun c ->
-          with_schema c (fun s ->
-              with_instance c (fun inst ->
-                  Pool.with_pool ~domains:2 (fun pool ->
-                      let a = Legality.check ~pool s inst in
-                      let b = Legality.check s inst in
-                      if List.equal Violation.equal a b then Agree
-                      else
-                        disagreef "parallel: %s / sequential: %s" (pp_violations a)
-                          (pp_violations b)))));
-  }
-
-let par_vs_seq_eval =
-  {
-    name = "par-vs-seq-eval";
-    doc = "pooled index build + Eval is bit-identical to the sequential path";
-    generate =
-      (fun ~seed rng ->
-        Case.make ~oracle:"par-vs-seq-eval" ~seed
-          ~instance:(small_instance rng)
-          ~query:(Gen.random_query ~depth:(1 + Random.State.int rng 2) rng)
-          ());
-    check =
-      total (fun c ->
-          with_instance c (fun inst ->
-              with_query c (fun q ->
-                  Pool.with_pool ~domains:2 (fun pool ->
-                      let a = Eval.eval_ids ~pool (Index.create ~pool inst) q in
-                      let b = Eval.eval_ids (Index.create inst) q in
-                      if a = b then Agree
-                      else disagreef "parallel %s vs sequential %s" (pp_ids a) (pp_ids b)))));
-  }
-
 (* The persisted session and its in-memory twin run the same transactions;
    after a mid-run compaction and a full recovery the store must agree with
    the twin on every observable: acceptance verdicts, the instance itself,
@@ -1494,8 +1453,6 @@ let all =
     txn_witness;
     index_apply_vs_rebuild;
     search_vs_naive;
-    par_vs_seq_legality;
-    par_vs_seq_eval;
     store_roundtrip;
     trusted_replay;
     intern_transparency;

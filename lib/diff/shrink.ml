@@ -327,11 +327,8 @@ let candidates (c : Case.t) : Case.t list =
   instance_cands @ ops_cands @ text_cands @ query_cands @ filter_cands
   @ schema_cands
 
-let tests_used = ref 0
-let last_tests () = !tests_used
-
 let minimize ?(max_tests = 10_000) ~still_fails case =
-  tests_used := 0;
+  let tests_used = ref 0 in
   let try_case c =
     incr tests_used;
     try still_fails c with _ -> false

@@ -5,7 +5,8 @@
     classes, transaction ops, schema constraints, query/filter subterms,
     and text chunks — keeping any variant for which [still_fails] holds,
     until no proposal reproduces the failure (a local minimum) or the
-    test budget runs out.
+    call's own budget of [max_tests] (default 10 000) [still_fails]
+    evaluations runs out.
 
     Progress is measured lexicographically by {!Case.size} and then by
     total embedded string length, so every accepted step strictly
@@ -13,7 +14,3 @@
 
 val minimize :
   ?max_tests:int -> still_fails:(Case.t -> bool) -> Case.t -> Case.t
-
-(** Number of [still_fails] evaluations in the last [minimize] call
-    (exposed for reporting and tests). *)
-val last_tests : unit -> int

@@ -114,24 +114,6 @@ let inter_into ~into src =
     Bytes.set into.words k (Char.unsafe_chr c)
   done
 
-let blit_words ~src ~dst ~at =
-  if at land 7 <> 0 then invalid_arg "Bitset.blit_words: offset not byte-aligned";
-  if at < 0 || at + src.n > dst.n then invalid_arg "Bitset.blit_words: range";
-  if src.n > 0 then begin
-    let b0 = at lsr 3 in
-    let nb = nbytes src.n in
-    let rem = src.n land 7 in
-    let full = if rem = 0 then nb else nb - 1 in
-    Bytes.blit src.words 0 dst.words b0 full;
-    if rem <> 0 then begin
-      (* only bits [at, at + src.n) of dst may change: mask the last byte *)
-      let mask = (1 lsl rem) - 1 in
-      let s = Char.code (Bytes.get src.words (nb - 1)) land mask in
-      let d = Char.code (Bytes.get dst.words (b0 + nb - 1)) land lnot mask land 0xff in
-      Bytes.set dst.words (b0 + nb - 1) (Char.unsafe_chr (s lor d))
-    end
-  end
-
 (* Bits [pos, pos+64) of [bytes] as one little-endian word, reading
    zeros past the end — the unaligned gather primitive of [splice]. *)
 let get_bits64 bytes nb pos =

@@ -38,9 +38,9 @@ val diff : t -> t -> t
 val complement : t -> t
 
 (** [union_into ~into src] — [into := into ∪ src], in place, no
-    allocation.  Used to merge per-chunk results of the parallel sweeps
-    without building an intermediate set per chunk.  Universe sizes must
-    match. *)
+    allocation.  The disjunction loops of the indexed evaluator and the
+    planner accumulate into one set instead of allocating a fresh bitset
+    per disjunct.  Universe sizes must match. *)
 val union_into : into:t -> t -> unit
 
 (** [inter_into ~into src] — [into := into ∩ src], in place, no
@@ -48,15 +48,6 @@ val union_into : into:t -> t -> unit
     planner accumulate into one set instead of allocating a fresh bitset
     per conjunct.  Universe sizes must match. *)
 val inter_into : into:t -> t -> unit
-
-(** [blit_words ~src ~dst ~at] copies all bits of [src] into [dst]
-    starting at bit offset [at], overwriting exactly the bits
-    [at, at + length src) of [dst] (the trailing padding of [src]'s last
-    byte is masked, not copied).  [at] must be byte-aligned ([at mod 8 =
-    0]) and the target range in bounds — [Invalid_argument] otherwise.
-    Disjoint byte-aligned targets of one [dst] may be blitted from
-    different domains concurrently. *)
-val blit_words : src:t -> dst:t -> at:int -> unit
 
 (** [splice ~at ~removed ~inserted s] re-aligns a rank-indexed set with
     one index splice (see {!Index.splice}): bits [[0, at)] keep their
@@ -83,8 +74,7 @@ val subset : t -> t -> bool
 val iter : (int -> unit) -> t -> unit
 
 (** [iter_range f s ~lo ~hi] — members within [lo, hi) only, in
-    increasing order.  Out-of-range bounds are clamped.  This is the
-    per-chunk traversal primitive of the parallel sweeps. *)
+    increasing order.  Out-of-range bounds are clamped. *)
 val iter_range : (int -> unit) -> t -> lo:int -> hi:int -> unit
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

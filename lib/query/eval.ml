@@ -1,71 +1,37 @@
-module Pool = Bounds_par.Pool
-
-(* Parallel scans partition the rank space [0, n) into chunks whose
-   boundaries are multiples of 64 bits ([Pool.parallel_for]'s default
-   alignment): each worker then writes only bytes of the shared result
-   bitset that belong to its own chunk, so the fill needs no
-   synchronization, and the pool's join publishes the writes to the
-   caller.  Without a pool every combinator below degrades to the exact
-   sequential loop. *)
-
-let eval_filter ?pool ix f =
+let eval_filter ix f =
   Index.materialize ix;
   let n = Index.n ix in
   let bs = Bitset.create n in
-  Pool.parallel_for ?pool n (fun ~lo ~hi ->
-      for r = lo to hi - 1 do
-        if Filter.matches f (Index.entry_of_rank ix r) then Bitset.set bs r
-      done);
+  for r = 0 to n - 1 do
+    if Filter.matches f (Index.entry_of_rank ix r) then Bitset.set bs r
+  done;
   bs
 
 (* result = q1 ∩ { e | some child of e is in q2 }: iterate the members of
-   q2 (the sparse candidate set) and keep their parents that lie in q1.
-   A member's parent rank can fall in any chunk, so parallel workers mark
-   into chunk-local sets, merged in place afterwards — [union_into]
-   allocates no intermediate set per merge step. *)
-let chi_child ?pool ix q1 q2 =
-  let n = Index.n ix in
-  let mark target ~lo ~hi =
-    Bitset.iter_range
-      (fun r ->
-        let p = Index.parent_rank ix r in
-        if p >= 0 && Bitset.mem q1 p then Bitset.set target p)
-      q2 ~lo ~hi
-  in
-  match
-    Pool.map_chunks ?pool ~oversub:1 n (fun ~lo ~hi ->
-        let local = Bitset.create n in
-        mark local ~lo ~hi;
-        local)
-  with
-  | [] -> Bitset.create n
-  | first :: rest ->
-      List.iter (fun local -> Bitset.union_into ~into:first local) rest;
-      first
+   q2 (the sparse candidate set) and keep their parents that lie in q1. *)
+let chi_child ix q1 q2 =
+  let result = Bitset.create (Index.n ix) in
+  Bitset.iter
+    (fun r ->
+      let p = Index.parent_rank ix r in
+      if p >= 0 && Bitset.mem q1 p then Bitset.set result p)
+    q2;
+  result
 
 (* result = { r ∈ q1 | parent of r is in q2 }: iterate q1 — the result is
    a subset of it — instead of scanning every rank (mirrors the chi_child
-   pattern).  Each chunk sets only bits of its own range, so parallel
-   workers write disjoint bytes of the shared result directly. *)
-let chi_parent ?pool ix q1 q2 =
-  let n = Index.n ix in
-  let result = Bitset.create n in
-  Pool.parallel_for ?pool n (fun ~lo ~hi ->
-      Bitset.iter_range
-        (fun r ->
-          let p = Index.parent_rank ix r in
-          if p >= 0 && Bitset.mem q2 p then Bitset.set result r)
-        q1 ~lo ~hi);
+   pattern). *)
+let chi_parent ix q1 q2 =
+  let result = Bitset.create (Index.n ix) in
+  Bitset.iter
+    (fun r ->
+      let p = Index.parent_rank ix r in
+      if p >= 0 && Bitset.mem q2 p then Bitset.set result r)
+    q1;
   result
 
 (* Reverse preorder sweep: when node r is visited all its descendants have
-   already pushed their contribution into [below].(r).
-
-   Deliberately sequential even when a pool is available: [below.(p)]
-   depends on [below.(r)] of every descendant r, and that dependency
-   chains across arbitrary distances of the rank space (one edge per
-   iteration), so a chunked sweep would read incomplete prefixes from
-   neighbouring chunks.  See DESIGN.md, "Multicore legality engine". *)
+   already pushed their contribution into [below].(r). *)
 let chi_descendant ix q1 q2 =
   let n = Index.n ix in
   let below = Bitset.create n in
@@ -77,10 +43,7 @@ let chi_descendant ix q1 q2 =
   done;
   Bitset.inter q1 below
 
-(* Forward preorder sweep: parents are visited before children.  Also a
-   loop-carried dependency ([above.(r)] needs [above.(parent r)], which
-   may live arbitrarily far back), hence sequential — same argument as
-   chi_descendant. *)
+(* Forward preorder sweep: parents are visited before children. *)
 let chi_ancestor ix q1 q2 =
   let n = Index.n ix in
   let above = Bitset.create n in
@@ -90,19 +53,19 @@ let chi_ancestor ix q1 q2 =
   done;
   Bitset.inter q1 above
 
-let chi ?pool ix ax s1 s2 =
+let chi ix ax s1 s2 =
   (* every axis kernel is a rank sweep over parent pointers *)
   Index.materialize ix;
   match ax with
-  | Query.Child -> chi_child ?pool ix s1 s2
-  | Query.Parent -> chi_parent ?pool ix s1 s2
+  | Query.Child -> chi_child ix s1 s2
+  | Query.Parent -> chi_parent ix s1 s2
   | Query.Descendant -> chi_descendant ix s1 s2
   | Query.Ancestor -> chi_ancestor ix s1 s2
 
 (* With a value index, answer Eq/Present leaves from the hash table and
    push boolean structure into set algebra; other leaves fall back to the
-   (chunk-parallel) entry scan. *)
-let rec eval_filter_indexed ?pool vx ix f =
+   entry scan. *)
+let rec eval_filter_indexed vx ix f =
   match f with
   | Filter.Eq (a, v) -> Vindex.lookup_eq vx a v
   | Filter.Present a -> Vindex.lookup_present vx a
@@ -113,58 +76,58 @@ let rec eval_filter_indexed ?pool vx ix f =
       let rec go acc = function
         | [] -> acc
         | f :: rest ->
-            Bitset.inter_into ~into:acc (eval_filter_indexed ?pool vx ix f);
+            Bitset.inter_into ~into:acc (eval_filter_indexed vx ix f);
             if Bitset.is_empty acc then acc else go acc rest
       in
       go (Bitset.full (Index.n ix)) fs
   | Filter.Or fs ->
       let acc = Bitset.create (Index.n ix) in
       List.iter
-        (fun f -> Bitset.union_into ~into:acc (eval_filter_indexed ?pool vx ix f))
+        (fun f -> Bitset.union_into ~into:acc (eval_filter_indexed vx ix f))
         fs;
       acc
-  | Filter.Not f -> Bitset.complement (eval_filter_indexed ?pool vx ix f)
-  | Filter.Ge _ | Filter.Le _ | Filter.Substr _ -> eval_filter ?pool ix f
+  | Filter.Not f -> Bitset.complement (eval_filter_indexed vx ix f)
+  | Filter.Ge _ | Filter.Le _ | Filter.Substr _ -> eval_filter ix f
 
-let rec eval ?vindex ?pool ix q =
+let rec eval ?vindex ix q =
   match q with
   | Query.Select f -> (
       match vindex with
-      | Some vx -> eval_filter_indexed ?pool vx ix f
-      | None -> eval_filter ?pool ix f)
+      | Some vx -> eval_filter_indexed vx ix f
+      | None -> eval_filter ix f)
   | Query.Minus (a, b) ->
-      Bitset.diff (eval ?vindex ?pool ix a) (eval ?vindex ?pool ix b)
+      Bitset.diff (eval ?vindex ix a) (eval ?vindex ix b)
   | Query.Union (a, b) ->
-      Bitset.union (eval ?vindex ?pool ix a) (eval ?vindex ?pool ix b)
+      Bitset.union (eval ?vindex ix a) (eval ?vindex ix b)
   | Query.Inter (a, b) ->
-      Bitset.inter (eval ?vindex ?pool ix a) (eval ?vindex ?pool ix b)
+      Bitset.inter (eval ?vindex ix a) (eval ?vindex ix b)
   | Query.Chi (ax, a, b) ->
-      let s1 = eval ?vindex ?pool ix a and s2 = eval ?vindex ?pool ix b in
-      chi ?pool ix ax s1 s2
+      let s1 = eval ?vindex ix a and s2 = eval ?vindex ix b in
+      chi ix ax s1 s2
 
-let eval_ids ?vindex ?pool ix q = Index.ids_of ix (eval ?vindex ?pool ix q)
+let eval_ids ?vindex ix q = Index.ids_of ix (eval ?vindex ix q)
 
 (* Emptiness tests (the legality hot path) don't need the full result:
    every binary operator except Union is left-absorbing — an empty left
    operand forces an empty result — so evaluate the left side first and
    skip the right side entirely when it already drained. *)
-let rec is_empty ?vindex ?pool ix q =
+let rec is_empty ?vindex ix q =
   match q with
   | Query.Union (a, b) ->
-      is_empty ?vindex ?pool ix a && is_empty ?vindex ?pool ix b
+      is_empty ?vindex ix a && is_empty ?vindex ix b
   | Query.Minus (a, b) ->
-      let sa = eval ?vindex ?pool ix a in
+      let sa = eval ?vindex ix a in
       Bitset.is_empty sa
-      || Bitset.is_empty (Bitset.diff sa (eval ?vindex ?pool ix b))
+      || Bitset.is_empty (Bitset.diff sa (eval ?vindex ix b))
   | Query.Inter (a, b) ->
-      let sa = eval ?vindex ?pool ix a in
+      let sa = eval ?vindex ix a in
       Bitset.is_empty sa
-      || Bitset.is_empty (Bitset.inter sa (eval ?vindex ?pool ix b))
+      || Bitset.is_empty (Bitset.inter sa (eval ?vindex ix b))
   | Query.Chi (ax, a, b) ->
       (* χ results are subsets of q1 and empty whenever q2 is empty. *)
-      let s1 = eval ?vindex ?pool ix a in
+      let s1 = eval ?vindex ix a in
       Bitset.is_empty s1
       ||
-      let s2 = eval ?vindex ?pool ix b in
-      Bitset.is_empty s2 || Bitset.is_empty (chi ?pool ix ax s1 s2)
-  | Query.Select _ -> Bitset.is_empty (eval ?vindex ?pool ix q)
+      let s2 = eval ?vindex ix b in
+      Bitset.is_empty s2 || Bitset.is_empty (chi ix ax s1 s2)
+  | Query.Select _ -> Bitset.is_empty (eval ?vindex ix q)

@@ -12,30 +12,17 @@
     - χ ancestor sweeps forward, pulling "has a match above" down.
 
     An optional {!Vindex} accelerates atomic equality/presence selections
-    below the O(|D|) scan.
-
-    An optional [pool] divides the linear constant by the worker count:
-    filter scans and the χ child/parent marking loops are chunked over
-    word-aligned slices of the rank space (each worker owns a disjoint
-    byte range of the result, so the fill is synchronization-free), while
-    the χ descendant/ancestor sweeps stay sequential — their loop-carried
-    dependency spans chunk boundaries.  Results are bit-identical to the
-    sequential evaluation with or without a pool. *)
+    below the O(|D|) scan. *)
 
 open Bounds_model
 
-val eval : ?vindex:Vindex.t -> ?pool:Bounds_par.Pool.t -> Index.t -> Query.t -> Bitset.t
-
-val eval_ids :
-  ?vindex:Vindex.t -> ?pool:Bounds_par.Pool.t -> Index.t -> Query.t -> Entry.id list
-
-val is_empty :
-  ?vindex:Vindex.t -> ?pool:Bounds_par.Pool.t -> Index.t -> Query.t -> bool
+val eval : ?vindex:Vindex.t -> Index.t -> Query.t -> Bitset.t
+val eval_ids : ?vindex:Vindex.t -> Index.t -> Query.t -> Entry.id list
+val is_empty : ?vindex:Vindex.t -> Index.t -> Query.t -> bool
 
 (** [eval_filter ix f] — the atomic-selection scan on its own. *)
-val eval_filter : ?pool:Bounds_par.Pool.t -> Index.t -> Filter.t -> Bitset.t
+val eval_filter : Index.t -> Filter.t -> Bitset.t
 
-(** [chi ?pool ix ax q1 q2] — the χ sweep on already-evaluated operand
+(** [chi ix ax q1 q2] — the χ sweep on already-evaluated operand
     sets; {!Plan} combines its leaf access paths with this. *)
-val chi :
-  ?pool:Bounds_par.Pool.t -> Index.t -> Query.axis -> Bitset.t -> Bitset.t -> Bitset.t
+val chi : Index.t -> Query.axis -> Bitset.t -> Bitset.t -> Bitset.t

@@ -31,7 +31,8 @@ open Bounds_model
 
    Query sweeps (χ axes, filter scans) want flat arrays back: a version
    lazily materializes a flat mirror (rank table included) on first
-   sweep, under a mutex so concurrent snapshot readers race safely.
+   sweep, under a mutex: the server's and the replica's reader threads
+   share snapshots and may race to build it.
    The write path never forces it. *)
 
 let chunk_cap = 256
@@ -176,15 +177,14 @@ let chunkify n ids entries parents depths extents =
         c_sizes = Array.init len (fun i -> extents.(lo + i) - (lo + i) + 1);
       })
 
-let create ?pool instance =
+let create instance =
   let n = Instance.size instance in
   let ids = Array.make n 0 in
   let parents = Array.make n (-1) in
   let depths = Array.make n 0 in
   let extents = Array.make n 0 in
   let ranks = Ranks.create n in
-  (* The preorder numbering itself is inherently order-dependent (a rank
-     is the DFS position), so this pass stays sequential.  It consumes the
+  (* The preorder numbering (a rank is the DFS position) consumes the
      stored (most-recent-first) child lists directly: pushing a reversed
      list head-first leaves the first-inserted child on top of the stack,
      so pops reproduce exactly the forward preorder of the recursive
@@ -232,19 +232,7 @@ let create ?pool instance =
     let p = parents.(r) in
     if p >= 0 && extents.(r) > extents.(p) then extents.(p) <- extents.(r)
   done;
-  (* The per-rank entry payloads are independent map lookups: fill the
-     array in parallel once the numbering is known. *)
-  let entries =
-    if n = 0 then [||]
-    else begin
-      let entries = Array.make n (Instance.entry instance ids.(0)) in
-      Bounds_par.Pool.parallel_for ?pool ~align:1 n (fun ~lo ~hi ->
-          for r = max lo 1 to hi - 1 do
-            entries.(r) <- Instance.entry instance ids.(r)
-          done);
-      entries
-    end
-  in
+  let entries = Array.init n (fun r -> Instance.entry instance ids.(r)) in
   let chunks = chunkify n ids entries parents depths extents in
   let starts, pos = spine_of_chunks chunks in
   (* A freshly-built version keeps its flat mirror: the build already

@@ -19,11 +19,9 @@ open Bounds_model
 
 type t
 
-(** [create ?pool instance] — the preorder numbering pass is sequential
-    (a rank {e is} a DFS position); with a [pool] the per-rank entry
-    array is then filled in parallel.  The result keeps its flat mirror
-    pre-materialized. *)
-val create : ?pool:Bounds_par.Pool.t -> Instance.t -> t
+(** [create instance] — one preorder numbering pass (a rank {e is} a
+    DFS position).  The result keeps its flat mirror pre-materialized. *)
+val create : Instance.t -> t
 
 val instance : t -> Instance.t
 

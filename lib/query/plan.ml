@@ -182,7 +182,7 @@ let verify_into ix pred cand =
     (fun r -> if not (Filter.matches pred (Index.entry_of_rank ix r)) then Bitset.unset cand r)
     cand
 
-let rec exec_f ?pool vx ix node =
+let rec exec_f vx ix node =
   let n = Index.n ix in
   let bs =
     match node.fshape with
@@ -197,48 +197,48 @@ let rec exec_f ?pool vx ix node =
     | F_access A_full -> Bitset.full n
     | F_access A_empty -> Bitset.create n
     | F_and (seed, conjuncts) ->
-        let cand = exec_f ?pool vx ix seed in
+        let cand = exec_f vx ix seed in
         List.iter
           (fun c ->
             if not (Bitset.is_empty cand) then
               match c with
-              | C_inter nd -> Bitset.inter_into ~into:cand (exec_f ?pool vx ix nd)
+              | C_inter nd -> Bitset.inter_into ~into:cand (exec_f vx ix nd)
               | C_verify { pred; _ } -> verify_into ix pred cand)
           conjuncts;
         cand
     | F_or nodes ->
         let acc = Bitset.create n in
-        List.iter (fun nd -> Bitset.union_into ~into:acc (exec_f ?pool vx ix nd)) nodes;
+        List.iter (fun nd -> Bitset.union_into ~into:acc (exec_f vx ix nd)) nodes;
         acc
-    | F_not nd -> Bitset.complement (exec_f ?pool vx ix nd)
+    | F_not nd -> Bitset.complement (exec_f vx ix nd)
   in
   node.f_actual <- Bitset.count bs;
   bs
 
-let rec exec_q ?pool vx ix node =
+let rec exec_q vx ix node =
   let bs =
     match node.qshape with
-    | Q_select fn -> exec_f ?pool vx ix fn
+    | Q_select fn -> exec_f vx ix fn
     | Q_minus (a, b) ->
-        let sa = exec_q ?pool vx ix a in
-        if Bitset.is_empty sa then sa else Bitset.diff sa (exec_q ?pool vx ix b)
+        let sa = exec_q vx ix a in
+        if Bitset.is_empty sa then sa else Bitset.diff sa (exec_q vx ix b)
     | Q_union (a, b) ->
-        Bitset.union (exec_q ?pool vx ix a) (exec_q ?pool vx ix b)
+        Bitset.union (exec_q vx ix a) (exec_q vx ix b)
     | Q_inter (a, b) ->
-        let sa = exec_q ?pool vx ix a in
-        if Bitset.is_empty sa then sa else Bitset.inter sa (exec_q ?pool vx ix b)
+        let sa = exec_q vx ix a in
+        if Bitset.is_empty sa then sa else Bitset.inter sa (exec_q vx ix b)
     | Q_chi (ax, a, b) ->
-        let sa = exec_q ?pool vx ix a in
+        let sa = exec_q vx ix a in
         if Bitset.is_empty sa then sa
         else
-          let sb = exec_q ?pool vx ix b in
+          let sb = exec_q vx ix b in
           if Bitset.is_empty sb then Bitset.create (Index.n ix)
-          else Eval.chi ?pool ix ax sa sb
+          else Eval.chi ix ax sa sb
   in
   node.q_actual <- Bitset.count bs;
   bs
 
-let exec ?pool t = exec_q ?pool t.vx t.ix t.root
+let exec t = exec_q t.vx t.ix t.root
 let query t = t.query
 
 let prefers_verify t ~candidates =
@@ -246,8 +246,8 @@ let prefers_verify t ~candidates =
   | Q_select fn -> verify_cheaper ~mat:(mat_cost (Index.n t.ix) fn) ~candidates
   | Q_minus _ | Q_union _ | Q_inter _ | Q_chi _ -> false
 
-let eval ?pool vx q = exec ?pool (plan vx q)
-let eval_ids ?pool vx q = Index.ids_of (Vindex.index vx) (eval ?pool vx q)
+let eval vx q = exec (plan vx q)
+let eval_ids vx q = Index.ids_of (Vindex.index vx) (eval vx q)
 
 (* {1 Explain} *)
 
@@ -334,10 +334,10 @@ let pp_explain ppf t =
    combinators here are persistent).
 
    Concurrency contract: [memo_eval] writes the cache and must run
-   sequentially; [memo_eval_ro] never writes, so any number of domains
-   may call it over a prewarmed memo concurrently ([Hashtbl] reads are
-   safe when no writer runs).  The hit/miss counters move only under
-   [memo_eval] for the same reason. *)
+   sequentially; [memo_eval_ro] never writes, so the server's and the
+   replica's reader threads may call it over a shared snapshot's memo
+   concurrently ([Hashtbl] reads are safe when no writer runs).  The
+   hit/miss counters move only under [memo_eval] for the same reason. *)
 
 type memo = {
   m_vx : Vindex.t;
@@ -362,7 +362,7 @@ let memo_create vx =
     dropped = 0;
   }
 
-let rec memo_eval_gen ~rw ?pool m q =
+let rec memo_eval_gen ~rw m q =
   let key = Query.to_string q in
   match Hashtbl.find_opt m.cache key with
   | Some (_, bs) ->
@@ -370,10 +370,10 @@ let rec memo_eval_gen ~rw ?pool m q =
       bs
   | None ->
       if rw then m.misses <- m.misses + 1;
-      let go = memo_eval_gen ~rw ?pool m in
+      let go = memo_eval_gen ~rw m in
       let bs =
         match q with
-        | Query.Select _ -> exec ?pool (plan m.m_vx q)
+        | Query.Select _ -> exec (plan m.m_vx q)
         | Query.Minus (a, b) ->
             let sa = go a in
             if Bitset.is_empty sa then sa else Bitset.diff sa (go b)
@@ -387,15 +387,15 @@ let rec memo_eval_gen ~rw ?pool m q =
             else
               let sb = go b in
               if Bitset.is_empty sb then Bitset.create (Index.n m.m_ix)
-              else Eval.chi ?pool m.m_ix ax sa sb
+              else Eval.chi m.m_ix ax sa sb
       in
       if rw then Hashtbl.add m.cache key (q, bs);
       bs
 
-let memo_eval ?pool m q = memo_eval_gen ~rw:true ?pool m q
-let memo_eval_ro ?pool m q = memo_eval_gen ~rw:false ?pool m q
+let memo_eval m q = memo_eval_gen ~rw:true m q
+let memo_eval_ro m q = memo_eval_gen ~rw:false m q
 
-let prewarm ?pool m qs =
+let prewarm m qs =
   (* Occurrence counts over canonical renderings of every subquery node;
      anything shared (count ≥ 2) is evaluated-and-cached up front — the
      Figure-4 obligation set shares its class selections and χ frames
@@ -415,7 +415,7 @@ let prewarm ?pool m qs =
          if
            Option.value ~default:0 (Hashtbl.find_opt counts key) >= 2
            && not (Hashtbl.mem m.cache key)
-         then ignore (memo_eval ?pool m sq)))
+         then ignore (memo_eval m sq)))
     subs
 
 let memo_stats m = (m.hits, m.misses, Hashtbl.length m.cache)

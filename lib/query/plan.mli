@@ -32,18 +32,16 @@
     {!Query.to_string} rendering, scoped to the [(index, vindex)] snapshot
     it was created from — the Figure-4 obligation set then evaluates each
     shared subquery (class selections, χ frames) exactly once per check.
-    {!memo_eval} caches and must run sequentially; after a {!prewarm},
-    {!memo_eval_ro} never writes and may be called from several domains
+    {!memo_eval} caches and must run sequentially; {!memo_eval_ro} never
+    writes, so reader threads that share a snapshot may call it
     concurrently.  Cached bitsets are shared: treat them as immutable. *)
 
 type t
 
 val plan : Vindex.t -> Query.t -> t
 
-(** Execute, recording actual cardinalities on the plan's nodes.  The
-    optional [pool] parallelizes the χ child/parent sweeps exactly as in
-    {!Eval}. *)
-val exec : ?pool:Bounds_par.Pool.t -> t -> Bitset.t
+(** Execute, recording actual cardinalities on the plan's nodes. *)
+val exec : t -> Bitset.t
 
 val query : t -> Query.t
 
@@ -57,10 +55,9 @@ val query : t -> Query.t
 val prefers_verify : t -> candidates:int -> bool
 
 (** [plan] + [exec] in one step. *)
-val eval : ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> Bitset.t
+val eval : Vindex.t -> Query.t -> Bitset.t
 
-val eval_ids :
-  ?pool:Bounds_par.Pool.t -> Vindex.t -> Query.t -> Bounds_model.Entry.id list
+val eval_ids : Vindex.t -> Query.t -> Bounds_model.Entry.id list
 
 (** One line per plan node, indented, with [est=]/[actual=] columns;
     [actual=skipped] marks nodes an early exit never ran. *)
@@ -75,18 +72,18 @@ type memo
 val memo_create : Vindex.t -> memo
 
 (** Evaluate through the cache, filling it.  Sequential use only. *)
-val memo_eval : ?pool:Bounds_par.Pool.t -> memo -> Query.t -> Bitset.t
+val memo_eval : memo -> Query.t -> Bitset.t
 
 (** Evaluate through the cache without writing it: cache misses are
     recomputed on the fly and discarded.  Safe to call concurrently from
-    several domains once the writers are done. *)
-val memo_eval_ro : ?pool:Bounds_par.Pool.t -> memo -> Query.t -> Bitset.t
+    several threads once the writers are done. *)
+val memo_eval_ro : memo -> Query.t -> Bitset.t
 
 (** [prewarm m qs] evaluates-and-caches every subquery occurring at least
-    twice across [qs] (by canonical rendering), so a subsequent parallel
-    [memo_eval_ro] fan-out over [qs] hits the cache for all shared
-    work. *)
-val prewarm : ?pool:Bounds_par.Pool.t -> memo -> Query.t list -> unit
+    twice across [qs] (by canonical rendering), so subsequent
+    [memo_eval_ro] calls over [qs] hit the cache for all shared work
+    while the cache holds only the shared subqueries. *)
+val prewarm : memo -> Query.t list -> unit
 
 (** [(hits, misses, entries)] — hits/misses count {!memo_eval} lookups
     only. *)

@@ -78,10 +78,10 @@ type t = {
   present : postings Pmap.t;
   (* Range and trigram structures are built lazily per attribute — the
      legality hot path (Eq/Present only) never pays for them.  The lock
-     makes on-demand construction safe when a pool evaluates several
-     queries over one shared snapshot concurrently; the maps being
-     persistent, a version step just drops the touched attributes from
-     its copy of the spine and shares the rest. *)
+     makes on-demand construction safe when the server's or the
+     replica's reader threads evaluate over one shared snapshot; the
+     maps being persistent, a version step just drops the touched
+     attributes from its copy of the spine and shares the rest. *)
   lock : Mutex.t;
   mutable ranges : range_idx Pmap.t;
   mutable trigrams : (string, Entry.id array) Hashtbl.t Pmap.t;
@@ -96,46 +96,29 @@ let p_iter f = function
       else Array.iter (fun id -> if not (Pmap.mem id p_dels) then f id) p_base;
       List.iter f p_adds
 
-(* Bulk-build accumulation: plain per-key id lists, in any order — each
-   list is sorted into one frozen array before publishing, so chunk and
-   push order never show. *)
-let push_ids tbl k ids =
-  Hashtbl.replace tbl k
-    (List.rev_append ids (Option.value ~default:[] (Hashtbl.find_opt tbl k)))
+(* Bulk-build accumulation: plain per-key id lists — each list is sorted
+   into one frozen array before publishing, so push order never shows. *)
+let push_id tbl k id =
+  Hashtbl.replace tbl k (id :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
 
-let create ?pool ix =
+let create ix =
   let n = Index.n ix in
   Index.materialize ix;
-  let build ~lo ~hi =
-    (* Pre-sized: one eq bucket per entry-value pair is the common case
-       (duplicate pairs only shrink it), so seed with the chunk width
-       instead of growing through doublings from a constant. *)
-    let eq = Hashtbl.create (max 64 (2 * (hi - lo)))
-    and present = Hashtbl.create (max 16 (hi - lo)) in
-    for r = lo to hi - 1 do
-      let e = Index.entry_of_rank ix r in
-      let id = Entry.id e in
-      List.iter
-        (fun (a, v) ->
-          push_ids eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) [ id ])
-        (Entry.pairs e);
-      Attr.Set.iter
-        (fun a -> push_ids present (attr_key (Attr.to_string a)) [ id ])
-        (Entry.attributes e)
-    done;
-    (eq, present)
-  in
-  let eq, present =
-    match Bounds_par.Pool.map_chunks ?pool n build with
-    | [] -> (Hashtbl.create 16, Hashtbl.create 16)
-    | (eq, present) :: rest ->
-        List.iter
-          (fun (eq', present') ->
-            Hashtbl.iter (push_ids eq) eq';
-            Hashtbl.iter (push_ids present) present')
-          rest;
-        (eq, present)
-  in
+  (* Pre-sized: one eq bucket per entry-value pair is the common case
+     (duplicate pairs only shrink it), so seed with |D| instead of
+     growing through doublings from a constant. *)
+  let eq = Hashtbl.create (max 64 (2 * n)) and present = Hashtbl.create (max 16 n) in
+  for r = 0 to n - 1 do
+    let e = Index.entry_of_rank ix r in
+    let id = Entry.id e in
+    List.iter
+      (fun (a, v) ->
+        push_id eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
+      (Entry.pairs e);
+    Attr.Set.iter
+      (fun a -> push_id present (attr_key (Attr.to_string a)) id)
+      (Entry.attributes e)
+  done;
   (* snapshot-build time is freeze time: every posting list becomes one
      sorted id array before the first lookup runs *)
   let to_pmap tbl =

@@ -26,10 +26,7 @@ open Bounds_model
 
 type t
 
-(** [create ?pool ix] — with a [pool], per-chunk hash tables are built
-    over disjoint rank ranges and merged in chunk order, yielding tables
-    identical to the sequential build. *)
-val create : ?pool:Bounds_par.Pool.t -> Index.t -> t
+val create : Index.t -> t
 val index : t -> Index.t
 
 (** Ranks of entries holding the pair [(a, v)]; [v] is the raw assertion

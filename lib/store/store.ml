@@ -291,7 +291,7 @@ let load ?(trust = false) t feed =
           full_checkpoint t;
           Ok loaded)
 
-let close t = Directory.close t.dir
+let close (_ : t) = ()
 
 let make io schema_v ~auto_checkpoint dir (meta : Checkpoint.meta) =
   {
@@ -313,10 +313,10 @@ let make io schema_v ~auto_checkpoint dir (meta : Checkpoint.meta) =
     recovery_v = None;
   }
 
-let init ?pool ?(auto_checkpoint = 0) io schema inst =
+let init ?(auto_checkpoint = 0) io schema inst =
   if exists io then Error Already_a_store
   else
-    match Directory.open_ ?pool schema inst with
+    match Directory.open_ schema inst with
     | Error vs -> Error (Illegal vs)
     | Ok dir ->
         let s = Directory.stats dir in
@@ -445,7 +445,7 @@ let replay_log engine io ~lsn:lsn0 =
     `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
   )
 
-let recover ~engine ?pool ?(auto_checkpoint = 0) io =
+let recover ~engine ?(auto_checkpoint = 0) io =
   match io.Io.read schema_file with
   | None -> Error (Not_a_store ("missing " ^ schema_file))
   | Some spec -> (
@@ -458,7 +458,7 @@ let recover ~engine ?pool ?(auto_checkpoint = 0) io =
           with
           | Error m -> Error (Corrupt (checkpoint_file ^ ": " ^ m))
           | Ok (meta, inst) -> (
-              match Directory.open_ ?pool schema inst with
+              match Directory.open_ schema inst with
               | Error vs -> Error (Illegal vs)
               | Ok dir0 ->
                   let ( dir,
@@ -517,10 +517,8 @@ let recover ~engine ?pool ?(auto_checkpoint = 0) io =
                       },
                       report ))))
 
-let open_ ?pool ?auto_checkpoint io =
-  recover
-    ~engine:(fun d -> trusted (Directory.Bulk.start d))
-    ?pool ?auto_checkpoint io
+let open_ ?auto_checkpoint io =
+  recover ~engine:(fun d -> trusted (Directory.Bulk.start d)) ?auto_checkpoint io
 
 (* --- replication (WAL shipment) ------------------------------------------ *)
 

@@ -97,7 +97,6 @@ val exists : Io.t -> bool
     [auto_checkpoint] (default [0] = never) compacts automatically once
     that many records accumulate in the log. *)
 val init :
-  ?pool:Bounds_par.Pool.t ->
   ?auto_checkpoint:int ->
   Io.t ->
   Schema.t ->
@@ -116,11 +115,7 @@ val init :
     recovery is codec-decode plus state maintenance, O(|D| + Δ) instead
     of O(Δ · re-admission).  The checked engine and the forced regimes
     live in {!Private}. *)
-val open_ :
-  ?pool:Bounds_par.Pool.t ->
-  ?auto_checkpoint:int ->
-  Io.t ->
-  (t * report, error) result
+val open_ : ?auto_checkpoint:int -> Io.t -> (t * report, error) result
 
 val schema : t -> Schema.t
 
@@ -218,7 +213,9 @@ val load :
   (unit, string) result) ->
   (int, error) result
 
-(** Shut down the session's pool, if it owns one. *)
+(** Ends a store's use.  It releases nothing: a store holds no open
+    file between calls (every append opens, fsyncs and closes its file),
+    so dropping the value is enough. *)
 val close : t -> unit
 
 (** {1 Replication — WAL shipment}

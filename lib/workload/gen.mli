@@ -22,8 +22,7 @@ val random_forest :
     class, and the required attributes of all of them (unique values for
     key attributes).  [counter] backs key uniqueness; it defaults to a
     process-wide counter — pass a local ref for runs that must be
-    deterministic regardless of what generated before (fuzzing, parallel
-    generation). *)
+    deterministic regardless of what generated before (fuzzing). *)
 val content_legal_entry :
   ?counter:int ref -> Schema.t -> Random.State.t -> int -> Entry.t
 

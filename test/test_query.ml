@@ -41,16 +41,53 @@ let test_bitset_full_and_edges () =
   check "complement of full is empty" true (Bitset.is_empty (Bitset.complement f));
   let z = Bitset.full 0 in
   check_int "full 0" 0 (Bitset.cardinal z);
-  check "size mismatch raises" true
-    (try
-       ignore (Bitset.union (Bitset.create 5) (Bitset.create 6));
-       false
-     with Invalid_argument _ -> true);
+  List.iter
+    (fun (name, op) ->
+      check (name ^ ": size mismatch raises") true
+        (try
+           op (Bitset.create 5) (Bitset.create 6);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("union", fun a b -> ignore (Bitset.union a b));
+      ("union_into", fun into src -> Bitset.union_into ~into src);
+      ("inter_into", fun into src -> Bitset.inter_into ~into src);
+    ];
   check "out of range raises" true
     (try
        ignore (Bitset.mem (Bitset.create 5) 5);
        false
      with Invalid_argument _ -> true)
+
+let test_union_into () =
+  List.iter
+    (fun n ->
+      let a = Bitset.of_list n (List.filter (fun i -> i < n) [ 0; 7; 8; 63; 64; 65 ]) in
+      let b = Bitset.of_list n (List.filter (fun i -> i < n) [ 1; 7; 62; 64; n - 1 ]) in
+      let expect = Bitset.elements (Bitset.union a b) in
+      let into = Bitset.union a (Bitset.create n) in
+      Bitset.union_into ~into b;
+      check_ids (Printf.sprintf "union_into n=%d" n) expect (Bitset.elements into))
+    [ 2; 13; 64; 65; 100; 129 ];
+  check "size mismatch raises" true
+    (try
+       Bitset.union_into ~into:(Bitset.create 8) (Bitset.create 9);
+       false
+     with Invalid_argument _ -> true)
+
+let test_iter_range () =
+  let members = [ 0; 3; 64; 65; 127; 128; 255; 256; 299 ] in
+  let s = Bitset.of_list 300 members in
+  let collect ~lo ~hi =
+    let acc = ref [] in
+    Bitset.iter_range (fun i -> acc := i :: !acc) s ~lo ~hi;
+    List.rev !acc
+  in
+  check_ids "full range" members (collect ~lo:0 ~hi:300);
+  check_ids "sub range" [ 64; 65; 127 ] (collect ~lo:4 ~hi:128);
+  check_ids "clamped" members (collect ~lo:(-5) ~hi:1000);
+  check_ids "empty range" [] (collect ~lo:10 ~hi:10);
+  check_ids "mid-byte bounds" [ 65; 127; 128 ] (collect ~lo:65 ~hi:200)
 
 (* --- Filters ------------------------------------------------------------ *)
 
@@ -922,6 +959,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_bitset_basics;
           Alcotest.test_case "algebra" `Quick test_bitset_algebra;
           Alcotest.test_case "full & edges" `Quick test_bitset_full_and_edges;
+          Alcotest.test_case "union_into" `Quick test_union_into;
+          Alcotest.test_case "iter_range" `Quick test_iter_range;
         ] );
       ( "filter",
         [
