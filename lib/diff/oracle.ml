@@ -886,6 +886,162 @@ let search_vs_naive =
                   | Some m -> Disagree m)));
   }
 
+(* The served query path against the specification interpreter.  Cases
+   reuse [search-vs-naive]'s forests of a few hundred entries: there a
+   dense leaf such as (objectClass=person) costs enough to build that
+   the planner tests it on a small χ neighbourhood or a small left
+   operand instead, and a dense frame passes that budget and falls back
+   to the sweep, so both of [Plan]'s branches run on every axis and on
+   ∩/−.  (On [plan-vs-naive]'s few-entry instances every leaf is
+   cheaper to build than to test.)  χ's q1 and the right operand of ∩
+   and − are mostly selections, the only operands tested per
+   candidate. *)
+
+let axes = [| Query.Child; Query.Parent; Query.Descendant; Query.Ancestor |]
+
+(* A case's query over a forest of [n] entries: the union of one
+   served-size query per axis, each a χ over that axis, possibly
+   narrowed by ∩ or −. *)
+let served_query rng ~n =
+  let int k = Random.State.int rng k in
+  let dense () =
+    (* most of the forest *)
+    Query.Select
+      (pick rng
+         [|
+           Filter.Eq (Attr.object_class, "person");
+           Filter.Eq (Attr.object_class, "top");
+           Filter.Present (Attr.of_string "uid");
+           Filter.Present (Attr.of_string "cn");
+           Filter.Present (Attr.of_string "mail");
+         |])
+  in
+  let selective () =
+    (* at most one entry: [search_entry] names persons u<id>, units
+       unit<id> *)
+    let attr, v = if int 4 = 0 then ("ou", "unit") else ("uid", "u") in
+    Query.Select (Filter.Eq (Attr.of_string attr, Printf.sprintf "%s%d" v (int n)))
+  in
+  let leaf () =
+    match int 3 with
+    | 0 -> dense ()
+    | 1 -> selective ()
+    | _ -> Query.Select (search_filter ~depth:(int 2) rng)
+  in
+  let rec query ~depth =
+    match int 6 with
+    | 0 | 1 | 2 -> chi ~depth (pick rng axes)
+    | 3 ->
+        let l = operand ~depth in
+        Query.Inter (l, tested ~depth)
+    | 4 ->
+        let l = operand ~depth in
+        Query.Minus (l, tested ~depth)
+    | _ ->
+        let l = operand ~depth in
+        Query.Union (l, operand ~depth)
+  and operand ~depth = if depth = 0 || int 3 = 0 then leaf () else query ~depth:(depth - 1)
+  (* χ's q1 and the right operand of ∩ and −: mostly dense selections *)
+  and tested ~depth =
+    match int 6 with 0 | 1 | 2 | 3 -> dense () | 4 -> leaf () | _ -> operand ~depth
+  (* mostly a selective frame, whose neighbourhood fits in q1's budget;
+     a dense one passes it *)
+  and chi ~depth ax =
+    let q1 = tested ~depth in
+    let frame = match int 4 with 0 -> operand ~depth | 1 -> dense () | _ -> selective () in
+    Query.Chi (ax, q1, frame)
+  in
+  let per_axis ax =
+    let depth = int 2 in
+    let q = chi ~depth ax in
+    match int 3 with
+    | 0 -> Query.Inter (q, tested ~depth)
+    | 1 -> Query.Minus (q, tested ~depth)
+    | _ -> q
+  in
+  List.fold_left
+    (fun acc ax -> Query.Union (acc, per_axis ax))
+    (per_axis Query.Child)
+    [ Query.Parent; Query.Descendant; Query.Ancestor ]
+
+let query_vs_naive =
+  {
+    name = "query-vs-naive";
+    doc =
+      "Plan, the memo evaluator (fresh and prewarmed, read-write and \
+       read-only) and a snapshot's served query after an accepted \
+       Directory.apply agree with the specification interpreter Naive_eval";
+    generate =
+      (fun ~seed rng ->
+        let instance =
+          Gen.random_forest ~seed:(sub rng) ~size:(150 + Random.State.int rng 150)
+            ~mk_entry:search_entry ()
+        in
+        Case.make ~oracle:"query-vs-naive" ~seed ~schema:(Lazy.force search_schema)
+          ~instance ~ops:(search_ops rng instance)
+          ~query:(served_query rng ~n:(Instance.size instance))
+          ());
+    check =
+      total (fun c ->
+          with_instance c (fun inst ->
+              with_query c (fun q ->
+                  let want = Naive_eval.eval inst q in
+                  let vx = Vindex.create (Index.create inst) in
+                  let ids bs = List.sort compare (Index.ids_of (Vindex.index vx) bs) in
+                  let fresh () = Plan.memo_create vx in
+                  let prewarmed () =
+                    let m = Plan.memo_create vx in
+                    List.iter
+                      (fun sq -> if sq != q then ignore (Plan.memo_eval m sq))
+                      (Query.subqueries q);
+                    m
+                  in
+                  let evaluators =
+                    [
+                      ("plan", fun () -> List.sort compare (Plan.eval_ids vx q));
+                      ("fresh memo_eval", fun () -> ids (Plan.memo_eval (fresh ()) q));
+                      ("fresh memo_eval_ro", fun () -> ids (Plan.memo_eval_ro (fresh ()) q));
+                      ("prewarmed memo_eval", fun () -> ids (Plan.memo_eval (prewarmed ()) q));
+                      ( "prewarmed memo_eval_ro",
+                        fun () -> ids (Plan.memo_eval_ro (prewarmed ()) q) );
+                    ]
+                  in
+                  let applied () =
+                    match c.Case.schema with
+                    | None -> None
+                    | Some schema -> (
+                        match Directory.open_ schema inst with
+                        | Error _ -> None
+                        | Ok dir -> (
+                            match Directory.apply dir c.Case.ops with
+                            | _, Admission.Rejected _ -> None
+                            | dir, Admission.Accepted _ ->
+                                let got =
+                                  List.sort compare
+                                    (Directory.Snapshot.query_ids_ro (Directory.snapshot dir) q)
+                                in
+                                let want = Naive_eval.eval (Directory.instance dir) q in
+                                if got = want then None
+                                else
+                                  Some
+                                    (Printf.sprintf "after apply: query_ids_ro %s vs naive %s"
+                                       (pp_ids got) (pp_ids want))))
+                  in
+                  match
+                    List.find_map
+                      (fun (what, run) ->
+                        let got = run () in
+                        if got = want then None
+                        else Some (Printf.sprintf "%s %s vs naive %s" what (pp_ids got) (pp_ids want)))
+                      evaluators
+                  with
+                  | Some m -> Disagree (m ^ " on " ^ Query.to_string q)
+                  | None -> (
+                      match applied () with
+                      | None -> Agree
+                      | Some m -> Disagree (m ^ " on " ^ Query.to_string q)))));
+  }
+
 (* The persisted session and its in-memory twin run the same transactions;
    after a mid-run compaction and a full recovery the store must agree with
    the twin on every observable: acceptance verdicts, the instance itself,
@@ -1453,6 +1609,7 @@ let all =
     txn_witness;
     index_apply_vs_rebuild;
     search_vs_naive;
+    query_vs_naive;
     store_roundtrip;
     trusted_replay;
     intern_transparency;

@@ -62,6 +62,57 @@ let chi ix ax s1 s2 =
   | Query.Descendant -> chi_descendant ix s1 s2
   | Query.Ancestor -> chi_ancestor ix s1 s2
 
+(* The ranks whose subtrees tile [[lo, hi]]: the next sibling of rank
+   [c] is [extent c + 1], so folding over k siblings costs O(k) extent
+   reads, not a scan of their subtrees. *)
+let rec fold_siblings f ix ~lo ~hi acc =
+  if lo > hi then acc
+  else fold_siblings f ix ~lo:(Index.extent_of_rank ix lo + 1) ~hi (f lo acc)
+
+exception Over_budget
+
+(* Walk N_ax(frame) from the frame's members, in increasing rank order:
+   parents (Child) and proper ancestors (Descendant) by parent pointers,
+   children (Parent) by extent jumps, proper descendants (Ancestor) as
+   the intervals (r, extent r].  A Descendant chain stops at its first
+   marked rank, whose ancestors are marked already; an Ancestor frame
+   member inside an earlier member's interval adds nothing. *)
+let neighbourhood ix ax frame ~budget =
+  let nb = Bitset.create (Index.n ix) in
+  let size = ref 0 in
+  let add r =
+    incr size;
+    if !size > budget then raise_notrace Over_budget;
+    Bitset.set nb r
+  in
+  let covered = ref (-1) in
+  let visit r =
+    match ax with
+    | Query.Child ->
+        let p = Index.parent_rank ix r in
+        if p >= 0 && not (Bitset.mem nb p) then add p
+    | Query.Parent ->
+        fold_siblings (fun c () -> add c) ix ~lo:(r + 1) ~hi:(Index.extent_of_rank ix r) ()
+    | Query.Descendant ->
+        let rec up p =
+          if p >= 0 && not (Bitset.mem nb p) then begin
+            add p;
+            up (Index.parent_rank ix p)
+          end
+        in
+        up (Index.parent_rank ix r)
+    | Query.Ancestor ->
+        if r > !covered then begin
+          covered := Index.extent_of_rank ix r;
+          for d = r + 1 to !covered do
+            add d
+          done
+        end
+  in
+  match Bitset.iter visit frame with
+  | () -> Some nb
+  | exception Over_budget -> None
+
 (* With a value index, answer Eq/Present leaves from the hash table and
    push boolean structure into set algebra; other leaves fall back to the
    entry scan. *)

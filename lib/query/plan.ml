@@ -24,7 +24,18 @@ and fshape =
 and conjunct = C_inter of fnode | C_verify of residual
 and residual = { pred : Filter.t; r_est : int }
 
-type qnode = { qshape : qshape; q_est : int; mutable q_actual : int }
+type qnode = {
+  qshape : qshape;
+  q_est : int;
+  q_query : Query.t;  (* the memo's key; a selection's filter *)
+  mutable q_actual : int;
+  mutable q_mode : mode;
+}
+
+(* How a χ, ∩ or − node met the operand it may test per candidate (χ's
+   q1, the right operand of ∩ and −): tested on k candidates, or built
+   and combined with the other operand's set. *)
+and mode = Unrun | Verify of int | Sweep
 
 and qshape =
   | Q_select of fnode
@@ -34,6 +45,12 @@ and qshape =
   | Q_chi of Query.axis * qnode * qnode
 
 type t = { vx : Vindex.t; ix : Index.t; query : Query.t; root : qnode }
+
+(* [f_actual]/[q_actual] before a node runs, and after an early exit
+   skipped it; and of an operand tested per candidate instead of
+   built *)
+let skipped = -1
+let verified = -2
 
 (* {1 Selectivity estimation}
 
@@ -61,7 +78,7 @@ let rec est_filter vx n = function
 
 (* {1 Planning} *)
 
-let fnode fshape f_est = { fshape; f_est; f_actual = -1 }
+let fnode fshape f_est = { fshape; f_est; f_actual = skipped }
 
 (* One per-candidate [Filter.matches] verification costs about this many
    bitset rank-fills (entry lookup, attribute access, string
@@ -70,10 +87,11 @@ let fnode fshape f_est = { fshape; f_est; f_actual = -1 }
    matters. *)
 let verify_factor = 16
 
-(* The one intersect-vs-verify rule: testing [candidates] entries one
-   by one with [Filter.matches] beats materializing a set whose
-   [mat_cost] is [mat]. *)
-let verify_cheaper ~mat ~candidates = verify_factor * candidates < mat
+(* The one intersect-vs-verify rule: testing k entries one by one with
+   [Filter.matches] beats materializing a set whose [mat_cost] is [mat]
+   when [verify_factor * k < mat], that is when k is at most this
+   budget. *)
+let verify_budget ~mat = if mat <= 0 then -1 else (mat - 1) / verify_factor
 
 (* Materialization cost of a plan subtree, in rank-fill units: access
    paths pay one fill per estimated member, trigram candidates
@@ -132,8 +150,7 @@ let rec plan_filter vx n f =
           (fun (cur, acc) (_, pred, r_est) ->
             let nd = plan_filter vx n pred in
             let c =
-              if verify_cheaper ~mat:(mat_cost n nd) ~candidates:cur then
-                C_verify { pred; r_est }
+              if cur <= verify_budget ~mat:(mat_cost n nd) then C_verify { pred; r_est }
               else C_inter nd
             in
             (min cur r_est, c :: acc))
@@ -144,25 +161,26 @@ let rec plan_filter vx n f =
   | Filter.Or fs -> fnode (F_or (List.map (plan_filter vx n) fs)) est
   | Filter.Not f -> fnode (F_not (plan_filter vx n f)) est
 
-let qnode qshape q_est = { qshape; q_est; q_actual = -1 }
+let qnode q qshape q_est = { qshape; q_est; q_query = q; q_actual = skipped; q_mode = Unrun }
 
-let rec plan_q vx n = function
+let rec plan_q vx n q =
+  match q with
   | Query.Select f ->
       let fn = plan_filter vx n f in
-      qnode (Q_select fn) fn.f_est
+      qnode q (Q_select fn) fn.f_est
   | Query.Minus (a, b) ->
       let pa = plan_q vx n a and pb = plan_q vx n b in
-      qnode (Q_minus (pa, pb)) pa.q_est
+      qnode q (Q_minus (pa, pb)) pa.q_est
   | Query.Union (a, b) ->
       let pa = plan_q vx n a and pb = plan_q vx n b in
-      qnode (Q_union (pa, pb)) (min n (pa.q_est + pb.q_est))
+      qnode q (Q_union (pa, pb)) (min n (pa.q_est + pb.q_est))
   | Query.Inter (a, b) ->
       let pa = plan_q vx n a and pb = plan_q vx n b in
-      qnode (Q_inter (pa, pb)) (min pa.q_est pb.q_est)
+      qnode q (Q_inter (pa, pb)) (min pa.q_est pb.q_est)
   | Query.Chi (ax, a, b) ->
       (* the result is a subset of q1 *)
       let pa = plan_q vx n a and pb = plan_q vx n b in
-      qnode (Q_chi (ax, pa, pb)) pa.q_est
+      qnode q (Q_chi (ax, pa, pb)) pa.q_est
 
 let plan vx query =
   let ix = Vindex.index vx in
@@ -170,10 +188,42 @@ let plan vx query =
 
 (* {1 Execution}
 
-   Every branch returns a freshly allocated bitset, so in-place residual
+   One evaluator runs every plan, with or without a memo: [exec] and the
+   memo evaluator behind [memo_eval]/[memo_eval_ro] share it, and so the
+   frame-first rule below.  Every branch returns a freshly allocated
+   bitset or a cached one that is never edited, so in-place residual
    filtering and [_into] accumulation never alias a caller-visible set.
-   [f_actual]/[q_actual] are recorded as nodes complete; a node skipped
-   by an early exit keeps [-1] and explains as "skipped". *)
+   [f_actual]/[q_actual] are recorded as nodes complete. *)
+
+(* Memo tables are hash-consed on the canonical [Query.to_string]
+   rendering (round-trip tested in the parser suite), scoped to one
+   [(index, vindex)] snapshot: a memo must be dropped with the snapshot
+   it was built from. *)
+type memo = {
+  m_vx : Vindex.t;
+  m_ix : Index.t;
+  cache : (string, Query.t * Bitset.t) Hashtbl.t;
+      (* the AST rides along with each result so {!memo_apply} can
+         re-admit inserted entries without reparsing the key *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable migrated : int;
+  mutable dropped : int;
+}
+
+(* [rw]: the memo is filled and its counters move; otherwise it is only
+   read, so reader threads may share it. *)
+type ctx = { vx : Vindex.t; ix : Index.t; memo : memo option; rw : bool }
+
+let cached c node =
+  match c.memo with
+  | None -> None
+  | Some m -> (
+      match Hashtbl.find_opt m.cache (Query.to_string node.q_query) with
+      | Some (_, bs) ->
+          if c.rw then m.hits <- m.hits + 1;
+          Some bs
+      | None -> None)
 
 let verify_into ix pred cand =
   (* [Bitset.iter] reads one byte ahead of the bits it visits, so
@@ -215,37 +265,111 @@ let rec exec_f vx ix node =
   node.f_actual <- Bitset.count bs;
   bs
 
-let rec exec_q vx ix node =
-  let bs =
-    match node.qshape with
-    | Q_select fn -> exec_f vx ix fn
-    | Q_minus (a, b) ->
-        let sa = exec_q vx ix a in
-        if Bitset.is_empty sa then sa else Bitset.diff sa (exec_q vx ix b)
-    | Q_union (a, b) ->
-        Bitset.union (exec_q vx ix a) (exec_q vx ix b)
-    | Q_inter (a, b) ->
-        let sa = exec_q vx ix a in
-        if Bitset.is_empty sa then sa else Bitset.inter sa (exec_q vx ix b)
-    | Q_chi (ax, a, b) ->
-        let sa = exec_q vx ix a in
-        if Bitset.is_empty sa then sa
-        else
-          let sb = exec_q vx ix b in
-          if Bitset.is_empty sb then Bitset.create (Index.n ix)
-          else Eval.chi ix ax sa sb
+(* The frame-first rule prices an operand [node] that may be tested per
+   candidate by its materialization cost: [mat_cost] when it is a
+   selection, [-1] for a composite operand, since only a filter can be
+   tested per entry.  [verify_budget] of that cost is the most
+   candidates on which testing beats building; it is negative for a
+   composite operand and for a selection whose estimate is 0, so the
+   empty-operand skip still runs first there. *)
+let operand_cost n node =
+  match node.qshape with
+  | Q_select fn -> mat_cost n fn
+  | Q_minus _ | Q_union _ | Q_inter _ | Q_chi _ -> -1
+
+let rec exec_q c node =
+  match cached c node with
+  | Some bs -> bs
+  | None ->
+      let bs =
+        match node.qshape with
+        | Q_select fn -> exec_f c.vx c.ix fn
+        | Q_union (a, b) -> Bitset.union (exec_q c a) (exec_q c b)
+        | Q_inter (a, b) -> narrow c node a b ~keep:true
+        | Q_minus (a, b) -> narrow c node a b ~keep:false
+        | Q_chi (ax, a, b) -> chi c node ax a b
+      in
+      node.q_actual <- Bitset.count bs;
+      (match c.memo with
+      | Some m when c.rw ->
+          m.misses <- m.misses + 1;
+          Hashtbl.add m.cache (Query.to_string node.q_query) (node.q_query, bs)
+      | Some _ | None -> ());
+      bs
+
+(* [cands] keeps the members on which the selection [sel] of filter [f]
+   answers [keep], each tested by membership in the memo's cached [sel]
+   when there is one, by [Filter.matches] otherwise. *)
+and verify c node sel f cands ~keep =
+  node.q_mode <- Verify (Bitset.count cands);
+  sel.q_actual <- verified;
+  let test =
+    match cached c sel with
+    | Some bs -> Bitset.mem bs
+    | None -> fun r -> Filter.matches f (Index.entry_of_rank c.ix r)
   in
-  node.q_actual <- Bitset.count bs;
-  bs
+  Bitset.iter (fun r -> if test r <> keep then Bitset.unset cands r) cands
 
-let exec t = exec_q t.vx t.ix t.root
-let query t = t.query
+(* ∩ and −: the left operand first, and an empty one skips the right.
+   A right selection is tested on the left's members when there are at
+   most its budget of them; otherwise it is built. *)
+and narrow c node a b ~keep =
+  let sa = exec_q c a in
+  if Bitset.is_empty sa then sa
+  else
+    match (operand_cost (Index.n c.ix) b, b.q_query) with
+    | mat, Query.Select f when Bitset.count sa <= verify_budget ~mat ->
+        let cands = Bitset.copy sa in
+        verify c node b f cands ~keep;
+        cands
+    | _ ->
+        node.q_mode <- Sweep;
+        let sb = exec_q c b in
+        if keep then Bitset.inter sa sb else Bitset.diff sa sb
 
-let prefers_verify t ~candidates =
-  match t.root.qshape with
-  | Q_select fn -> verify_cheaper ~mat:(mat_cost (Index.n t.ix) fn) ~candidates
-  | Q_minus _ | Q_union _ | Q_inter _ | Q_chi _ -> false
+(* χ(ax, q1, q2) = q1 ∩ N_ax(q2).  Frame first when q1 is a selection
+   with a positive budget: build q2, walk N from its members, and test
+   q1 on N — unless N passes the budget, where building q1 and sweeping
+   is cheaper.  The walk visits every frame member, one step each, so
+   its budget is what is left of q1's cost after those steps.  Any
+   other q1 is built first, and an empty one skips q2. *)
+and chi c node ax a b =
+  let n = Index.n c.ix in
+  let sweep sb =
+    let sa = exec_q c a in
+    if Bitset.is_empty sa then sa
+    else begin
+      node.q_mode <- Sweep;
+      Eval.chi c.ix ax sa sb
+    end
+  in
+  match (operand_cost n a, a.q_query) with
+  | mat, Query.Select f when verify_budget ~mat > 0 -> (
+      let sb = exec_q c b in
+      if Bitset.is_empty sb then Bitset.create n
+      else
+        let budget = verify_budget ~mat:(mat - Bitset.count sb) in
+        match Eval.neighbourhood c.ix ax sb ~budget with
+        | Some nb ->
+            verify c node a f nb ~keep:true;
+            nb
+        | None -> sweep sb)
+  | _ ->
+      let sa = exec_q c a in
+      if Bitset.is_empty sa then sa
+      else
+        let sb = exec_q c b in
+        if Bitset.is_empty sb then Bitset.create n
+        else begin
+          node.q_mode <- Sweep;
+          Eval.chi c.ix ax sa sb
+        end
 
+let exec (t : t) = exec_q { vx = t.vx; ix = t.ix; memo = None; rw = false } t.root
+let query (t : t) = t.query
+
+let prefers_verify (t : t) ~candidates =
+  candidates <= verify_budget ~mat:(operand_cost (Index.n t.ix) t.root)
 let eval vx q = exec (plan vx q)
 let eval_ids vx q = Index.ids_of (Vindex.index vx) (eval vx q)
 
@@ -260,7 +384,13 @@ let access_to_string = function
   | A_full -> "full"
   | A_empty -> "empty"
 
-let card = function -1 -> "skipped" | c -> string_of_int c
+let card c =
+  if c = skipped then "skipped" else if c = verified then "verified" else string_of_int c
+
+let with_mode text = function
+  | Unrun -> text
+  | Verify k -> Printf.sprintf "%s verify %d" text k
+  | Sweep -> text ^ " sweep"
 
 let explain_lines t =
   let lines = ref [] in
@@ -300,7 +430,7 @@ let explain_lines t =
         emit depth "select" qn.q_est (card qn.q_actual);
         fgo (depth + 1) fn
     | Q_minus (a, b) ->
-        emit depth "minus" qn.q_est (card qn.q_actual);
+        emit depth (with_mode "minus" qn.q_mode) qn.q_est (card qn.q_actual);
         qgo (depth + 1) a;
         qgo (depth + 1) b
     | Q_union (a, b) ->
@@ -308,12 +438,13 @@ let explain_lines t =
         qgo (depth + 1) a;
         qgo (depth + 1) b
     | Q_inter (a, b) ->
-        emit depth "inter" qn.q_est (card qn.q_actual);
+        emit depth (with_mode "inter" qn.q_mode) qn.q_est (card qn.q_actual);
         qgo (depth + 1) a;
         qgo (depth + 1) b
     | Q_chi (ax, a, b) ->
-        emit depth (Printf.sprintf "chi %s" (Query.axis_to_string ax)) qn.q_est
-          (card qn.q_actual);
+        emit depth
+          (with_mode ("chi " ^ Query.axis_to_string ax) qn.q_mode)
+          qn.q_est (card qn.q_actual);
         qgo (depth + 1) a;
         qgo (depth + 1) b
   in
@@ -327,29 +458,16 @@ let pp_explain ppf t =
 
 (* {1 Memoized evaluation}
 
-   Hash-consed on the canonical [Query.to_string] rendering (round-trip
-   tested in the parser suite), scoped to one [(index, vindex)] snapshot:
-   a memo must be dropped with the snapshot it was built from.  Cached
-   bitsets are shared — callers must treat results as immutable (all
-   combinators here are persistent).
+   A memo run is a plan run through the memo: [exec_q] looks every node
+   up before evaluating it.  Cached bitsets are shared — callers must
+   treat results as immutable (all combinators here are persistent).
 
    Concurrency contract: [memo_eval] writes the cache and must run
    sequentially; [memo_eval_ro] never writes, so the server's and the
    replica's reader threads may call it over a shared snapshot's memo
-   concurrently ([Hashtbl] reads are safe when no writer runs).  The
-   hit/miss counters move only under [memo_eval] for the same reason. *)
-
-type memo = {
-  m_vx : Vindex.t;
-  m_ix : Index.t;
-  cache : (string, Query.t * Bitset.t) Hashtbl.t;
-      (* the AST rides along with each result so {!memo_apply} can
-         re-admit inserted entries without reparsing the key *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable migrated : int;
-  mutable dropped : int;
-}
+   concurrently ([Hashtbl] reads are safe when no writer runs, and each
+   call plans its own nodes).  The hit/miss counters move only under
+   [memo_eval] for the same reason. *)
 
 let memo_create vx =
   {
@@ -362,35 +480,8 @@ let memo_create vx =
     dropped = 0;
   }
 
-let rec memo_eval_gen ~rw m q =
-  let key = Query.to_string q in
-  match Hashtbl.find_opt m.cache key with
-  | Some (_, bs) ->
-      if rw then m.hits <- m.hits + 1;
-      bs
-  | None ->
-      if rw then m.misses <- m.misses + 1;
-      let go = memo_eval_gen ~rw m in
-      let bs =
-        match q with
-        | Query.Select _ -> exec (plan m.m_vx q)
-        | Query.Minus (a, b) ->
-            let sa = go a in
-            if Bitset.is_empty sa then sa else Bitset.diff sa (go b)
-        | Query.Union (a, b) -> Bitset.union (go a) (go b)
-        | Query.Inter (a, b) ->
-            let sa = go a in
-            if Bitset.is_empty sa then sa else Bitset.inter sa (go b)
-        | Query.Chi (ax, a, b) ->
-            let sa = go a in
-            if Bitset.is_empty sa then sa
-            else
-              let sb = go b in
-              if Bitset.is_empty sb then Bitset.create (Index.n m.m_ix)
-              else Eval.chi m.m_ix ax sa sb
-      in
-      if rw then Hashtbl.add m.cache key (q, bs);
-      bs
+let memo_eval_gen ~rw m q =
+  exec_q { vx = m.m_vx; ix = m.m_ix; memo = Some m; rw } (plan_q m.m_vx (Index.n m.m_ix) q)
 
 let memo_eval m q = memo_eval_gen ~rw:true m q
 let memo_eval_ro m q = memo_eval_gen ~rw:false m q

@@ -17,8 +17,25 @@
     - [Not] inside a conjunction is pushed to the verify tail, so
       complements are taken late and narrow (a per-candidate test, not an
       O(|D|) complement set);
-    - [Minus]/[Inter]/[Chi] skip their right operand when the left one is
-      already empty.
+    - χ is evaluated frame first.  χ(ax, q1, q2) is q1 ∩ N_ax(q2), where
+      N is the frame's neighbourhood ({!Eval.neighbourhood}).  When q1 is
+      a selection, q2 is built, N is walked from its members, and q1 is
+      tested on each rank of N (by {!Filter.matches}, or by membership
+      when the memo already holds q1) — as long as |N| stays within q1's
+      budget, the most candidates on which the intersect-vs-verify rule
+      below still prefers testing to building.  The walk also visits
+      each of q2's members, a step as dear as a rank fill, so the budget
+      is taken from what is left of q1's materialization cost after
+      those steps.  The walk stops once |N| passes the budget, and then
+      q1 is built and {!Eval.chi} sweeps, so a dense frame costs at most
+      the budget in extra steps.  A served χ then costs its frame's
+      neighbourhood, not |D|;
+    - [Minus]/[Inter] test a right selection on the left's members by
+      the same rule when there are few enough of them;
+    - [Minus]/[Inter] and a χ whose q1 is composite (or a selection
+      whose estimate is 0, which is therefore empty) skip their right
+      operand when the left one is already empty; a frame-first χ skips
+      q1 when the frame is empty.
 
     Plans record estimated and (after {!exec}) actual cardinalities per
     node; {!explain_lines}/{!pp_explain} render them for [--explain].
@@ -32,6 +49,9 @@
     {!Query.to_string} rendering, scoped to the [(index, vindex)] snapshot
     it was created from — the Figure-4 obligation set then evaluates each
     shared subquery (class selections, χ frames) exactly once per check.
+    A memo evaluation runs the query's plan through the memo: one
+    evaluator, and so one frame-first rule, serves {!exec} and the
+    memo.
     {!memo_eval} caches and must run sequentially; {!memo_eval_ro} never
     writes, so reader threads that share a snapshot may call it
     concurrently.  Cached bitsets are shared: treat them as immutable. *)
@@ -50,8 +70,10 @@ val query : t -> Query.t
     testing [Filter.matches] on each candidate (one [verify_factor] of
     cost apiece) is cheaper than {!exec}uting the selection [t] (its
     estimated materialization cost).  The rule that places an [And]'s
-    conjuncts; {!Search} prices a scope with it.  [false] unless [t]'s
-    root is a selection, since only a filter can be tested per entry. *)
+    conjuncts, bounds a χ neighbourhood walk and picks the mode of
+    [Minus]/[Inter]; {!Search} prices a scope with it.  [false] unless
+    [t]'s root is a selection, since only a filter can be tested per
+    entry. *)
 val prefers_verify : t -> candidates:int -> bool
 
 (** [plan] + [exec] in one step. *)
@@ -60,7 +82,11 @@ val eval : Vindex.t -> Query.t -> Bitset.t
 val eval_ids : Vindex.t -> Query.t -> Bounds_model.Entry.id list
 
 (** One line per plan node, indented, with [est=]/[actual=] columns;
-    [actual=skipped] marks nodes an early exit never ran. *)
+    [actual=skipped] marks nodes an early exit never ran, and
+    [actual=verified] an operand tested per candidate instead of built.
+    A [chi], [inter] or [minus] line that ran says how it met that
+    operand: [verify k] on k candidates, or [sweep] over the built
+    sets. *)
 val explain_lines : t -> string list
 
 val pp_explain : Format.formatter -> t -> unit

@@ -18,14 +18,7 @@ let scope_of_string s =
    the roots, or the roots' children. *)
 type candidates = Interval of int * int | Ranks of int list
 
-(* The ranks whose subtrees tile [[lo, hi]]: the next sibling of rank
-   [c] is [extent c + 1], so listing k siblings costs O(k) extent
-   reads, not a scan of their subtrees. *)
-let siblings ix ~lo ~hi =
-  let rec go c acc =
-    if c > hi then List.rev acc else go (Index.extent_of_rank ix c + 1) (c :: acc)
-  in
-  go lo []
+let siblings ix ~lo ~hi = List.rev (Eval.fold_siblings List.cons ix ~lo ~hi [])
 
 let children ix r = siblings ix ~lo:(r + 1) ~hi:(Index.extent_of_rank ix r)
 

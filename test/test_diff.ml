@@ -101,6 +101,50 @@ let test_search_oracle_takes_both_branches () =
   check "some scopes verify" true (!verify > 0);
   check "some scopes evaluate" true (!evaluate > 0)
 
+(* [query-vs-naive] holds the planner's frame-first rule against the
+   reference, so its cases must take both of the rule's branches: on
+   each χ axis a selection q1 tested on the frame's neighbourhood, and
+   a walk past q1's budget that falls back to the sweep; on ∩ and − a
+   right selection tested on the left's members, and one built and
+   combined.  Each such node runs alone as a plan, whose explain line
+   says which branch it took. *)
+let test_query_oracle_takes_both_branches () =
+  let o = Option.get (Oracle.find "query-vs-naive") in
+  let seen = Hashtbl.create 16 in
+  let starts_with prefix s =
+    String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+  in
+  for i = 0 to 9 do
+    let c =
+      o.Oracle.generate ~seed:i
+        (Random.State.make [| 42; Hashtbl.hash o.Oracle.name; i |])
+    in
+    let vx = Vindex.create (Index.create (Option.get c.Case.instance)) in
+    let branch op q =
+      let p = Plan.plan vx q in
+      ignore (Plan.exec p);
+      let line = List.hd (Plan.explain_lines p) in
+      List.iter
+        (fun mode -> if starts_with (op ^ " " ^ mode) line then Hashtbl.replace seen (op, mode) ())
+        [ "verify"; "sweep" ]
+    in
+    List.iter
+      (function
+        | Query.Chi (ax, Query.Select f, _) as q
+          when Plan.prefers_verify (Plan.plan vx (Query.Select f)) ~candidates:1 ->
+            (* q1's budget is positive, so a sweep is the walk's fallback *)
+            branch ("chi " ^ Query.axis_to_string ax) q
+        | (Query.Inter (_, Query.Select _) | Query.Minus (_, Query.Select _)) as q ->
+            branch (match q with Query.Inter _ -> "inter" | _ -> "minus") q
+        | _ -> ())
+      (Query.subqueries (Option.get c.Case.query))
+  done;
+  List.iter
+    (fun op ->
+      check (op ^ " verifies") true (Hashtbl.mem seen (op, "verify"));
+      check (op ^ " sweeps") true (Hashtbl.mem seen (op, "sweep")))
+    [ "chi c"; "chi p"; "chi d"; "chi a"; "inter"; "minus" ]
+
 (* --- sexp ------------------------------------------------------------ *)
 
 let test_sexp_round_trip () =
@@ -269,6 +313,8 @@ let () =
           Alcotest.test_case "smoke: all oracles agree" `Quick test_smoke_all_oracles_agree;
           Alcotest.test_case "search-vs-naive takes both branches" `Quick
             test_search_oracle_takes_both_branches;
+          Alcotest.test_case "query-vs-naive takes both branches" `Quick
+            test_query_oracle_takes_both_branches;
           Alcotest.test_case "deterministic generation" `Quick test_generation_is_deterministic;
         ] );
       ( "sexp",

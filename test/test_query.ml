@@ -309,6 +309,74 @@ let test_vindex_agrees () =
       Query.Select (Filter.Present Attr.object_class);
     ]
 
+(* The neighbourhood walk against the χ sweep it stands in for: with q1
+   every rank, [chi ix ax q1 frame] is exactly N_ax(frame).  Frames sit
+   on bitset word (64) and chunk (256) boundaries and at the last rank;
+   an Ancestor frame member lies inside an earlier member's interval;
+   two Descendant chains meet at a shared ancestor; the empty frame and
+   the full one.  Checked on a fresh index and on an [Index.apply]
+   version, whose walks run before any sweep materializes its mirror;
+   the budget admits exactly |N| ranks and refuses |N| - 1. *)
+let test_neighbourhood_boundaries () =
+  let inst =
+    Bounds_workload.Gen.random_forest ~seed:11 ~size:300 ~mk_entry:(fun _ id -> mk id "a") ()
+  in
+  let v0 = Index.create inst in
+  let leaf = List.find (Instance.is_leaf inst) (Instance.ids inst) in
+  let v1 =
+    Index.apply
+      [
+        Update.Insert { parent = Some 0; entry = mk 300 "a" };
+        Update.Insert { parent = Some 300; entry = mk 301 "a" };
+        Update.Insert { parent = None; entry = mk 302 "a" };
+        Update.Delete leaf;
+      ]
+      v0
+  in
+  let axes = [ Query.Child; Query.Parent; Query.Descendant; Query.Ancestor ] in
+  let cases ix =
+    let n = Index.n ix in
+    let children r =
+      List.rev (Eval.fold_siblings List.cons ix ~lo:(r + 1) ~hi:(Index.extent_of_rank ix r) [])
+    in
+    let inner = List.find (fun r -> Index.extent_of_rank ix r > r + 1) (List.init n Fun.id) in
+    let fork = List.find (fun r -> List.length (children r) >= 2) (List.init n Fun.id) in
+    let c1, c2 = match children fork with c1 :: c2 :: _ -> (c1, c2) | _ -> assert false in
+    [
+      ("63", [ 63 ]); ("64", [ 64 ]); ("63+64", [ 63; 64 ]);
+      ("255", [ 255 ]); ("256", [ 256 ]); ("255+256", [ 255; 256 ]);
+      ("n-1", [ n - 1 ]);
+      ("nested", [ inner; inner + 1; Index.extent_of_rank ix inner ]);
+      ("meeting", [ Index.extent_of_rank ix c1; Index.extent_of_rank ix c2 ]);
+      ("empty", []);
+      ("full", List.init n Fun.id);
+    ]
+    |> List.concat_map (fun (name, ranks) ->
+           List.map (fun ax -> (name, ax, Bitset.of_list n ranks)) axes)
+  in
+  List.iter
+    (fun (version, ix) ->
+      let n = Index.n ix in
+      let walked =
+        List.map
+          (fun (name, ax, frame) -> (name, ax, frame, Eval.neighbourhood ix ax frame ~budget:n))
+          (cases ix)
+      in
+      List.iter
+        (fun (name, ax, frame, walk) ->
+          let what = Printf.sprintf "%s, %s, chi %s" version name (Query.axis_to_string ax) in
+          let want = Eval.chi ix ax (Bitset.full n) frame in
+          check (what ^ ": walk = sweep") true
+            (match walk with Some nb -> Bitset.equal nb want | None -> false);
+          let k = Bitset.count want in
+          check (what ^ ": budget |N|") true
+            (Eval.neighbourhood ix ax frame ~budget:k <> None);
+          if k > 0 then
+            check (what ^ ": budget |N|-1") true
+              (Eval.neighbourhood ix ax frame ~budget:(k - 1) = None))
+        walked)
+    [ ("applied", v1); ("fresh", v0) ]
+
 (* --- planner: range / trigram / memo unit tests -------------------------- *)
 
 (* Duplicate values, numeric/non-numeric mix on one attribute ("9" < "10"
@@ -396,7 +464,32 @@ let test_plan_explain_shapes () =
   (* an empty left operand skips the right one, visible in the explain *)
   let p2 = Plan.plan vx (Query.Inter (sel "nosuchclass", sel "person")) in
   ignore (Plan.exec p2);
-  check "early exit marks skipped" true (has_sub "skipped" (Plan.explain_lines p2))
+  check "early exit marks skipped" true (has_sub "skipped" (Plan.explain_lines p2));
+  (* χ, ∩ and − say how they met their tested operand: per candidate on
+     k of them, with the operand [verified], or by a sweep over the built
+     sets.  300 "a" entries make (objectClass=a) dear enough to build
+     that one "b" entry's parent is tested instead. *)
+  let inst =
+    Bounds_workload.Gen.random_forest ~seed:3 ~size:300
+      ~mk_entry:(fun _ id -> mk id (if id = 150 then "b" else "a"))
+      ()
+  in
+  let vx = Vindex.create (Index.create inst) in
+  let explain q =
+    let p = Plan.plan vx q in
+    ignore (Plan.exec p);
+    Plan.explain_lines p
+  in
+  let framed = Query.Chi (Query.Child, sel "a", sel "b") in
+  let l = explain (Query.Minus (Query.Inter (framed, sel "a"), sel "a")) in
+  check "chi verifies its neighbourhood" true (has_sub "chi c verify 1 " l);
+  check "inter verifies its left operand's members" true (has_sub "inter verify 1 " l);
+  check "minus verifies too" true (has_sub "minus verify 1 " l);
+  check "tested operands show verified" true (has_sub "actual=verified" l);
+  let l = explain (Query.Minus (Query.Chi (Query.Child, sel "a", sel "a"), sel "a")) in
+  check "a dense frame sweeps" true (has_sub "chi c sweep" l);
+  check "a large left operand sweeps" true (has_sub "minus sweep" l);
+  check "nothing verified" false (has_sub "verified" l)
 
 let test_plan_memo () =
   let inst = forest () in
@@ -982,6 +1075,7 @@ let () =
           Alcotest.test_case "minus" `Quick test_eval_minus;
           Alcotest.test_case "empty instance" `Quick test_eval_empty_instance;
           Alcotest.test_case "vindex agreement" `Quick test_vindex_agrees;
+          Alcotest.test_case "neighbourhood boundaries" `Quick test_neighbourhood_boundaries;
         ] );
       ( "plan",
         [
