@@ -234,7 +234,7 @@ let consistent_cmd =
 
 let print_ids inst ids =
   Printf.printf "%d entries\n" (List.length ids);
-  List.iter (fun id -> Printf.printf "%s\n" (Instance.dn inst id)) ids
+  List.iter (Printf.printf "%s\n") (Instance.dns inst ids)
 
 let query schema_path data_path expr explain store =
   let q =
@@ -353,8 +353,7 @@ let search schema_path data_path base_dn scope_str filter_str optimize =
   in
   let snap = Directory.Snapshot.of_instance inst in
   let ids = Directory.Snapshot.search snap ~base scope filter in
-  Printf.printf "%d entries\n" (List.length ids);
-  List.iter (fun id -> Printf.printf "%s\n" (Instance.dn inst id)) ids;
+  print_ids inst ids;
   0
 
 let search_cmd =

@@ -242,19 +242,21 @@ let safe_value v =
 
 let to_string inst =
   let buf = Buffer.create 1024 in
+  let line a sep v =
+    Buffer.add_string buf a;
+    Buffer.add_string buf sep;
+    Buffer.add_string buf v;
+    Buffer.add_char buf '\n'
+  in
   let emit_pair a v =
     let raw = Value.to_string v in
-    if safe_value raw then Buffer.add_string buf (Printf.sprintf "%s: %s\n" a raw)
-    else Buffer.add_string buf (Printf.sprintf "%s:: %s\n" a (b64_encode raw))
+    if safe_value raw then line a ": " raw else line a ":: " (b64_encode raw)
   in
-  Instance.iter_preorder
-    (fun ~depth:_ e ->
-      let id = Entry.id e in
-      Buffer.add_string buf (Printf.sprintf "dn: %s\n" (Instance.dn inst id));
+  Instance.iter_preorder_dn
+    (fun ~dn e ->
+      line "dn" ": " dn;
       Oclass.Set.iter
-        (fun c ->
-          Buffer.add_string buf
-            (Printf.sprintf "objectClass: %s\n" (Oclass.to_string c)))
+        (fun c -> line "objectClass" ": " (Oclass.to_string c))
         (Entry.classes e);
       List.iter (fun (a, v) -> emit_pair (Attr.to_string a) v) (Entry.stored_pairs e);
       Buffer.add_char buf '\n')

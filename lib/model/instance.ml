@@ -210,10 +210,56 @@ let depth t id = List.length (ancestors t id)
 let max_id t = t.max_id
 let fresh_id t = t.max_id + 1
 
-let dn t id =
-  (* [ancestors] is nearest-first, so [id :: ancestors] is leaf-to-root *)
-  let path = id :: ancestors t id in
-  String.concat "," (List.map (fun i -> Entry.rdn (entry t i)) path)
+(* --- DN rendering --------------------------------------------------------- *)
+
+(* Entry ids are dense small ints: they hash to themselves. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id land max_int
+end)
+
+(* The DN of node [n] given its parent's DN: the rdn, a comma and the
+   parent's DN in one allocation; a root's DN is its rdn itself. *)
+let node_dn n parent_dn =
+  match parent_dn with
+  | None -> Entry.rdn n.entry
+  | Some p ->
+      let rdn = Entry.rdn n.entry in
+      let lr = String.length rdn and lp = String.length p in
+      let b = Bytes.create (lr + 1 + lp) in
+      Bytes.blit_string rdn 0 b 0 lr;
+      Bytes.set b lr ',';
+      Bytes.blit_string p 0 b (lr + 1) lp;
+      Bytes.unsafe_to_string b
+
+(* [memo] holds the DN of every entry with children rendered so far —
+   the only DNs a later id can reuse — so each ancestor is rendered
+   once per memo, from its own parent's. *)
+let rec memo_dn memo t id =
+  match Itbl.find_opt memo id with
+  | Some s -> s
+  | None ->
+      let n = match Imap.find_opt id t.nodes with Some n -> n | None -> raise Not_found in
+      let s = node_dn n (Option.map (memo_dn memo t) n.parent) in
+      if n.rev_children <> [] then Itbl.add memo id s;
+      s
+
+let dns t ids =
+  let memo = Itbl.create 16 in
+  List.map (memo_dn memo t) ids
+
+let dn t id = memo_dn (Itbl.create 1) t id
+
+let iter_preorder_dn f t =
+  let rec go parent_dn id =
+    let n = Imap.find id t.nodes in
+    let dn = node_dn n parent_dn in
+    f ~dn n.entry;
+    List.iter (go (Some dn)) (List.rev n.rev_children)
+  in
+  List.iter (go None) (roots t)
 
 let norm_rdn s = String.lowercase_ascii (String.trim s)
 

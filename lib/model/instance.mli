@@ -110,8 +110,22 @@ val max_id : t -> int
 val fresh_id : t -> Entry.id
 
 (** Distinguished name: rdns from the entry up to its root, joined with
-    commas (leaf first), e.g. ["uid=laks,ou=databases,o=att"]. *)
+    commas (leaf first), e.g. ["uid=laks,ou=databases,o=att"].  The
+    one-id case of {!dns}.  Raises [Not_found] if [id] is absent. *)
 val dn : t -> Entry.id -> string
+
+(** [dns t ids] is [List.map (dn t) ids], rendered once per ancestor:
+    each DN is the entry's rdn joined to its parent's DN, and the DN of
+    every entry with children is kept for the rest of the call, so
+    siblings share their parent's string instead of each walking to the
+    root again.  Correct for ids in any order, repeats included; raises
+    [Not_found] on the first absent id. *)
+val dns : t -> Entry.id list -> string list
+
+(** {!iter_preorder} (without the depth) with each entry's DN, rendered
+    from its parent's as the walk descends: O(|D|) lookups in all, and
+    only the current root path's DNs are kept alive. *)
+val iter_preorder_dn : (dn:string -> Entry.t -> unit) -> t -> unit
 
 (** [resolve_dn t dn] finds the entry whose root-path of rdns matches
     [dn] (rdn comparison is case- and whitespace-insensitive; among

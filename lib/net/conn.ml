@@ -17,43 +17,46 @@ let rec write_all fd s off len =
     write_all fd s (off + n) (len - n)
   end
 
-let send fd payload =
-  let framed = Frame.encode payload in
+let send_parts fd parts =
+  let framed = Frame.encode_parts parts in
   write_all fd framed 0 (String.length framed)
 
-(* Read exactly [len] bytes; [Ok None] iff the peer closed cleanly
-   before the first byte. *)
-let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off = len then Ok (Some (Bytes.unsafe_to_string buf))
+let send fd payload = send_parts fd [ payload ]
+
+(* Fill [buf] from [off] to its end; [Ok false] iff the peer closed
+   cleanly before the first byte of the whole buffer. *)
+let read_into fd buf off =
+  let len = Bytes.length buf in
+  let rec go pos =
+    if pos = len then Ok true
     else
-      match Unix.read fd buf off (len - off) with
+      match Unix.read fd buf pos (len - pos) with
       | 0 ->
-          if off = 0 then Ok None
-          else Error (Printf.sprintf "connection closed mid-frame (%d/%d bytes)" off len)
-      | n -> go (off + n)
+          if pos = 0 then Ok false
+          else Error (Printf.sprintf "connection closed mid-frame (%d/%d bytes)" pos len)
+      | n -> go (pos + n)
   in
-  go 0
+  go off
 
 let recv fd =
-  match read_exact fd Frame.header_size with
+  let header = Bytes.create Frame.header_size in
+  match read_into fd header 0 with
   | Error _ as e -> e
-  | Ok None -> Ok None
-  | Ok (Some header) -> (
-      let len =
-        Int32.to_int (Bytes.get_int32_le (Bytes.unsafe_of_string header) 0)
-      in
+  | Ok false -> Ok None
+  | Ok true -> (
+      let len = Int32.to_int (Bytes.get_int32_le header 0) in
       if len < 0 || len > max_payload then
         Error (Printf.sprintf "bad frame length %d" len)
       else
-        match read_exact fd len with
+        (* header and payload land in one buffer, which the frame
+           decoder checks, so wire and log corruption are classified by
+           the same code *)
+        let frame = Bytes.create (Frame.header_size + len) in
+        Bytes.blit header 0 frame 0 Frame.header_size;
+        match read_into fd frame Frame.header_size with
         | Error _ as e -> e
-        | Ok None -> Error "connection closed mid-frame (payload missing)"
-        | Ok (Some payload) -> (
-            (* reassemble and let the frame decoder do the CRC check, so
-               wire and log corruption are classified by the same code *)
-            match Frame.read (header ^ payload) 0 with
+        | Ok _ -> (
+            match Frame.read (Bytes.unsafe_to_string frame) 0 with
             | Frame.Record { payload; _ } -> Ok (Some payload)
             | Frame.Torn { reason; _ } -> Error reason
             | Frame.End -> Error "empty frame"))

@@ -60,18 +60,24 @@ let encode_request = function
       Printf.sprintf "hello %d %s" version (role_to_string role)
   | Subscribe { from_lsn } -> Printf.sprintf "subscribe %d" from_lsn
 
-let encode_response = function
-  | Reply body -> "ok\n" ^ body
-  | Failed msg -> "err\n" ^ msg
+(* A message is its verb line, then its body: the parts are framed as
+   they are ({!Conn.send_parts}), so a body is copied once, into the
+   frame, and the [encode_*] forms are the parts concatenated. *)
+let response_parts = function
+  | Reply body -> [ "ok\n"; body ]
+  | Failed msg -> [ "err\n"; msg ]
 
-let encode_stream = function
-  | Ship { lsn; ops } -> "ship\n" ^ Codec.encode_txn ~lsn ops
-  | Mark { lsn } -> Printf.sprintf "mark %d" lsn
+let encode_response r = String.concat "" (response_parts r)
+
+let stream_parts = function
+  | Ship { lsn; ops } -> [ "ship\n"; Codec.encode_txn ~lsn ops ]
+  | Mark { lsn } -> [ Printf.sprintf "mark %d" lsn ]
   | Boot { lsn; schema; checkpoint } ->
       (* the verb line carries the schema's byte length so the decoder
          can split the raw rest into schema text and checkpoint blob *)
-      Printf.sprintf "boot %d %d\n%s%s" lsn (String.length schema) schema
-        checkpoint
+      [ Printf.sprintf "boot %d %d\n" lsn (String.length schema); schema; checkpoint ]
+
+let encode_stream s = String.concat "" (stream_parts s)
 
 (* --- decoding ----------------------------------------------------------- *)
 

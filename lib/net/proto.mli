@@ -67,8 +67,21 @@ type stream =
 
 val encode_request : request -> string
 val decode_request : string -> (request, string) result
+
+(** A response as the parts of its payload: the verb line, then the
+    body.  Daemons send these with {!Conn.send_parts}, which copies a
+    reply's body once, straight into its frame; {!encode_response} is
+    their concatenation, so both give the same bytes on the wire. *)
+val response_parts : response -> string list
+
 val encode_response : response -> string
 val decode_response : string -> (response, string) result
+
+(** A feed message as the parts of its payload (verb line, then body;
+    a {!Boot}'s schema and checkpoint stay separate parts), sent by
+    parts as responses are; {!encode_stream} is their concatenation. *)
+val stream_parts : stream -> string list
+
 val encode_stream : stream -> string
 val decode_stream : string -> (stream, string) result
 

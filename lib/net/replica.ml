@@ -346,25 +346,25 @@ let client_loop t fd slot =
     | Ok (Some payload) -> (
         match Proto.decode_request payload with
         | Error e ->
-            Conn.send fd (Proto.encode_response (Proto.Failed e));
+            Conn.send_parts fd (Proto.response_parts (Proto.Failed e));
             loop ()
         | Ok (Proto.Hello { version; role = _ }) ->
             if version <> Proto.version then
-              Conn.send fd
-                (Proto.encode_response
+              Conn.send_parts fd
+                (Proto.response_parts
                    (Proto.Failed
                       (Printf.sprintf
                          "protocol version mismatch: server %d, client %d"
                          Proto.version version)))
             else begin
-              Conn.send fd
-                (Proto.encode_response
+              Conn.send_parts fd
+                (Proto.response_parts
                    (Proto.Reply (Printf.sprintf "hello %d" Proto.version)));
               loop ()
             end
         | Ok req ->
             let resp = handle_request t ~slot req in
-            Conn.send fd (Proto.encode_response resp);
+            Conn.send_parts fd (Proto.response_parts resp);
             if req = Proto.Shutdown then initiate_stop t else loop ())
   in
   (try loop () with Unix.Unix_error _ -> ());
@@ -395,7 +395,7 @@ let acceptor_loop t =
           (match slot with
           | None ->
               (try
-                 Conn.send fd (Proto.encode_response (Proto.Failed "server full"))
+                 Conn.send_parts fd (Proto.response_parts (Proto.Failed "server full"))
                with Unix.Unix_error _ -> ());
               (try Unix.close fd with Unix.Unix_error _ -> ())
           | Some slot ->

@@ -159,9 +159,10 @@ let stats_text s =
 
 (* --- read path (handler threads, lock-free) ----------------------------- *)
 
+(* The reply body: the count, then one DN per line.  [Instance.dns]
+   renders each ancestor once for the whole listing. *)
 let dn_listing inst ids =
-  String.concat "\n"
-    (string_of_int (List.length ids) :: List.map (Instance.dn inst) ids)
+  String.concat "\n" (string_of_int (List.length ids) :: Instance.dns inst ids)
 
 let serve_query snap text =
   match Bounds_query.Query_parser.parse text with
@@ -456,7 +457,7 @@ let feed_loop t fd sub =
         match
           List.iter
             (fun item ->
-              Conn.send fd (Proto.encode_stream item);
+              Conn.send_parts fd (Proto.stream_parts item);
               sub.sent_lsn <-
                 (match item with
                 | Proto.Ship { lsn; _ } | Proto.Mark { lsn } | Proto.Boot { lsn; _ }
@@ -479,50 +480,50 @@ let client_loop t fd slot =
     | Ok (Some payload) -> (
         match Proto.decode_request payload with
         | Error e ->
-            Conn.send fd (Proto.encode_response (Proto.Failed e));
+            Conn.send_parts fd (Proto.response_parts (Proto.Failed e));
             loop ()
         | Ok (Proto.Hello { version; role = r }) ->
             if version <> Proto.version then
               (* fail fast and hang up: nothing else this peer sends
                  can be trusted to decode the same way on both ends *)
-              Conn.send fd
-                (Proto.encode_response
+              Conn.send_parts fd
+                (Proto.response_parts
                    (Proto.Failed
                       (Printf.sprintf
                          "protocol version mismatch: server %d, client %d"
                          Proto.version version)))
             else begin
               role := Some r;
-              Conn.send fd
-                (Proto.encode_response
+              Conn.send_parts fd
+                (Proto.response_parts
                    (Proto.Reply (Printf.sprintf "hello %d" Proto.version)));
               loop ()
             end
         | Ok (Proto.Subscribe { from_lsn }) ->
             if not t.replicate then begin
-              Conn.send fd
-                (Proto.encode_response (Proto.Failed "replication not enabled"));
+              Conn.send_parts fd
+                (Proto.response_parts (Proto.Failed "replication not enabled"));
               loop ()
             end
             else if !role <> Some Proto.Replica then begin
-              Conn.send fd
-                (Proto.encode_response
+              Conn.send_parts fd
+                (Proto.response_parts
                    (Proto.Failed "subscribe requires a replica hello"));
               loop ()
             end
             else (
               match enqueue' t (Proto.Subscribe { from_lsn }) with
               | None ->
-                  Conn.send fd
-                    (Proto.encode_response (Proto.Failed "server stopping"))
+                  Conn.send_parts fd
+                    (Proto.response_parts (Proto.Failed "server stopping"))
               | Some p -> (
-                  Conn.send fd (Proto.encode_response p.reply);
+                  Conn.send_parts fd (Proto.response_parts p.reply);
                   match (p.reply, p.sub) with
                   | Proto.Reply _, Some sub -> feed_loop t fd sub
                   | _ -> loop ()))
         | Ok req ->
             let resp = handle_request t ~slot req in
-            Conn.send fd (Proto.encode_response resp);
+            Conn.send_parts fd (Proto.response_parts resp);
             if req = Proto.Shutdown then initiate_stop t else loop ())
   in
   (try loop () with Unix.Unix_error _ -> ());
@@ -554,7 +555,7 @@ let acceptor_loop t =
           | None ->
               (* full: refuse politely — one response frame, then close *)
               (try
-                 Conn.send fd (Proto.encode_response (Proto.Failed "server full"))
+                 Conn.send_parts fd (Proto.response_parts (Proto.Failed "server full"))
                with Unix.Unix_error _ -> ());
               (try Unix.close fd with Unix.Unix_error _ -> ())
           | Some slot ->

@@ -27,13 +27,17 @@ let write io path meta inst =
   Buffer.add_string buf
     (Printf.sprintf "memo: hits %d misses %d entries %d\n" meta.memo_hits
        meta.memo_misses meta.memo_entries);
-  Buffer.add_string buf
-    ("ids:"
-    ^ String.concat "" (List.map (Printf.sprintf " %d") ids)
-    ^ "\n\n");
-  Buffer.add_string buf (Bounds_codec.Ldif.to_string inst);
+  Buffer.add_string buf "ids:";
+  List.iter
+    (fun id ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int id))
+    ids;
+  Buffer.add_string buf "\n\n";
   let tmp = path ^ ".new" in
-  io.Io.write tmp (Frame.encode (Buffer.contents buf));
+  (* the LDIF body, the bulk of the payload, is copied once: into the frame *)
+  io.Io.write tmp
+    (Frame.encode_parts [ Buffer.contents buf; Bounds_codec.Ldif.to_string inst ]);
   io.Io.rename tmp path
 
 (* --- reading ------------------------------------------------------------ *)

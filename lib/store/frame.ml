@@ -1,37 +1,75 @@
 (* --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) ------------------- *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+(* Slicing-by-8 over native ints: [tables] holds eight 256-entry tables
+   back to back, table [k] at offset [k * 256].  Table 0 is the usual
+   byte-at-a-time table; table [k] advances a byte's contribution by [k]
+   further zero bytes, so one step folds eight input bytes with eight
+   lookups.  The running CRC lives in an [int] (63 bits hold its 32), so
+   nothing is allocated per byte. *)
+let tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = (Int32.to_int !c lxor Char.code ch) land 0xff in
-      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(i))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+(* The CRC of [len] bytes of [b] from [off], pre- and post-inverted. *)
+let crc_bytes b off len =
+  let t = tables in
+  let c = ref 0xFFFFFFFF and i = ref off in
+  let stop = off + len in
+  while !i + 8 <= stop do
+    let lo = (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) lxor !c in
+    let hi = Int32.to_int (Bytes.get_int32_le b (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      t.(0x700 + (lo land 0xff))
+      lxor t.(0x600 + ((lo lsr 8) land 0xff))
+      lxor t.(0x500 + ((lo lsr 16) land 0xff))
+      lxor t.(0x400 + (lo lsr 24))
+      lxor t.(0x300 + (hi land 0xff))
+      lxor t.(0x200 + ((hi lsr 8) land 0xff))
+      lxor t.(0x100 + ((hi lsr 16) land 0xff))
+      lxor t.(hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := (!c lsr 8) lxor t.((!c lxor Char.code (Bytes.get b !i)) land 0xff);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let crc32 s = crc_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* --- framing ------------------------------------------------------------ *)
 
 let header_size = 8
 
-let encode payload =
-  let b = Bytes.create (header_size + String.length payload) in
-  Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
-  Bytes.set_int32_le b 4 (crc32 payload);
-  Bytes.blit_string payload 0 b header_size (String.length payload);
-  Bytes.to_string b
+(* The payload is the parts' concatenation, copied once, straight into
+   the frame; the CRC is taken over that slice of the frame. *)
+let encode_parts parts =
+  let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let b = Bytes.create (header_size + len) in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         Bytes.blit_string p 0 b off (String.length p);
+         off + String.length p)
+       header_size parts);
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (crc_bytes b header_size len);
+  Bytes.unsafe_to_string b
+
+let encode payload = encode_parts [ payload ]
 
 type read_result =
   | Record of { payload : string; next : int }
@@ -50,8 +88,8 @@ let read s off =
     if len < 0 then Torn { offset = off; reason = "corrupt frame length" }
     else if off + header_size + len > n then
       Torn { offset = off; reason = "truncated frame payload" }
+    else if crc_bytes b (off + header_size) len <> crc then
+      Torn { offset = off; reason = "crc mismatch" }
     else
-      let payload = String.sub s (off + header_size) len in
-      if crc32 payload <> crc then
-        Torn { offset = off; reason = "crc mismatch" }
-      else Record { payload; next = off + header_size + len }
+      Record
+        { payload = String.sub s (off + header_size) len; next = off + header_size + len }

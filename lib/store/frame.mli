@@ -6,11 +6,22 @@
     never raises on damaged input, it reports {e where} the valid
     prefix ends and why, so recovery can truncate there. *)
 
-(** CRC-32 of [s], as the usual reflected polynomial 0xEDB88320. *)
+(** CRC-32 (IEEE 802.3: reflected polynomial 0xEDB88320, initial and
+    final value 0xFFFFFFFF) of [s].  Computed by slicing-by-8 — eight
+    256-entry tables, eight bytes per step, the running value in a
+    native [int], nothing allocated per byte — but the values are the
+    standard ones, so stores, logs and streams written by earlier
+    builds (byte-at-a-time) verify unchanged. *)
 val crc32 : string -> int32
 
 val header_size : int
 
+(** [encode_parts parts] is [encode (String.concat "" parts)] without
+    the concatenation: the parts are copied once, straight into the
+    frame, and the CRC is taken over that payload slice. *)
+val encode_parts : string list -> string
+
+(** One frame holding [payload]: the one-part case of {!encode_parts}. *)
 val encode : string -> string
 
 type read_result =

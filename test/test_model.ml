@@ -394,6 +394,89 @@ let prop_preorder_complete =
                  pos p < pos id)
            (Instance.ids t))
 
+(* [Instance.dns] against [Instance.dn] and against an independent
+   rendering from [ancestors] (and [iter_preorder_dn] against the same
+   rendering in [iter_preorder]'s order), on forests built to stress the sharing:
+   few distinct rdns (siblings and cousins repeat them), several roots,
+   chains up to depth 20, ids listed in any order with repeats, and
+   versions after [remove_leaf] (the older version must still render
+   what the newer one lost). *)
+let reference_dn t id =
+  String.concat ","
+    (List.map (fun i -> Entry.rdn (Instance.entry t i)) (id :: Instance.ancestors t id))
+
+let arb_dn_case =
+  let open QCheck.Gen in
+  let rdns = [| "o=acme"; "ou=a"; "ou=b"; "cn=x"; "uid=u"; "ou=A" |] in
+  let forest =
+    int_range 1 120 >>= fun n ->
+    list_repeat n (triple (int_bound 9) nat (int_bound (Array.length rdns - 1)))
+    >|= fun steps ->
+    (* step i: a root (one in ten), else a child of an earlier entry,
+       the most recent ones likelier, so chains grow deep *)
+    let depth = Hashtbl.create n in
+    List.fold_left
+      (fun (t, i) (root, back, r) ->
+        let e =
+          Entry.make ~id:i ~rdn:rdns.(r) ~classes:(Oclass.Set.singleton top) []
+        in
+        let parent =
+          if i = 0 || root = 0 then None
+          else
+            let p = i - 1 - (back mod min i 4) in
+            if Hashtbl.find depth p >= 20 then None else Some p
+        in
+        Hashtbl.replace depth i
+          (match parent with None -> 0 | Some p -> Hashtbl.find depth p + 1);
+        (Result.get_ok (Instance.add ~parent e t), i + 1))
+      (Instance.empty, 0) steps
+    |> fst
+  in
+  QCheck.make
+    ~print:(fun (t, ids, removals) ->
+      Printf.sprintf "size=%d ids=[%s] removals=%d" (Instance.size t)
+        (String.concat ";" (List.map string_of_int ids))
+        removals)
+    ( forest >>= fun t ->
+      let n = Instance.size t in
+      triple (return t) (list_size (int_bound 60) (int_bound (n - 1))) (int_bound 10) )
+
+let prop_dns_render =
+  QCheck.Test.make ~name:"dns = map dn, any order" ~count:300 arb_dn_case
+    (fun (t, ids, removals) ->
+      let agrees t ids =
+        let got = Instance.dns t ids in
+        got = List.map (Instance.dn t) ids && got = List.map (reference_dn t) ids
+      in
+      (* remove up to [removals] leaves, one version at a time *)
+      let rec shrink t k =
+        if k = 0 then t
+        else
+          match List.find_opt (Instance.is_leaf t) (List.rev (Instance.ids t)) with
+          | None -> t
+          | Some leaf -> shrink (Result.get_ok (Instance.remove_leaf leaf t)) (k - 1)
+      in
+      let t' = shrink t removals in
+      let live = List.filter (Instance.mem t') ids in
+      let gone = List.filter (fun id -> not (Instance.mem t' id)) ids in
+      let raises f = match f () with _ -> false | exception Not_found -> true in
+      let walked t =
+        let seen = ref [] in
+        Instance.iter_preorder_dn (fun ~dn e -> seen := (Entry.id e, dn) :: !seen) t;
+        let order = ref [] in
+        Instance.iter_preorder (fun ~depth:_ e -> order := Entry.id e :: !order) t;
+        List.rev !seen = List.rev_map (fun id -> (id, reference_dn t id)) !order
+      in
+      agrees t ids && agrees t' live
+      && agrees t (Instance.ids t)
+      && walked t && walked t'
+      && List.for_all
+           (fun id ->
+             raises (fun () -> Instance.dn t' id)
+             && raises (fun () -> Instance.dns t' (live @ [ id ])))
+           gone
+      && raises (fun () -> Instance.dns t [ Instance.fresh_id t ]))
+
 (* pool laws: share is canonical and idempotent, ids are stable and
    invertible, find_id never pollutes *)
 let prop_intern_laws =
@@ -459,6 +542,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_descendants_vs_ancestor_test;
           QCheck_alcotest.to_alcotest prop_subtree_remove_graft_identity;
           QCheck_alcotest.to_alcotest prop_preorder_complete;
+          QCheck_alcotest.to_alcotest prop_dns_render;
           QCheck_alcotest.to_alcotest prop_intern_laws;
         ] );
     ]

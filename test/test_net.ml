@@ -234,7 +234,131 @@ let test_torn_vs_corrupt_classification () =
       Unix.close a;
       match Conn.recv b with
       | Error e -> check "flip is classified corrupt" true (contains e "crc")
-      | Ok _ -> Alcotest.fail "bit flip not caught")
+      | Ok _ -> Alcotest.fail "bit flip not caught");
+  (* the same verdicts for a reply framed by parts, cut anywhere in its
+     payload or flipped in any payload byte: [recv] reads header and
+     payload into one buffer and leaves the verdict to [Frame.read] *)
+  let framed =
+    Frame.encode_parts (Proto.response_parts (Proto.Reply "3\nou=a\nou=b\nou=c"))
+  in
+  for keep = Frame.header_size to String.length framed - 1 do
+    with_socketpair (fun a b ->
+        let _ = Unix.write_substring a framed 0 keep in
+        Unix.close a;
+        match Conn.recv b with
+        | Error e -> check "torn" true (contains e "mid-frame" && not (contains e "crc"))
+        | Ok _ -> Alcotest.failf "%d-byte prefix read as a frame" keep)
+  done;
+  for i = Frame.header_size to String.length framed - 1 do
+    with_socketpair (fun a b ->
+        let flipped = Bytes.of_string framed in
+        Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 0x10));
+        let s = Bytes.to_string flipped in
+        let _ = Unix.write_substring a s 0 (String.length s) in
+        Unix.close a;
+        match Conn.recv b with
+        | Error e -> check "corrupt" true (contains e "crc")
+        | Ok _ -> Alcotest.failf "flip at byte %d not caught" i)
+  done
+
+(* Daemons frame a response from its parts; the bytes must be those of
+   framing the encoded response, and they must travel: a big reply
+   takes many reads to arrive, one buffer for header and payload. *)
+let test_send_by_parts () =
+  let big = String.init 300_000 (fun i -> Char.chr (i land 0xff)) in
+  let responses =
+    [
+      Proto.Reply "";
+      Proto.Reply "2\nuid=a,o=x\nuid=b,o=x";
+      Proto.Failed "no such base";
+      Proto.Reply big;
+    ]
+  in
+  List.iter
+    (fun r ->
+      check_string "framed by parts"
+        (Frame.encode (Proto.encode_response r))
+        (Frame.encode_parts (Proto.response_parts r)))
+    responses;
+  List.iter
+    (fun m ->
+      check_string "stream framed by parts"
+        (Frame.encode (Proto.encode_stream m))
+        (Frame.encode_parts (Proto.stream_parts m)))
+    [
+      Proto.Mark { lsn = 3 };
+      Proto.Boot { lsn = 9; schema = "schema\ntext"; checkpoint = big };
+    ];
+  with_socketpair (fun a b ->
+      let sender =
+        Thread.create
+          (fun () ->
+            List.iter (fun r -> Conn.send_parts a (Proto.response_parts r)) responses)
+          ()
+      in
+      List.iter
+        (fun r ->
+          match Conn.recv b with
+          | Ok (Some p) -> check "received" true (Proto.decode_response p = Ok r)
+          | Ok None -> Alcotest.fail "unexpected close"
+          | Error e -> Alcotest.fail e)
+        responses;
+      Thread.join sender)
+
+(* The served listing is the count, then [Instance.dn] of every answer,
+   byte for byte, whatever renders it. *)
+let test_served_listings () =
+  let inst = WP.generate ~seed:13 ~units:12 ~persons_per_unit:3 () in
+  let snap = Directory.Snapshot.of_instance inst in
+  let listing ids =
+    String.concat "\n" (string_of_int (List.length ids) :: List.map (Instance.dn inst) ids)
+  in
+  let units =
+    Instance.fold
+      (fun e acc ->
+        if Entry.has_class e (Oclass.of_string "orgunit") then Entry.id e :: acc else acc)
+      inst []
+  in
+  check "nested units" true (List.length units > 2);
+  let filters = [ "(objectClass=person)"; "(objectClass=*)"; "(objectClass=orgUnit)" ] in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun scope ->
+          List.iter
+            (fun filter ->
+              let ids =
+                Directory.Snapshot.search snap ~base
+                  (Result.get_ok (Bounds_query.Search.scope_of_string scope))
+                  (Result.get_ok (Bounds_query.Filter_parser.parse filter))
+              in
+              check "search reply" true
+                (Server.serve_search snap
+                   ~base:(Option.map (Instance.dn inst) base)
+                   ~scope ~filter
+                = Proto.Reply (listing ids)))
+            filters)
+        [ "base"; "one"; "sub" ])
+    (None :: List.map Option.some units);
+  List.iter
+    (fun u ->
+      let ou =
+        let r = Entry.rdn (Instance.entry inst u) in
+        String.sub r 3 (String.length r - 3) (* "ou=" *)
+      in
+      List.iter
+        (fun text ->
+          let ids =
+            Directory.Snapshot.query_ids_ro snap
+              (Result.get_ok (Bounds_query.Query_parser.parse text))
+          in
+          check "query reply" true (Server.serve_query snap text = Proto.Reply (listing ids)))
+        [
+          Printf.sprintf "(chi a (objectClass=person) (ou=%s))" ou;
+          Printf.sprintf "(chi c (objectClass=orgUnit) (chi a (objectClass=person) (ou=%s)))" ou;
+          Printf.sprintf "(chi d (objectClass=*) (ou=%s))" ou;
+        ])
+    units
 
 (* --- epoch reclamation --------------------------------------------------- *)
 
@@ -920,6 +1044,7 @@ let () =
           Alcotest.test_case "corrupt frame" `Quick test_conn_corrupt;
           Alcotest.test_case "torn vs corrupt classification" `Quick
             test_torn_vs_corrupt_classification;
+          Alcotest.test_case "send by parts" `Quick test_send_by_parts;
         ] );
       ( "epoch",
         [
@@ -936,6 +1061,7 @@ let () =
             test_server_concurrent_isolation;
           Alcotest.test_case "concurrent writers coalesce into shared commits"
             `Quick test_server_group_commit_batches;
+          Alcotest.test_case "served listings" `Quick test_served_listings;
         ] );
       ( "replication",
         [

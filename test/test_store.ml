@@ -81,6 +81,62 @@ let test_frame_torn () =
     | Frame.Record _ -> Alcotest.failf "header flip at byte %d went unnoticed" i
   done
 
+(* The CRC must stay IEEE 802.3 bit for bit: a wrong table would still
+   round-trip (both ends share the mistake) yet orphan every store and
+   log written before.  Known answers, a table-free bitwise reference,
+   and a frame written by the byte-at-a-time implementation pin it. *)
+let test_crc_known_answers () =
+  check "empty" true (Frame.crc32 "" = 0l);
+  check "check value" true (Frame.crc32 "123456789" = 0xCBF43926l);
+  check "one byte" true (Frame.crc32 "a" = 0xE8B7BE43l);
+  check "pangram" true
+    (Frame.crc32 "The quick brown fox jumps over the lazy dog" = 0x414FA339l)
+
+(* bit at a time, no table: the definition *)
+let reference_crc s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+(* 600 lengths drawn from 0..300: every tail length mod 8 comes up *)
+let prop_crc_reference =
+  QCheck.Test.make ~name:"crc32 = bitwise reference, lengths 0-300" ~count:600
+    QCheck.(string_gen_of_size Gen.(int_bound 300) Gen.char)
+    (fun s -> Frame.crc32 s = reference_crc s)
+
+(* One frame as the byte-at-a-time CRC wrote it: a 58-byte LDIF
+   fragment (seven 8-byte steps and a 2-byte tail). *)
+let legacy_frame =
+  "3a000000ef9480cc646e3a207569643d753170312c6f753d756e6974312c6f3d61636d650a\
+   6f626a656374436c6173733a20706572736f6e0a7569643a2075317031"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_legacy_frame () =
+  let raw = of_hex legacy_frame in
+  match Frame.read raw 0 with
+  | Frame.Record { payload; next } ->
+      check_string "payload"
+        "dn: uid=u1p1,ou=unit1,o=acme\nobjectClass: person\nuid: u1p1" payload;
+      check_int "next" (String.length raw) next;
+      check_string "re-encoded byte for byte" raw (Frame.encode payload)
+  | Frame.Torn { reason; _ } -> Alcotest.failf "legacy frame torn: %s" reason
+  | Frame.End -> Alcotest.fail "legacy frame read as End"
+
+let prop_encode_parts =
+  QCheck.Test.make ~name:"encode_parts = encode of the concatenation" ~count:300
+    QCheck.(list_of_size Gen.(int_bound 5) (string_of_size Gen.(int_bound 40)))
+    (fun parts ->
+      Frame.encode_parts parts = Frame.encode (String.concat "" parts))
+
 (* --- Codec ---------------------------------------------------------------- *)
 
 let sample_ops =
@@ -864,6 +920,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "torn and flipped" `Quick test_frame_torn;
+          Alcotest.test_case "crc known answers" `Quick test_crc_known_answers;
+          QCheck_alcotest.to_alcotest prop_crc_reference;
+          Alcotest.test_case "legacy frame" `Quick test_legacy_frame;
+          QCheck_alcotest.to_alcotest prop_encode_parts;
         ] );
       ( "codec",
         [
