@@ -60,7 +60,8 @@ serve-smoke:
 # replica over the wire, drive writes, kill -9 the replica mid-stream,
 # restart it (resume from its durable lsn, no re-bootstrap), drive more
 # writes, and require both sides to converge to the same lsn and the
-# same query answers.
+# same query answers, and the replica to refuse a checkpoint as
+# read-only.
 replica-smoke:
 	@dune build bin/ldapschema.exe
 	@tmp=$$(mktemp -d); bin=_build/default/bin/ldapschema.exe; \
@@ -97,6 +98,8 @@ replica-smoke:
 	pq=$$($$bin client --port $$port query '(objectClass=person)' | head -1); \
 	rq=$$($$bin client --port $$rport query '(objectClass=person)' | head -1); \
 	[ "$$pq" = "$$rq" ] || { echo "replica-smoke: answers diverge (primary $$pq, replica $$rq)"; kill $$spid $$rpid; exit 1; }; \
+	ro=$$($$bin client --port $$rport checkpoint 2>&1 >/dev/null); rc=$$?; \
+	{ [ $$rc -eq 1 ] && echo "$$ro" | grep -q 'read-only replica'; } || { echo "replica-smoke: replica checkpoint not refused read-only (exit $$rc: $$ro)"; kill $$spid $$rpid; exit 1; }; \
 	$$bin client --port $$rport shutdown >/dev/null || exit 1; \
 	wait $$rpid; \
 	$$bin client --port $$port shutdown >/dev/null || exit 1; \

@@ -186,18 +186,20 @@ let rec filter_text ~depth rng =
 (* --- instance canonicalization (id-insensitive) ------------------------- *)
 
 let canon inst =
-  List.sort compare
-    (Instance.fold
-       (fun e acc ->
-         ( String.lowercase_ascii (Instance.dn inst (Entry.id e)),
-           List.sort compare
-             (List.map Oclass.to_string (Oclass.Set.elements (Entry.classes e))),
-           List.sort compare
-             (List.map
-                (fun (a, v) -> (Attr.to_string a, Value.to_string v))
-                (Entry.stored_pairs e)) )
-         :: acc)
-       inst [])
+  let acc = ref [] in
+  Instance.iter_preorder_dn
+    (fun ~dn e ->
+      acc :=
+        ( String.lowercase_ascii dn,
+          List.sort compare
+            (List.map Oclass.to_string (Oclass.Set.elements (Entry.classes e))),
+          List.sort compare
+            (List.map
+               (fun (a, v) -> (Attr.to_string a, Value.to_string v))
+               (Entry.stored_pairs e)) )
+        :: !acc)
+    inst;
+  List.sort compare !acc
 
 let first_canon_diff c1 c2 =
   let rec go l1 l2 =

@@ -7,7 +7,9 @@
     (Theorem 4.1's admission-at-acknowledge argument), so the replica
     only re-checks the frame CRC, not legality.  Each applied record
     publishes a fresh immutable snapshot; queries and searches are
-    served lock-free against it, exactly like the primary's read path.
+    served lock-free against it by the same {!Front} end as the
+    primary's, and every write request is answered [read-only
+    replica].
 
     Fault behaviour: a dropped or refused connection reconnects with
     exponential {!backoff}, resuming from the durable lsn — shipment
@@ -28,7 +30,8 @@ val backoff : attempt:int -> float
 (** [start ~primary_port io] opens (or awaits) the replica store under
     [io], binds the read-side listener, and spawns the feeder and
     acceptor threads.  [host]/[port] are the read side's (defaults
-    ["127.0.0.1"]/ephemeral); [primary_host]:[primary_port] locate the
+    ["127.0.0.1"]/ephemeral); [max_clients] (default [16]) caps
+    concurrent read connections; [primary_host]:[primary_port] locate the
     primary's feed.  [sleep] replaces the reconnect pause (default
     real, interruptible sleeping) — inject a recorder for
     deterministic backoff tests.  A store already under [io] is
@@ -67,8 +70,7 @@ type stats = {
   boots : int;  (** snapshot bootstraps installed *)
   recovered : string;  (** how the replica's own store recovered *)
   last_error : string;  (** most recent feed failure ([""] if none) *)
-  snapshots_retired : int;
-  snapshots_pending : int;
+  snapshots_retired : int;  (** snapshots superseded by a newer one *)
 }
 
 val stats : t -> stats

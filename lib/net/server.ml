@@ -4,27 +4,24 @@
    Thread architecture (systhreads — the work is I/O- and
    fsync-bound, so the runtime lock is not the bottleneck):
 
-   - an {e acceptor} thread owns the listening socket and spawns one
-     handler thread per connection, up to [max_clients];
-   - {e handler} threads serve reads directly: pin an epoch slot, load
-     the current {!Directory.Snapshot} pointer, evaluate through the
-     read-only memo path ([query_ro]/[search] — no locks, no shared
-     mutation), unpin, reply.  Writes and checkpoints are enqueued for
-     the writer and the handler blocks on a per-request semaphore until
-     the commit (and its fsync) is durable;
+   - the {!Front} end's acceptor and handler threads, one handler per
+     connection: a handler evaluates reads itself, lock-free against
+     the current {!Directory.Snapshot}, and hands writes and
+     checkpoints to [handle], which enqueues them for the writer and
+     blocks on a per-request semaphore until the commit (and its
+     fsync) is durable;
    - one {e writer} thread drains the queue in chunks of at most
      [batch_max], admits each transaction against the rolling version,
      and commits every maximal run of writes through {!Store.batch} —
      one WAL append, one shared fsync, then all acknowledgements at
      once.  After a chunk that changed the directory it publishes a
-     fresh snapshot with [Atomic.exchange] and {!Epoch.retire}s the old
-     one.
+     fresh snapshot.
 
    The durability contract this preserves: a reply is sent only after
    the transaction's log record is on disk (acknowledged ⊆ recovered —
    {!Store.batch}'s discipline), while readers never observe a
    half-applied batch (they hold whatever snapshot was current when
-   they pinned).
+   they read it).
 
    Replication ([replicate:true]) adds subscribers: a connection that
    says hello as a replica and subscribes is granted a catch-up set on
@@ -35,7 +32,6 @@
    every acknowledged record onto each subscriber's queue; the
    connection's own thread drains it to the socket. *)
 
-open Bounds_model
 open Bounds_core
 module Store = Bounds_store.Store
 
@@ -66,7 +62,6 @@ type stats = {
   batched : int;  (** write transactions those commits carried *)
   max_batch : int;
   snapshots_retired : int;
-  snapshots_pending : int;  (** retired but still pinned by a reader *)
   lsn : int;  (** last durable log sequence number *)
   recovered : string;  (** how recovery found this store's tail *)
   replicas : int;  (** live replication subscribers *)
@@ -76,25 +71,16 @@ type stats = {
 type t = {
   store : Store.t;
   replicate : bool;
-  listen_fd : Unix.file_descr;
-  port : int;
+  front : Front.t;
   batch_max : int;
-  current : Directory.Snapshot.t Atomic.t;
-  epoch : Directory.Snapshot.t Epoch.t;
-  free_slots : int list ref;  (* guarded by [m] *)
   queue : pending Queue.t;  (* guarded by [m] *)
   m : Mutex.t;
   nonempty : Condition.t;  (* queue gained an item, or stopping *)
   mutable stopping : bool;
-  mutable conns : (Unix.file_descr * Thread.t) list;  (* guarded by [m] *)
   mutable subs : sub list;  (* guarded by [m] *)
   mutable next_sid : int;  (* guarded by [m] *)
-  mutable acceptor : Thread.t option;
   mutable writer : Thread.t option;
-  (* counters, guarded by [m] (read path takes the lock only to bump —
-     evaluation itself runs outside it) *)
-  mutable n_clients : int;
-  mutable n_reads : int;
+  (* write counters, guarded by [m] *)
   mutable n_writes_ok : int;
   mutable n_writes_rejected : int;
   mutable n_batches : int;
@@ -102,44 +88,22 @@ type t = {
   mutable n_max_batch : int;
 }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
-
-let port t = t.port
-
-(* One stats line for how recovery found the store: "fresh" for a
-   store born of [init] this process, "clean" when every tail replayed,
-   else the positioned truncation reasons — the wire-visible surface of
-   [Store.Recovered_at]. *)
-let recovered_line = function
-  | None -> "fresh"
-  | Some (r : Store.report) -> (
-      let tail name = function
-        | Store.Clean -> None
-        | Store.Recovered_at { offset; reason } ->
-            Some (Printf.sprintf "%s recovered_at %d (%s)" name offset reason)
-      in
-      match
-        List.filter_map Fun.id [ tail "delta" r.delta_tail; tail "wal" r.tail ]
-      with
-      | [] -> "clean"
-      | l -> String.concat "; " l)
+let port t = Front.port t.front
 
 let stats t =
   let lsn = Store.lsn t.store in
-  let recovered = recovered_line (Store.recovery t.store) in
-  locked t (fun () ->
+  let recovered = Front.recovered_line (Store.recovery t.store) in
+  let clients = Front.clients t.front in
+  Mutex.protect t.m (fun () ->
       {
-        clients = t.n_clients;
-        reads = t.n_reads;
+        clients;
+        reads = Front.reads t.front;
         writes_ok = t.n_writes_ok;
         writes_rejected = t.n_writes_rejected;
         batches = t.n_batches;
         batched = t.n_batched;
         max_batch = t.n_max_batch;
-        snapshots_retired = Epoch.retired t.epoch;
-        snapshots_pending = Epoch.pending t.epoch;
+        snapshots_retired = Front.retired t.front;
         lsn;
         recovered;
         replicas = List.length t.subs;
@@ -150,55 +114,14 @@ let stats t =
 let stats_text s =
   Printf.sprintf
     "clients %d\nreads %d\nwrites_ok %d\nwrites_rejected %d\n\
-     batches %d\nbatched %d\nmax_batch %d\n\
-     snapshots_retired %d\nsnapshots_pending %d\n\
+     batches %d\nbatched %d\nmax_batch %d\nsnapshots_retired %d\n\
      lsn %d\nrecovered %s\nreplicas %d\nreplica_lag %d"
     s.clients s.reads s.writes_ok s.writes_rejected s.batches s.batched
-    s.max_batch s.snapshots_retired s.snapshots_pending s.lsn s.recovered
-    s.replicas s.replica_lag
+    s.max_batch s.snapshots_retired s.lsn s.recovered s.replicas
+    s.replica_lag
 
-(* --- read path (handler threads, lock-free) ----------------------------- *)
-
-(* The reply body: the count, then one DN per line.  [Instance.dns]
-   renders each ancestor once for the whole listing. *)
-let dn_listing inst ids =
-  String.concat "\n" (string_of_int (List.length ids) :: Instance.dns inst ids)
-
-let serve_query snap text =
-  match Bounds_query.Query_parser.parse text with
-  | Error e -> Proto.Failed ("query: " ^ Parse_error.to_string e)
-  | Ok q ->
-      let ids = Directory.Snapshot.query_ids_ro snap q in
-      Proto.Reply (dn_listing (Directory.Snapshot.instance snap) ids)
-
-let serve_search snap ~base ~scope ~filter =
-  match Bounds_query.Search.scope_of_string scope with
-  | Error e -> Proto.Failed e
-  | Ok scope -> (
-      match Bounds_query.Filter_parser.parse filter with
-      | Error e -> Proto.Failed ("filter: " ^ Parse_error.to_string e)
-      | Ok filter -> (
-          let inst = Directory.Snapshot.instance snap in
-          let base_id =
-            match base with
-            | None -> Ok None
-            | Some dn -> (
-                match Instance.resolve_dn inst dn with
-                | Some id -> Ok (Some id)
-                | None -> Error (Printf.sprintf "base %S not found" dn))
-          in
-          match base_id with
-          | Error e -> Proto.Failed e
-          | Ok base ->
-              let ids = Directory.Snapshot.search snap ~base scope filter in
-              Proto.Reply (dn_listing inst ids)))
-
-(* Pin first, then load the pointer — the ordering {!Epoch} relies on. *)
-let with_snapshot t ~slot f =
-  ignore (Epoch.pin t.epoch ~slot);
-  Fun.protect
-    ~finally:(fun () -> Epoch.unpin t.epoch ~slot)
-    (fun () -> f (Atomic.get t.current))
+let serve_query = Front.serve_query
+let serve_search = Front.serve_search
 
 (* --- write path (the single writer thread) ------------------------------ *)
 
@@ -223,10 +146,7 @@ let apply_one t text =
       | Admission.Rejected { reason; _ } ->
           Proto.Failed (Format.asprintf "%a" Monitor.pp_rejection reason))
 
-let publish t =
-  let snap = Directory.snapshot (Store.directory t.store) in
-  let old = Atomic.exchange t.current snap in
-  Epoch.retire t.epoch old
+let publish t = Front.publish t.front (Directory.snapshot (Store.directory t.store))
 
 (* Commit a run of [Apply]s as one group: tentative replies are
    computed while the batch admits transaction by transaction, but
@@ -262,7 +182,7 @@ let commit_applies t items =
       (fun k r -> match r with Proto.Reply _ -> k + 1 | _ -> k)
       0 tentative
   in
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       t.n_writes_ok <- t.n_writes_ok + ok;
       t.n_writes_rejected <- t.n_writes_rejected + (n - ok);
       if committed && ok > 0 then begin
@@ -292,7 +212,7 @@ let commit_checkpoint t p =
    get a [Boot] bootstrap package instead. *)
 let commit_subscribe t p from_lsn =
   let sub =
-    locked t (fun () ->
+    Mutex.protect t.m (fun () ->
         let sid = t.next_sid in
         t.next_sid <- sid + 1;
         { sid; sq = Queue.create (); sc = Condition.create (); sent_lsn = from_lsn })
@@ -308,7 +228,7 @@ let commit_subscribe t p from_lsn =
       | `Records rs -> List.map (fun (lsn, ops) -> Proto.Ship { lsn; ops }) rs
       | `Too_old -> boot ()
   in
-  locked t (fun () ->
+  Mutex.protect t.m (fun () ->
       List.iter (fun i -> Queue.push i sub.sq) items;
       t.subs <- sub :: t.subs);
   p.sub <- Some sub;
@@ -320,7 +240,7 @@ let commit_subscribe t p from_lsn =
 let writer_loop t =
   let rec drain () =
     let chunk =
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           while Queue.is_empty t.queue && not t.stopping do
             Condition.wait t.nonempty t.m
           done;
@@ -331,7 +251,7 @@ let writer_loop t =
           take [] t.batch_max)
     in
     match chunk with
-    | [] -> if not (locked t (fun () -> t.stopping)) then drain ()
+    | [] -> if not (Mutex.protect t.m (fun () -> t.stopping)) then drain ()
         (* stopping and queue empty: writer done *)
     | chunk ->
         (* maximal runs of applies commit as one group; checkpoints are
@@ -364,7 +284,10 @@ let writer_loop t =
   in
   drain ()
 
-let enqueue' t req =
+(* Queue a request for the writer and wait for its reply.  Once the
+   server is stopping nothing more is queued: the request's reply stays
+   "server stopping". *)
+let enqueue t req =
   let p =
     {
       req;
@@ -373,66 +296,19 @@ let enqueue' t req =
       sub = None;
     }
   in
-  let accepted =
-    locked t (fun () ->
-        if t.stopping then false
-        else begin
-          Queue.push p t.queue;
-          Condition.signal t.nonempty;
-          true
-        end)
+  let queued =
+    Mutex.protect t.m (fun () ->
+        (not t.stopping)
+        && begin
+             Queue.push p t.queue;
+             Condition.signal t.nonempty;
+             true
+           end)
   in
-  if accepted then begin
-    Semaphore.Binary.acquire p.sem;
-    Some p
-  end
-  else None
+  if queued then Semaphore.Binary.acquire p.sem;
+  p
 
-let enqueue t req =
-  match enqueue' t req with
-  | Some p -> p.reply
-  | None -> Proto.Failed "server stopping"
-
-(* --- connection handling ------------------------------------------------- *)
-
-let initiate_stop t =
-  let conns =
-    locked t (fun () ->
-        if t.stopping then []
-        else begin
-          t.stopping <- true;
-          Condition.broadcast t.nonempty;
-          (* wake every feed loop so it can notice [stopping] *)
-          List.iter (fun s -> Condition.broadcast s.sc) t.subs;
-          t.conns
-        end)
-  in
-  (* Wake the acceptor out of [accept] and handlers out of [recv]; the
-     sockets deliver end-of-stream, the threads clean up and exit. *)
-  (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  List.iter
-    (fun (fd, _) ->
-      try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    conns
-
-let handle_request t ~slot = function
-  | Proto.Ping -> Proto.Reply "pong"
-  | Proto.Query text ->
-      with_snapshot t ~slot (fun snap ->
-          let r = serve_query snap text in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
-          r)
-  | Proto.Search { base; scope; filter } ->
-      with_snapshot t ~slot (fun snap ->
-          let r = serve_search snap ~base ~scope ~filter in
-          locked t (fun () -> t.n_reads <- t.n_reads + 1);
-          r)
-  | Proto.Stats -> Proto.Reply (stats_text (stats t))
-  | (Proto.Apply _ | Proto.Checkpoint) as req -> enqueue t req
-  | Proto.Shutdown -> Proto.Reply "stopping"
-  | Proto.Hello _ | Proto.Subscribe _ ->
-      (* handled at the connection level before dispatch reaches here *)
-      Proto.Failed "unexpected handshake request"
+(* --- what the front end hands over ----------------------------------------- *)
 
 (* Drain a subscriber's queue to its socket until the server stops or
    the peer goes away (a failed send).  Runs on the connection's own
@@ -441,7 +317,7 @@ let handle_request t ~slot = function
 let feed_loop t fd sub =
   let rec loop () =
     let items =
-      locked t (fun () ->
+      Mutex.protect t.m (fun () ->
           while Queue.is_empty sub.sq && not t.stopping do
             Condition.wait sub.sc t.m
           done;
@@ -469,102 +345,21 @@ let feed_loop t fd sub =
         | exception Unix.Unix_error _ -> ())
   in
   (try loop () with Unix.Unix_error _ -> ());
-  locked t (fun () -> t.subs <- List.filter (fun s -> s.sid <> sub.sid) t.subs)
+  Mutex.protect t.m (fun () -> t.subs <- List.filter (fun s -> s.sid <> sub.sid) t.subs)
 
-let client_loop t fd slot =
-  (* the role this connection declared in its hello, if it said one *)
-  let role = ref None in
-  let rec loop () =
-    match Conn.recv fd with
-    | Ok None | Error _ -> ()  (* clean close, torn frame: drop the conn *)
-    | Ok (Some payload) -> (
-        match Proto.decode_request payload with
-        | Error e ->
-            Conn.send_parts fd (Proto.response_parts (Proto.Failed e));
-            loop ()
-        | Ok (Proto.Hello { version; role = r }) ->
-            if version <> Proto.version then
-              (* fail fast and hang up: nothing else this peer sends
-                 can be trusted to decode the same way on both ends *)
-              Conn.send_parts fd
-                (Proto.response_parts
-                   (Proto.Failed
-                      (Printf.sprintf
-                         "protocol version mismatch: server %d, client %d"
-                         Proto.version version)))
-            else begin
-              role := Some r;
-              Conn.send_parts fd
-                (Proto.response_parts
-                   (Proto.Reply (Printf.sprintf "hello %d" Proto.version)));
-              loop ()
-            end
-        | Ok (Proto.Subscribe { from_lsn }) ->
-            if not t.replicate then begin
-              Conn.send_parts fd
-                (Proto.response_parts (Proto.Failed "replication not enabled"));
-              loop ()
-            end
-            else if !role <> Some Proto.Replica then begin
-              Conn.send_parts fd
-                (Proto.response_parts
-                   (Proto.Failed "subscribe requires a replica hello"));
-              loop ()
-            end
-            else (
-              match enqueue' t (Proto.Subscribe { from_lsn }) with
-              | None ->
-                  Conn.send_parts fd
-                    (Proto.response_parts (Proto.Failed "server stopping"))
-              | Some p -> (
-                  Conn.send_parts fd (Proto.response_parts p.reply);
-                  match (p.reply, p.sub) with
-                  | Proto.Reply _, Some sub -> feed_loop t fd sub
-                  | _ -> loop ()))
-        | Ok req ->
-            let resp = handle_request t ~slot req in
-            Conn.send_parts fd (Proto.response_parts resp);
-            if req = Proto.Shutdown then initiate_stop t else loop ())
-  in
-  (try loop () with Unix.Unix_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  locked t (fun () ->
-      t.free_slots := slot :: !(t.free_slots);
-      t.n_clients <- t.n_clients - 1;
-      t.conns <- List.filter (fun (fd', _) -> fd' != fd) t.conns)
-
-let acceptor_loop t =
-  let rec loop () =
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | exception Unix.Unix_error _ -> ()  (* listener shut down: stop *)
-    | fd, _ ->
-        if locked t (fun () -> t.stopping) then (
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          ())
-        else begin
-          let slot =
-            locked t (fun () ->
-                match !(t.free_slots) with
-                | [] -> None
-                | s :: rest ->
-                    t.free_slots := rest;
-                    t.n_clients <- t.n_clients + 1;
-                    Some s)
-          in
-          (match slot with
-          | None ->
-              (* full: refuse politely — one response frame, then close *)
-              (try
-                 Conn.send_parts fd (Proto.response_parts (Proto.Failed "server full"))
-               with Unix.Unix_error _ -> ());
-              (try Unix.close fd with Unix.Unix_error _ -> ())
-          | Some slot ->
-              let th = Thread.create (fun () -> client_loop t fd slot) () in
-              locked t (fun () -> t.conns <- (fd, th) :: t.conns));
-          loop ()
-        end
-  in
-  loop ()
+(* Writes and checkpoints queue for the writer.  A subscription needs
+   replication on and a replica hello; once granted, the connection
+   becomes its subscriber's feed. *)
+let handle t ~role = function
+  | Proto.Subscribe _ when not t.replicate ->
+      Front.Reply (Proto.Failed "replication not enabled")
+  | Proto.Subscribe _ when role <> Proto.Replica ->
+      Front.Reply (Proto.Failed "subscribe requires a replica hello")
+  | req -> (
+      match enqueue t req with
+      | { reply = Proto.Reply _ as r; sub = Some sub; _ } ->
+          Front.Feed (r, fun fd -> feed_loop t fd sub)
+      | p -> Front.Reply p.reply)
 
 (* --- lifecycle ----------------------------------------------------------- *)
 
@@ -572,46 +367,19 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(batch_max = 64)
     ?(max_clients = 64) ?(replicate = false) store =
   if batch_max < 1 then invalid_arg "Server.start: batch_max < 1";
   if max_clients < 1 then invalid_arg "Server.start: max_clients < 1";
-  (* A replica killed mid-shipment leaves the feed writing into a dead
-     socket; without this the resulting SIGPIPE kills the whole
-     process instead of surfacing as a catchable EPIPE. *)
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  (try
-     Unix.bind listen_fd addr;
-     Unix.listen listen_fd 128
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  let snap = Directory.snapshot (Store.directory store) in
   let t =
     {
       store;
       replicate;
-      listen_fd;
-      port;
+      front = Front.listen ~host ~port ~max_clients;
       batch_max;
-      current = Atomic.make snap;
-      epoch = Epoch.create ~slots:max_clients;
-      free_slots = ref (List.init max_clients Fun.id);
       queue = Queue.create ();
       m = Mutex.create ();
       nonempty = Condition.create ();
       stopping = false;
-      conns = [];
       subs = [];
       next_sid = 0;
-      acceptor = None;
       writer = None;
-      n_clients = 0;
-      n_reads = 0;
       n_writes_ok = 0;
       n_writes_rejected = 0;
       n_batches = 0;
@@ -619,6 +387,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(batch_max = 64)
       n_max_batch = 0;
     }
   in
+  publish t;
   if replicate then
     Store.set_ship_hook store
       (Some
@@ -628,22 +397,26 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(batch_max = 64)
              | Store.Ship_txn { lsn; ops } -> Proto.Ship { lsn; ops }
              | Store.Ship_mark { lsn } -> Proto.Mark { lsn }
            in
-           locked t (fun () ->
+           Mutex.protect t.m (fun () ->
                List.iter
                  (fun sub ->
                    Queue.push msg sub.sq;
                    Condition.signal sub.sc)
                  t.subs)));
   t.writer <- Some (Thread.create writer_loop t);
-  t.acceptor <- Some (Thread.create acceptor_loop t);
+  Front.serve t.front ~handle:(handle t)
+    ~stats:(fun () -> stats_text (stats t))
+    ~wake:(fun () ->
+      Mutex.protect t.m (fun () ->
+          t.stopping <- true;
+          Condition.broadcast t.nonempty;
+          (* every feed loop too, so it can notice [stopping] *)
+          List.iter (fun s -> Condition.broadcast s.sc) t.subs));
   t
 
-let stop t = initiate_stop t
+let stop t = Front.stop t.front
 
 let wait t =
-  Option.iter Thread.join t.acceptor;
+  Front.wait t.front;
   Option.iter Thread.join t.writer;
-  let conns = locked t (fun () -> t.conns) in
-  List.iter (fun (_, th) -> Thread.join th) conns;
-  Store.set_ship_hook t.store None;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+  Store.set_ship_hook t.store None

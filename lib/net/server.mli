@@ -3,9 +3,9 @@
 
     Reads (queries, scoped searches) run concurrently and lock-free
     against immutable {!Bounds_core.Directory.Snapshot} values —
-    snapshot isolation, with superseded versions reclaimed by
-    {!Epoch}.  Writes and checkpoints funnel through a single writer
-    thread that commits every maximal run of queued transactions as one
+    snapshot isolation, served by the shared {!Front} end.  Writes and
+    checkpoints funnel through a single writer thread that commits
+    every maximal run of queued transactions as one
     {!Bounds_store.Store.batch}: one WAL append, one shared fsync, and
     only then the acknowledgements — group commit.  A reply to [Apply]
     therefore means the transaction is durable (acknowledged ⊆
@@ -29,9 +29,9 @@ type t
     returns immediately.  [host] defaults to ["127.0.0.1"], [port] to
     [0] (ephemeral — read it back with {!port}).  [batch_max] (default
     [64]) caps transactions per group commit; [max_clients] (default
-    [64]) caps concurrent connections (also the number of epoch reader
-    slots).  [replicate] (default [false]) accepts replication
-    subscribers and installs the store's ship hook for the feed. *)
+    [64]) caps concurrent connections.  [replicate] (default [false])
+    accepts replication subscribers and installs the store's ship hook
+    for the feed. *)
 val start :
   ?host:string ->
   ?port:int ->
@@ -61,8 +61,7 @@ type stats = {
   batches : int;  (** group commits (WAL appends) *)
   batched : int;  (** write transactions those commits carried *)
   max_batch : int;
-  snapshots_retired : int;
-  snapshots_pending : int;  (** retired but still pinned by a reader *)
+  snapshots_retired : int;  (** snapshots superseded by a newer one *)
   lsn : int;  (** last durable log sequence number *)
   recovered : string;
       (** how recovery found this store's tail: ["fresh"] (born of
@@ -79,9 +78,8 @@ val stats_text : stats -> string
 
 (** {1 Read evaluation}
 
-    The per-snapshot read paths, exported for the replica daemon —
-    the same evaluation code answers a query whether the snapshot
-    came from a primary or from applied shipment. *)
+    {!Front.serve_query} and {!Front.serve_search}: the per-snapshot
+    read paths both daemons answer with. *)
 
 val serve_query : Bounds_core.Directory.Snapshot.t -> string -> Proto.response
 

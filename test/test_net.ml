@@ -1,5 +1,6 @@
 (* The network layer: wire protocol totality and round-trips, framed
-   connections, epoch reclamation, group commit, and the live server.
+   connections, group commit, the live server, and the front end both
+   daemons share.
 
    The group-commit property pins the equivalence the server relies on:
    transactions committed through [Store.batch] leave byte-identical
@@ -23,7 +24,7 @@ module Store = Bounds_store.Store
 module Frame = Bounds_store.Frame
 module Proto = Bounds_net.Proto
 module Conn = Bounds_net.Conn
-module Epoch = Bounds_net.Epoch
+module Front = Bounds_net.Front
 module Server = Bounds_net.Server
 module Client = Bounds_net.Client
 module Replica = Bounds_net.Replica
@@ -360,35 +361,6 @@ let test_served_listings () =
         ])
     units
 
-(* --- epoch reclamation --------------------------------------------------- *)
-
-let test_epoch_unpinned () =
-  let e = Epoch.create ~slots:4 in
-  Epoch.retire e "v0";
-  Epoch.retire e "v1";
-  check_int "nothing pinned: all reclaimed" 0 (Epoch.pending e);
-  check_int "reclaimed total" 2 (Epoch.reclaimed e)
-
-let test_epoch_pinned_reader_holds () =
-  let e = Epoch.create ~slots:2 in
-  let _ = Epoch.pin e ~slot:0 in
-  Epoch.retire e "v0";
-  Epoch.retire e "v1";
-  check_int "pinned reader holds both" 2 (Epoch.pending e);
-  Epoch.unpin e ~slot:0;
-  Epoch.retire e "v2";
-  check_int "unpinned: swept at next retire" 0 (Epoch.pending e);
-  check_int "all reclaimed" 3 (Epoch.reclaimed e)
-
-let test_epoch_late_pin_does_not_hold_past () =
-  let e = Epoch.create ~slots:2 in
-  Epoch.retire e "v0";
-  (* a reader pinning now is at epoch 1: it can only hold v1+ *)
-  let ep = Epoch.pin e ~slot:1 in
-  check_int "pinned at advanced epoch" 1 ep;
-  Epoch.retire e "v1";
-  check_int "only v1 held" 1 (Epoch.pending e)
-
 (* --- group commit: equivalence and crash --------------------------------- *)
 
 (* A deterministic script of legal transactions over a small
@@ -705,40 +677,34 @@ let test_backoff_schedule () =
         (Float.abs (Replica.backoff ~attempt:i -. expect) < 1e-9))
     [ 0.05; 0.1; 0.2; 0.4; 0.8; 1.6; 2.0; 2.0; 2.0 ]
 
+(* A port with nothing listening: bind one, read it back, close it. *)
+let dead_port () =
+  let f = Front.listen ~host:"127.0.0.1" ~port:0 ~max_clients:1 in
+  let p = Front.port f in
+  Front.wait f;
+  p
+
+(* A reconnect pause that records each delay instead of sleeping it,
+   and a reader of the delays recorded so far, oldest first. *)
+let recording_sleep () =
+  let recorded = ref [] and m = Mutex.create () in
+  let sleep d =
+    Mutex.protect m (fun () -> recorded := d :: !recorded);
+    Thread.delay 0.001
+  in
+  (sleep, fun () -> Mutex.protect m (fun () -> List.rev !recorded))
+
 (* And the feeder follows it: against a dead primary, an injected
    fake-clock sleep records exactly the exponential schedule. *)
 let test_backoff_deterministic_reconnect () =
-  (* a port with nothing listening: bind, read it back, close *)
-  let dead_port =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false
-    in
-    Unix.close fd;
-    p
-  in
-  let recorded = ref [] in
-  let m = Mutex.create () in
-  let sleep d =
-    Mutex.lock m;
-    recorded := d :: !recorded;
-    Mutex.unlock m;
-    Thread.yield ()
-  in
+  let sleep, recorded = recording_sleep () in
   let rep =
-    Replica.start ~sleep ~primary_port:dead_port (Io.mem (Io.fresh_fs ()))
+    Replica.start ~sleep ~primary_port:(dead_port ()) (Io.mem (Io.fresh_fs ()))
   in
-  await "five recorded reconnect pauses" (fun () ->
-      Mutex.lock m;
-      let n = List.length !recorded in
-      Mutex.unlock m;
-      n >= 5);
+  await "five recorded reconnect pauses" (fun () -> List.length (recorded ()) >= 5);
   Replica.stop rep;
   Replica.wait rep;
-  let sleeps = List.rev !recorded in
+  let sleeps = recorded () in
   List.iteri
     (fun i expect ->
       check
@@ -1024,6 +990,180 @@ let test_replication_live () =
       Client.close c);
   Server.wait srv
 
+(* --- the front end both daemons share -------------------------------------- *)
+
+(* What the front-end cases need of a running daemon. *)
+type daemon = {
+  port : int;
+  clients : unit -> int;
+  stop : unit -> unit;
+  wait : unit -> unit;
+}
+
+let server_daemon max_clients =
+  let inst0 = WP.generate ~seed:5 ~units:1 ~persons_per_unit:1 () in
+  let st =
+    get_store "store" (Store.init (Io.mem (Io.fresh_fs ())) WP.schema inst0)
+  in
+  let srv = Server.start ~port:0 ?max_clients st in
+  {
+    port = Server.port srv;
+    clients = (fun () -> (Server.stats srv).Server.clients);
+    stop = (fun () -> Server.stop srv);
+    wait = (fun () -> Server.wait srv);
+  }
+
+(* A replica whose primary is dead: it never synchronizes. *)
+let replica_daemon ?(sleep = fst (recording_sleep ())) max_clients =
+  let rep =
+    Replica.start ~port:0 ?max_clients ~sleep ~primary_port:(dead_port ())
+      (Io.mem (Io.fresh_fs ()))
+  in
+  {
+    port = Replica.port rep;
+    clients = (fun () -> (Replica.stats rep).Replica.clients);
+    stop = (fun () -> Replica.stop rep);
+    wait = (fun () -> Replica.wait rep);
+  }
+
+let stop_and_wait d =
+  d.stop ();
+  d.wait ()
+
+(* A connected socket that has sent nothing yet. *)
+let raw_connect port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+let connect_ok port =
+  match Client.connect ~port ~retries:40 () with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "connect: %s" e
+
+(* A future-version hello gets the named refusal, and the connection is
+   closed behind it. *)
+let test_front_version_gate mk () =
+  let d = mk None in
+  (match Client.connect ~port:d.port ~retries:40 ~hello:false () with
+  | Error e -> Alcotest.fail e
+  | Ok c ->
+      (match
+         Client.request c
+           (Proto.Hello { version = Proto.version + 1; role = Proto.Reader })
+       with
+      | Ok (Proto.Failed msg) ->
+          check_string "refusal"
+            (Printf.sprintf "protocol version mismatch: server %d, client %d"
+               Proto.version (Proto.version + 1))
+            msg
+      | Ok (Proto.Reply _) -> Alcotest.fail "future version accepted"
+      | Error e -> Alcotest.fail e);
+      (match Client.request c Proto.Ping with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "connection survived a version mismatch");
+      Client.close c);
+  stop_and_wait d
+
+(* The connection past [max_clients] is told [server full] and closed;
+   once a client leaves, a new one is served.  The refusal is read
+   before anything is sent: the daemon closes right after it, and a
+   request already in flight could meet a reset instead. *)
+let test_front_full mk () =
+  let d = mk (Some 2) in
+  let a = connect_ok d.port and b = connect_ok d.port in
+  let fd = raw_connect d.port in
+  (match Conn.recv_or_error fd with
+  | Ok payload ->
+      check "refused" true (Proto.decode_response payload = Ok (Proto.Failed "server full"))
+  | Error e -> Alcotest.failf "no refusal: %s" e);
+  check "closed after the refusal" true (Result.is_error (Conn.recv_or_error fd));
+  Unix.close fd;
+  check_int "two served" 2 (d.clients ());
+  Client.close a;
+  let served () =
+    match Client.connect ~port:d.port () with
+    | Error _ -> false
+    | Ok c ->
+        let pong = Client.request c Proto.Ping = Ok (Proto.Reply "pong") in
+        Client.close c;
+        pong
+  in
+  await "a new client served once one left" served;
+  Client.close b;
+  stop_and_wait d
+
+(* [stop] with idle connections still open: [wait] returns. *)
+let test_front_stop_idle mk () =
+  let d = mk None in
+  let idle = List.init 3 (fun _ -> connect_ok d.port) in
+  await "three connections registered" (fun () -> d.clients () = 3);
+  let returned = Atomic.make false in
+  let waiter =
+    Thread.create
+      (fun () ->
+        stop_and_wait d;
+        Atomic.set returned true)
+      ()
+  in
+  await "wait returns" (fun () -> Atomic.get returned);
+  Thread.join waiter;
+  List.iter Client.close idle
+
+(* Connect-and-close cycles, some closing before sending anything and
+   some after a refused hello: every connection leaves the registry. *)
+let test_front_registry_drains mk () =
+  let d = mk None in
+  for i = 1 to 200 do
+    let fd = raw_connect d.port in
+    (* a connection past the cap is refused and closed: its send or
+       receive may then meet a reset, which is fine here *)
+    (try
+       if i mod 2 = 0 then begin
+         Conn.send fd
+           (Proto.encode_request
+              (Proto.Hello { version = Proto.version + 1; role = Proto.Reader }));
+         if i mod 4 = 0 then ignore (Conn.recv_or_error fd)
+       end
+     with Unix.Unix_error _ -> ());
+    Unix.close fd
+  done;
+  await "every connection deregistered" (fun () -> d.clients () = 0);
+  stop_and_wait d
+
+(* A replica refuses every write surface. *)
+let test_replica_read_only () =
+  let d = replica_daemon None in
+  let c = connect_ok d.port in
+  List.iter
+    (fun req ->
+      match Client.request c req with
+      | Ok (Proto.Failed msg) ->
+          check_string (Proto.request_verb req) "read-only replica" msg
+      | _ -> Alcotest.failf "%s not refused" (Proto.request_verb req))
+    [ Proto.Apply "dn: o=x\nchangetype: delete"; Proto.Checkpoint;
+      Proto.Subscribe { from_lsn = -1 } ];
+  Client.close c;
+  stop_and_wait d
+
+(* Before its first snapshot a replica answers reads with the named
+   failure: its primary is dead, and it has tried to reach it. *)
+let test_replica_unsynchronized () =
+  let sleep, recorded = recording_sleep () in
+  let d = replica_daemon ~sleep None in
+  await "a recorded reconnect pause" (fun () -> recorded () <> []);
+  let c = connect_ok d.port in
+  List.iter
+    (fun req ->
+      match Client.request c req with
+      | Ok (Proto.Failed msg) ->
+          check_string (Proto.request_verb req) "replica not yet synchronized" msg
+      | _ -> Alcotest.failf "%s answered" (Proto.request_verb req))
+    [ Proto.Query "(objectClass=person)";
+      Proto.Search { base = None; scope = "sub"; filter = "(objectClass=*)" } ];
+  Client.close c;
+  stop_and_wait d
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "net"
@@ -1046,13 +1186,6 @@ let () =
             test_torn_vs_corrupt_classification;
           Alcotest.test_case "send by parts" `Quick test_send_by_parts;
         ] );
-      ( "epoch",
-        [
-          Alcotest.test_case "unpinned reclaims immediately" `Quick test_epoch_unpinned;
-          Alcotest.test_case "pinned reader holds" `Quick test_epoch_pinned_reader_holds;
-          Alcotest.test_case "late pin holds only the present" `Quick
-            test_epoch_late_pin_does_not_hold_past;
-        ] );
       ( "group-commit",
         [ qt prop_group_commit_equivalence; qt prop_crash_during_group_commit ] );
       ( "server",
@@ -1074,4 +1207,27 @@ let () =
           Alcotest.test_case "live kill and reconnect converges" `Quick
             test_replication_live;
         ] );
+      ( "front",
+        List.concat_map
+          (fun (name, mk) ->
+            [
+              Alcotest.test_case (name ^ ": future hello refused and dropped") `Quick
+                (test_front_version_gate mk);
+              Alcotest.test_case (name ^ ": past max_clients is server full") `Quick
+                (test_front_full mk);
+              Alcotest.test_case (name ^ ": stop with idle connections") `Quick
+                (test_front_stop_idle mk);
+              Alcotest.test_case (name ^ ": closed connections deregister") `Quick
+                (test_front_registry_drains mk);
+            ])
+          [
+            ("server", server_daemon);
+            ("replica", fun max_clients -> replica_daemon max_clients);
+          ]
+        @ [
+            Alcotest.test_case "replica: writes are read-only" `Quick
+              test_replica_read_only;
+            Alcotest.test_case "replica: reads before any snapshot" `Quick
+              test_replica_unsynchronized;
+          ] );
     ]
