@@ -35,26 +35,44 @@ bench-write:
 
 # Daemon round-trip: initialize a throwaway store, serve it on an
 # ephemeral port, drive brief mixed read/write traffic from concurrent
-# clients, and shut down cleanly over the wire.
+# clients, and shut down cleanly over the wire.  Then: an idle daemon
+# must exit within 2 s of SIGTERM, and a daemon limited to 24 file
+# descriptors must take a 30-client burst and still answer a ping.
 serve-smoke:
 	@dune build bin/ldapschema.exe
 	@tmp=$$(mktemp -d); bin=_build/default/bin/ldapschema.exe; \
 	trap 'rm -rf "$$tmp"' EXIT; \
+	port_of() { for i in $$(seq 100); do \
+	  p=$$(sed -n 's/^listening on [^:]*:\([0-9]*\) .*/\1/p' "$$1"); \
+	  [ -n "$$p" ] && { echo "$$p"; return 0; }; sleep 0.1; \
+	done; return 1; }; \
 	$$bin generate --units 4 --persons 3 --out $$tmp/data.ldif \
 	  --emit-schema $$tmp/wp.spec 2>/dev/null; \
 	: > $$tmp/empty.ldif; \
 	$$bin update --store $$tmp/store -s $$tmp/wp.spec -d $$tmp/data.ldif \
 	  -o $$tmp/empty.ldif >/dev/null; \
 	$$bin serve $$tmp/store --port 0 > $$tmp/serve.out 2>&1 & pid=$$!; \
-	port=""; for i in $$(seq 100); do \
-	  port=$$(sed -n 's/^listening on [^:]*:\([0-9]*\) .*/\1/p' $$tmp/serve.out); \
-	  [ -n "$$port" ] && break; sleep 0.1; \
-	done; \
-	[ -n "$$port" ] || { echo "serve-smoke: daemon never bound"; kill $$pid; exit 1; }; \
+	port=$$(port_of $$tmp/serve.out) || { echo "serve-smoke: daemon never bound"; kill $$pid; exit 1; }; \
 	$$bin traffic --port $$port --clients 8 --requests 25 --write-ratio 0.3 || exit 1; \
 	$$bin client --port $$port shutdown >/dev/null || exit 1; \
 	wait $$pid; \
-	echo "serve-smoke: ok (daemon exited cleanly)"
+	$$bin serve $$tmp/store --port 0 > $$tmp/idle.out 2>&1 & pid=$$!; \
+	port_of $$tmp/idle.out >/dev/null || { echo "serve-smoke: idle daemon never bound"; kill -9 $$pid; exit 1; }; \
+	kill -TERM $$pid; \
+	for i in $$(seq 20); do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
+	if kill -0 $$pid 2>/dev/null; then \
+	  echo "serve-smoke: idle daemon alive 2 s after SIGTERM"; kill -9 $$pid; exit 1; \
+	fi; \
+	wait $$pid || { echo "serve-smoke: SIGTERM stop exited non-zero"; exit 1; }; \
+	(ulimit -n 24; exec $$bin serve $$tmp/store --port 0 > $$tmp/fd.out 2>&1) & pid=$$!; \
+	port=$$(port_of $$tmp/fd.out) || { echo "serve-smoke: fd-limited daemon never bound"; kill -9 $$pid; exit 1; }; \
+	timeout 60 $$bin traffic --port $$port --clients 30 --requests 20 --write-ratio 0.3 >/dev/null \
+	  || { echo "serve-smoke: 30-client burst under ulimit -n 24 did not finish"; kill -9 $$pid; exit 1; }; \
+	timeout 10 $$bin client --port $$port ping >/dev/null \
+	  || { echo "serve-smoke: no ping answer after the burst under ulimit -n 24"; kill -9 $$pid; exit 1; }; \
+	$$bin client --port $$port shutdown >/dev/null || exit 1; \
+	wait $$pid; \
+	echo "serve-smoke: ok (daemon exited cleanly; SIGTERM stops it idle; it survives running out of descriptors)"
 
 # Replication round-trip: serve a store with --replicate, bootstrap a
 # replica over the wire, drive writes, kill -9 the replica mid-stream,

@@ -1211,8 +1211,8 @@ let exp_p4 ~smoke ~json () =
 (* Recovery re-admission is the tail's dominant cost: the checked path
    pays O(|D|) legality work per replayed record, the trusted path
    (records were admitted before acknowledgement; the CRC frame vouches
-   the bytes) pays only decode + state maintenance, batched into one
-   index rebuild past the cost crossover.  Ingest likewise: a bulk load
+   the bytes) folds the tail into the checkpoint's instance and builds
+   the session once.  Ingest likewise: a bulk load
    streams entries into one index build and one admission check instead
    of a full transactional round-trip per entry. *)
 let exp_p5 ~smoke ~json () =
@@ -1259,7 +1259,7 @@ let exp_p5 ~smoke ~json () =
     io
   in
   (* answer equality before timing anything: the same tail recovered
-     through every engine lands on the same instance *)
+     through both engines lands on the same instance *)
   let () =
     let io = prepared "p5check" (List.hd tails) in
     let open_with open_ =
@@ -1271,18 +1271,14 @@ let exp_p5 ~smoke ~json () =
       i
     in
     let checked = open_with Store.Private.open_checked in
-    List.iter
-      (fun (label, open_) ->
-        if not (Bounds_model.Instance.equal checked (open_with open_))
-        then failwith ("P5: trusted recovery (" ^ label ^ ") diverged"))
-      [
-        ("auto", fun io -> Store.open_ io);
-        ("batch", Store.Private.open_forced ~force:`Batch);
-        ("incremental", Store.Private.open_forced ~force:`Incremental);
-      ];
+    if
+      not
+        (Bounds_model.Instance.equal checked
+           (open_with (fun io -> Store.open_ io)))
+    then failwith "P5: trusted recovery diverged";
     Printf.printf
-      "  answer equality: checked and trusted recovery (auto/batch/incremental)\n\
-      \  agree on the recovered instance\n"
+      "  answer equality: checked and trusted recovery agree on the\n\
+      \  recovered instance\n"
   in
   let recover name open_ =
     Test.make_indexed ~name ~args:tails (fun k ->
@@ -1294,12 +1290,6 @@ let exp_p5 ~smoke ~json () =
   in
   let rec_checked = recover "recover-checked" Store.Private.open_checked in
   let rec_trusted = recover "recover-trusted" (fun io -> Store.open_ io) in
-  let rec_batch =
-    recover "recover-batch" (Store.Private.open_forced ~force:`Batch)
-  in
-  let rec_incr =
-    recover "recover-incremental" (Store.Private.open_forced ~force:`Incremental)
-  in
   (* ingest m entries into a small seed store: streaming bulk load with
      one final admission check, vs one logged transaction per entry
      (both end checkpointed, so the durable end states match) *)
@@ -1356,22 +1346,20 @@ let exp_p5 ~smoke ~json () =
   let r =
     run_test ~quota
       (Test.make_grouped ~name:"p5"
-         [ rec_checked; rec_trusted; rec_batch; rec_incr; load_bulk; load_apply ])
+         [ rec_checked; rec_trusted; load_bulk; load_apply ])
   in
   let p series n = point r ("p5/" ^ series) n in
   let k_max = List.fold_left max 0 tails
   and k_min = List.fold_left min max_int tails in
   let m_max = List.fold_left max 0 batches in
   Printf.printf "  recovery of a k-record tail (|D| = %d):\n" rec_n;
-  Printf.printf "  %8s  %13s  %13s  %13s  %13s  %9s\n" "records" "checked"
-    "trusted" "batch" "incremental" "chk/trust";
+  Printf.printf "  %8s  %13s  %13s  %9s\n" "records" "checked" "trusted"
+    "chk/trust";
   List.iter
     (fun k ->
-      Printf.printf "  %8d  %s     %s     %s     %s  %s\n" k
+      Printf.printf "  %8d  %s     %s  %s\n" k
         (pp_time (p "recover-checked" k))
         (pp_time (p "recover-trusted" k))
-        (pp_time (p "recover-batch" k))
-        (pp_time (p "recover-incremental" k))
         (pp_ratio (p "recover-checked" k /. p "recover-trusted" k)))
     tails;
   Printf.printf "  ingest of m entries into a %d-entry store:\n" seed_n;
@@ -1386,17 +1374,12 @@ let exp_p5 ~smoke ~json () =
     batches;
   Printf.printf
     "  shape: trusted replay recovers the %d-record tail %.1fx faster than\n\
-    \  checked re-admission (%.1fx at %d records); forced batch vs forced\n\
-    \  incremental shows the rebuild crossover (%.2fx at %d, %.2fx at %d);\n\
-    \  bulk load ingests %d entries %.1fx faster than per-entry transactions\n"
+    \  checked re-admission (%.1fx at %d records); bulk load ingests %d\n\
+    \  entries %.1fx faster than per-entry transactions\n"
     k_max
     (p "recover-checked" k_max /. p "recover-trusted" k_max)
     (p "recover-checked" k_min /. p "recover-trusted" k_min)
-    k_min
-    (p "recover-incremental" k_min /. p "recover-batch" k_min)
-    k_min
-    (p "recover-incremental" k_max /. p "recover-batch" k_max)
-    k_max m_max
+    k_min m_max
     (p "load-apply" m_max /. p "load-bulk" m_max);
   if json then begin
     let buf = Buffer.create 1024 in
@@ -1420,12 +1403,6 @@ let exp_p5 ~smoke ~json () =
     Buffer.add_string buf
       (Printf.sprintf "  \"load_speedup\": %s,\n"
          (j_ratio (p "load-apply" m_max) (p "load-bulk" m_max)));
-    Buffer.add_string buf
-      (Printf.sprintf "  \"batch_gain_small_tail\": %s,\n"
-         (j_ratio (p "recover-incremental" k_min) (p "recover-batch" k_min)));
-    Buffer.add_string buf
-      (Printf.sprintf "  \"batch_gain_large_tail\": %s,\n"
-         (j_ratio (p "recover-incremental" k_max) (p "recover-batch" k_max)));
     Buffer.add_string buf "  \"points\": [\n";
     let points =
       List.concat_map
@@ -1433,8 +1410,6 @@ let exp_p5 ~smoke ~json () =
         [
           ("recover-checked", tails);
           ("recover-trusted", tails);
-          ("recover-batch", tails);
-          ("recover-incremental", tails);
           ("load-apply", batches);
           ("load-bulk", batches);
         ]

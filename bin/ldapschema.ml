@@ -1032,17 +1032,34 @@ let port_req_arg =
     & opt (some int) None
     & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
 
+(* SIGINT and SIGTERM stop a daemon even while every thread sits in a
+   system call, where an OCaml signal handler would never run: the two
+   signals are blocked before [start] creates any thread (threads
+   inherit the mask), and one thread takes them with
+   [Thread.wait_signal]. *)
+let stop_on_signals start stop =
+  let signals = [ Sys.sigint; Sys.sigterm ] in
+  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
+  let daemon = start () in
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore (Thread.wait_signal signals);
+         stop daemon)
+       ());
+  daemon
+
 let serve dir host port batch_max max_clients replicate =
   let st = open_store dir in
   Fun.protect
     ~finally:(fun () -> Store.close st)
     (fun () ->
       let srv =
-        Server.start ~host ~port ~batch_max ~max_clients ~replicate st
+        stop_on_signals
+          (fun () ->
+            Server.start ~host ~port ~batch_max ~max_clients ~replicate st)
+          Server.stop
       in
-      let stop _ = Server.stop srv in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
       Printf.printf "listening on %s:%d (store %s, %d entries)\n%!" host
         (Server.port srv) dir
         (Directory.size (Store.directory st));
@@ -1104,11 +1121,11 @@ let replica_verb dir from host port max_clients =
     or_die (Error (Printf.sprintf "%s: not a directory" dir));
   let io = Bounds_store.Io.real ~root:dir () in
   let rep =
-    Replica.start ~host ~port ~max_clients ~primary_host ~primary_port io
+    stop_on_signals
+      (fun () ->
+        Replica.start ~host ~port ~max_clients ~primary_host ~primary_port io)
+      Replica.stop
   in
-  let stop _ = Replica.stop rep in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
   Printf.printf "replica listening on %s:%d (store %s, primary %s:%d)\n%!"
     host (Replica.port rep) dir primary_host primary_port;
   Replica.wait rep;

@@ -69,9 +69,7 @@ type t = {
 }
 
 let open_ schema inst =
-  let index = Index.create inst in
-  let vindex = Vindex.create index in
-  let memo = Plan.memo_create vindex in
+  let { Snapshot.index; vindex; memo } = Snapshot.of_instance inst in
   (* The admission scan prewarms [memo] with the Figure-4 obligation
      queries, so the session's first [validate] is all cache hits. *)
   Monitor.create ~index ~vindex ~memo schema inst
@@ -110,10 +108,10 @@ let validate t =
   Legality.check ~index:(index t) ~vindex:t.vindex ~memo:t.memo t.schema
     (instance t)
 
-(* The one carry behind [apply], [replay] and [Bulk]'s incremental
-   regime: the monitor already spliced the Δs into its live index; carry
-   the value tables across the same ops and the memo across the very
-   rank-space edits the index performed. *)
+(* The one carry behind [apply] and [replay]: the monitor already
+   spliced the Δs into its live index; carry the value tables across the
+   same ops and the memo across the very rank-space edits the index
+   performed. *)
 let carry t ops (monitor, splices) =
   let vindex = Vindex.apply ~index:(Monitor.index monitor) ops t.vindex in
   let memo = Plan.memo_apply ~vindex ~splices ops t.memo in
@@ -138,82 +136,25 @@ let replay t ops = Result.map (carry t ops) (Monitor.replay ops t.monitor)
 
 module Bulk = struct
   type session = t
+  type t = { session : session; mutable inst : Instance.t }
 
-  type t = {
-    mutable live : session;  (* incrementally-patched version *)
-    mutable inst : Instance.t;  (* copy-on-write instance; batch regime only *)
-    mutable batched : bool;
-    mutable txns : int;
-    mutable pending : int;  (* ops folded in since [start] *)
-    base_n : int;  (* live instance size at [start] *)
-    force : [ `Batch | `Incremental ] option;  (* regime pinned by [Private] *)
-  }
+  let start t = { session = t; inst = instance t }
 
-  (* Cost crossover.  One incremental splice pays a copy-on-write pass
-     over every live structure — O(n) blits for the index, a hash-table
-     copy for the value index — so k spliced transactions cost ~k·n.  A
-     batch rebuild pays one full O(n + Δ) construction with heavier
-     per-entry work (DFS numbering, hashing, admission-table recompute).
-     Incremental therefore wins only while the transaction count stays
-     under the rebuild's constant-factor ratio and Δ stays small next to
-     the live instance. *)
-  let rebuild_ratio = 8
-
-  let start_with ~force (t : session) =
-    {
-      live = t;
-      inst = instance t;
-      batched = force = Some `Batch;
-      txns = 0;
-      pending = 0;
-      base_n = size t;
-      force;
-    }
-
-  let start t = start_with ~force:None t
-
+  (* Ops land on the copy-on-write instance only; no index work. *)
   let add b ops =
-    let pending = b.pending + List.length ops in
-    if
-      (not b.batched) && b.force = None
-      && (b.txns + 1 >= rebuild_ratio || 4 * pending >= b.base_n + 4)
-    then begin
-      b.batched <- true;
-      b.inst <- instance b.live
-    end;
-    if b.batched then
-      match Update.apply b.inst ops with
-      | Error msg -> Error (Monitor.Bad_ops msg)
-      | Ok inst ->
-          b.inst <- inst;
-          b.live.counters.applied <- b.live.counters.applied + 1;
-          b.txns <- b.txns + 1;
-          b.pending <- pending;
-          Ok ()
-    else
-      match replay b.live ops with
-      | Error _ as e -> e
-      | Ok live ->
-          b.live <- live;
-          b.txns <- b.txns + 1;
-          b.pending <- pending;
-          Ok ()
+    match Update.apply b.inst ops with
+    | Error msg -> Error (Monitor.Bad_ops msg)
+    | Ok inst ->
+        b.inst <- inst;
+        b.session.counters.applied <- b.session.counters.applied + 1;
+        Ok ()
 
+  (* One build of every structure against the final instance, with no
+     admission scan: O(n + Δ) however many transactions were folded. *)
   let finish b =
-    if not b.batched then b.live
-    else
-      (* one bulk (re)build of every deferred structure, against the
-         final instance — O(n + Δ) total instead of O(txns · n) *)
-      let t = b.live in
-      let index = Index.create b.inst in
-      let vindex = Vindex.create index in
-      let memo = Plan.memo_create vindex in
-      let monitor = Monitor.of_index_trusted t.schema index in
-      { t with monitor; vindex; memo }
-end
-
-module Private = struct
-  let bulk_start ~force t = Bulk.start_with ~force:(Some force) t
+    let { Snapshot.index; vindex; memo } = Snapshot.of_instance b.inst in
+    let monitor = Monitor.of_index_trusted b.session.schema index in
+    { b.session with monitor; vindex; memo }
 end
 
 let snapshot t =

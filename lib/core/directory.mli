@@ -148,8 +148,8 @@ val validate : t -> Violation.t list
 val apply : t -> Update.op list -> t * Admission.result
 
 (** [replay t ops] — trusted fast path for transactions that {e already}
-    passed admission when they were first acknowledged (WAL records
-    being recovered, shipped records, pre-validated dumps): the
+    passed admission when they were first acknowledged (a replica's
+    shipped records, {!Bounds_store.Store.replica_apply}): the
     instance, index, value tables and memo are all maintained exactly
     as by {!apply}, but no legality check runs.  Structurally impossible
     ops — damage, not illegality — still reject as [Bad_ops].  Feeding
@@ -158,41 +158,28 @@ val apply : t -> Update.op list -> t * Admission.result
 val replay : t -> Update.op list -> (t, Monitor.rejection) result
 
 (** Batched trusted ingest: fold many already-admitted transactions into
-    a session while deferring (or skipping) per-transaction index
-    patching.
+    a session with no per-transaction index work.  Ops land on a
+    copy-on-write instance only, and {!Bulk.finish} builds the index,
+    value tables, memo and admission tables once against the final
+    instance: O(n + Δ) for any number of transactions.
 
-    The builder starts in the {e incremental} regime, splicing each
-    transaction through {!replay}.  Once the folded Δ grows past a cost
-    crossover — transaction count above the rebuild's constant-factor
-    ratio, or Δ size no longer small next to the live instance — it
-    flips to the {e batch} regime: ops land on a copy-on-write instance
-    only, and {!Bulk.finish} bulk-(re)builds the index, value tables,
-    memo and admission tables once against the final instance.  Recovery
-    of k records over n entries thus costs O(n + Δ) instead of O(k·n).
-
-    Like {!replay}, no legality checks — callers own them (see
-    {!Bounds_store.Store} recovery and bulk load). *)
+    Like {!replay}, no legality checks — callers own them
+    ({!Bounds_store.Store.load} runs one on the final instance unless
+    trusted). *)
 module Bulk : sig
   type session := t
   type t
 
-  (** A builder that applies the cost crossover. *)
   val start : session -> t
 
   (** Fold one transaction in (mutates the builder).  On [Error] the
       builder is unchanged and still usable; the record is not counted. *)
   val add : t -> Update.op list -> (unit, Monitor.rejection) result
 
-  (** The ingested session: the live incremental version, or one bulk
-      rebuild of every deferred structure. *)
+  (** The ingested session: one build of every structure, with the
+      monitor wrapped by {!Monitor.of_index_trusted} (no admission
+      scan). *)
   val finish : t -> session
-end
-
-(** Differential testing and benchmarks only. *)
-module Private : sig
-  (** A {!Bulk} builder pinned to one regime instead of the crossover:
-      [`Batch] from the first record, or [`Incremental] throughout. *)
-  val bulk_start : force:[ `Batch | `Incremental ] -> t -> Bulk.t
 end
 
 (** The current version's (index, vindex, memo) as an immutable

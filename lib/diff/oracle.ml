@@ -1159,20 +1159,21 @@ let store_roundtrip =
                               | Some m -> Disagree m))))));
   }
 
-(* Recovery must not depend on which replay engine walks the tail: the
-   checked path re-runs full admission per record, the trusted path
-   splices without checks (and past the cost crossover, batches the
-   index rebuild) — Theorem 4.1 says the verdicts cannot differ on
-   records that were admitted when first acknowledged.  Every case holds
-   all three trusted regimes (auto, forced batch, forced incremental)
-   against the checked baseline on lsn, instance, legality, and the
-   memoized obligation answers. *)
+(* Recovery must not depend on which path walks the tail.  The checked
+   path re-runs full admission per record.  Trusted recovery folds the
+   tail into the checkpoint's instance and builds the session once.  A
+   replica copy of the lsn-0 store takes the same records one at a time
+   through [Store.replica_apply], a chain of [Directory.replay] splices.
+   Theorem 4.1 says the verdicts cannot differ on records that were
+   admitted when first acknowledged, so both trusted arms are held to
+   the checked baseline on lsn, instance, legality, index-vs-rebuild and
+   the memoized obligation answers. *)
 let trusted_replay =
   {
     name = "trusted-replay";
     doc =
-      "recovery via trusted replay (auto/batch/incremental ingest) agrees \
-       with checked replay (instance, legality, obligation answers)";
+      "trusted recovery and a replica's record-by-record replay agree with \
+       checked replay (instance, legality, obligation answers)";
     generate = (fun ~seed rng -> monitor_case "trusted-replay" ~seed rng);
     check =
       total (fun c ->
@@ -1181,7 +1182,8 @@ let trusted_replay =
                   let fs = Store_io.fresh_fs () in
                   match Store.init (Store_io.mem fs) schema inst with
                   | Error _ -> Agree (* illegal seed: out of contract *)
-                  | Ok st -> (
+                  | Ok st ->
+                      let fs0 = Store_io.copy_fs fs in
                       (* one record per op leaves the longest possible
                          tail; a compaction after the first keeps a
                          checkpoint boundary in front of recovery *)
@@ -1190,98 +1192,106 @@ let trusted_replay =
                           ignore (Store.apply st [ op ]);
                           if i = 0 then Store.checkpoint st)
                         c.Case.ops;
+                      let records =
+                        match Store.records_from st ~lsn:0 with
+                        | `Records rs -> rs
+                        | `Too_old -> []
+                      in
                       Store.close st;
-                      let recover label open_ =
+                      let recover label open_ fs =
                         match open_ (Store_io.mem (Store_io.copy_fs fs)) with
                         | Error e ->
                             Error (label ^ ": " ^ Store.error_to_string e)
-                        | Ok (st', report) ->
-                            if report.Store.tail <> Store.Clean then
-                              Error
-                                (label ^ ": undamaged log recovered as damaged")
-                            else Ok st'
+                        | Ok (_, report) when report.Store.tail <> Store.Clean
+                          ->
+                            Error (label ^ ": undamaged log recovered as damaged")
+                        | Ok (st', _) -> Ok st'
                       in
-                      match recover "checked" Store.Private.open_checked with
+                      let replica () =
+                        Result.bind (recover "replica" Store.open_ fs0)
+                          (fun rs ->
+                            List.fold_left
+                              (fun acc (lsn, ops) ->
+                                Result.bind acc (fun () ->
+                                    match Store.replica_apply rs ~lsn ops with
+                                    | Ok `Applied -> Ok ()
+                                    | Ok `Duplicate ->
+                                        Error
+                                          (Printf.sprintf
+                                             "replica: lsn %d taken as a \
+                                              duplicate"
+                                             lsn)
+                                    | Error m -> Error ("replica: " ^ m)))
+                              (Ok ()) records
+                            |> Result.map (fun () -> rs))
+                      in
+                      match recover "checked" Store.Private.open_checked fs with
                       | Error m -> Disagree m
                       | Ok ref_st -> (
                           let ref_dir = Store.directory ref_st in
-                          let obligations =
-                            Translate.all schema.Schema.structure
-                          in
-                          let compare_one (label, open_) =
-                            match recover label open_ with
-                            | Error m -> Some m
-                            | Ok st' ->
-                                let dir = Store.directory st' in
-                                let verdict =
-                                  if Store.lsn st' <> Store.lsn ref_st then
-                                    Some
-                                      (Printf.sprintf "%s: lsn %d vs checked %d"
-                                         label (Store.lsn st') (Store.lsn ref_st))
-                                  else if
-                                    not
-                                      (Instance.equal (Directory.instance dir)
-                                         (Directory.instance ref_dir))
-                                  then Some (label ^ ": recovered instance diverged")
-                                  else
-                                    match Directory.validate dir with
-                                    | _ :: _ as vs ->
-                                        Some
-                                          (label ^ ": fails validate: "
-                                          ^ pp_violations vs)
-                                    | [] -> (
-                                        (* the chunked COW index rebuilt
-                                           through recovery must land on
-                                           the canonical encoding *)
-                                        match
-                                          index_diff
-                                            (Directory.Snapshot.Private.index
-                                               (Directory.snapshot dir))
-                                            (Index.create
-                                               (Directory.instance dir))
-                                        with
-                                        | Some m ->
+                          let compare_one label st' =
+                            let dir = Store.directory st' in
+                            if Store.lsn st' <> Store.lsn ref_st then
+                              Some
+                                (Printf.sprintf "%s: lsn %d vs checked %d" label
+                                   (Store.lsn st') (Store.lsn ref_st))
+                            else if
+                              not
+                                (Instance.equal (Directory.instance dir)
+                                   (Directory.instance ref_dir))
+                            then Some (label ^ ": recovered instance diverged")
+                            else
+                              match Directory.validate dir with
+                              | _ :: _ as vs ->
+                                  Some
+                                    (label ^ ": fails validate: "
+                                   ^ pp_violations vs)
+                              | [] -> (
+                                  (* the index a chain of splices left
+                                     behind must be the canonical
+                                     encoding *)
+                                  match
+                                    index_diff
+                                      (Directory.Snapshot.Private.index
+                                         (Directory.snapshot dir))
+                                      (Index.create (Directory.instance dir))
+                                  with
+                                  | Some m ->
+                                      Some
+                                        (label ^ ": recovered index vs rebuild: "
+                                       ^ m)
+                                  | None ->
+                                      List.find_map
+                                        (fun (_, q, _) ->
+                                          let a = Directory.query_ids dir q in
+                                          let b = Directory.query_ids ref_dir q in
+                                          if a = b then None
+                                          else
                                             Some
-                                              (label
-                                             ^ ": recovered index vs rebuild: "
-                                             ^ m)
-                                        | None ->
-                                            List.find_map
-                                              (fun (_, q, _) ->
-                                                let a =
-                                                  Directory.query_ids dir q
-                                                in
-                                                let b =
-                                                  Directory.query_ids ref_dir q
-                                                in
-                                                if a = b then None
-                                                else
-                                                  Some
-                                                    (Printf.sprintf
-                                                       "%s: %s vs checked %s \
-                                                        on %s"
-                                                       label (pp_ids a)
-                                                       (pp_ids b)
-                                                       (Query.to_string q)))
-                                              obligations)
-                                in
-                                Store.close st';
-                                verdict
+                                              (Printf.sprintf
+                                                 "%s: %s vs checked %s on %s"
+                                                 label (pp_ids a) (pp_ids b)
+                                                 (Query.to_string q)))
+                                        (Translate.all schema.Schema.structure))
                           in
                           let verdict =
-                            List.find_map compare_one
+                            List.find_map
+                              (fun (label, arm) ->
+                                match arm () with
+                                | Error m -> Some m
+                                | Ok st' ->
+                                    let v = compare_one label st' in
+                                    Store.close st';
+                                    v)
                               [
-                                ("trusted-auto", fun io -> Store.open_ io);
-                                ( "trusted-batch",
-                                  Store.Private.open_forced ~force:`Batch );
-                                ( "trusted-incremental",
-                                  Store.Private.open_forced ~force:`Incremental );
+                                ("trusted", fun () -> recover "trusted" Store.open_ fs);
+                                ("replica", replica);
                               ]
                           in
                           Store.close ref_st;
                           match verdict with
                           | None -> Agree
-                          | Some m -> Disagree m)))));
+                          | Some m -> Disagree m))));
   }
 
 (* Interning must be semantically invisible: hash-consing changes

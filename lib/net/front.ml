@@ -208,7 +208,13 @@ let connection t ~handle ~stats fd =
 let accept_loop t ~handle ~stats =
   let rec loop () =
     match Unix.accept ~cloexec:true t.listen_fd with
-    | exception Unix.Unix_error _ -> ()  (* listener shut down: stop *)
+    | exception Unix.Unix_error (err, _, _) ->
+        (* only [stop] ends the acceptor; out of descriptors, wait for a
+           handler to close one *)
+        if not (Mutex.protect t.m (fun () -> t.stopping)) then begin
+          if err = Unix.EMFILE || err = Unix.ENFILE then Thread.delay 0.05;
+          loop ()
+        end
     | fd, _ -> (
         match
           Mutex.protect t.m (fun () ->

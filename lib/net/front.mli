@@ -35,7 +35,9 @@ type outcome =
       (** send it, then hand the socket to the function; the connection
           closes when it returns *)
 
-(** [serve t ~handle ~stats ~wake] starts the acceptor.  [handle ~role]
+(** [serve t ~handle ~stats ~wake] starts the acceptor, which runs
+    until {!stop}: a failed [accept] is retried, after a short pause
+    when the process is out of descriptors.  [handle ~role]
     answers [Apply], [Checkpoint] and [Subscribe]; [role] is what the
     connection declared in its hello ([Reader] if it said none).
     [stats ()] is the [Stats] reply.  [wake ()] runs once, when the

@@ -395,33 +395,40 @@ let replay_file st ~apply_record io file =
             })
     ()
 
-(* A replay engine folds logged records into the session built from the
-   checkpoint.  The default is trusted ({!Directory.Bulk}): acknowledged
-   records passed admission when they were logged (Theorem 4.1) and the
-   CRC vouches they are the same bytes, so legality is not re-checked
-   and index maintenance is batched past the cost crossover. *)
+(* A replay engine folds logged records on top of the checkpoint's
+   instance and yields the recovered session.  The default is trusted:
+   acknowledged records passed admission when they were logged
+   (Theorem 4.1) and the CRC vouches they are the same bytes, so each
+   folds in with {!Update.apply} alone — no legality check, no index
+   work — and the session (index, vindex, memo, monitor) is built once,
+   by one admission scan of the recovered instance. *)
 type engine = {
   add : Update.op list -> (unit, Monitor.rejection) result;
-  finish : unit -> Directory.t;
+  finish : unit -> (Directory.t, Violation.t list) result;
 }
 
-let trusted bulk =
-  { add = Directory.Bulk.add bulk; finish = (fun () -> Directory.Bulk.finish bulk) }
-
-(* Full admission per record ({!Directory.apply}): the differential twin
-   of trusted replay and the benchmark baseline. *)
-let checked dir0 =
-  let cur = ref dir0 in
+let engine ~step ~finish s0 =
+  let cur = ref s0 in
   {
-    add =
-      (fun ops ->
-        match Directory.apply !cur ops with
-        | dir, Admission.Accepted _ ->
-            cur := dir;
-            Ok ()
-        | _, Admission.Rejected { reason; _ } -> Error reason);
-    finish = (fun () -> !cur);
+    add = (fun ops -> Result.map (fun s -> cur := s) (step !cur ops));
+    finish = (fun () -> finish !cur);
   }
+
+let trusted schema inst =
+  Ok
+    (engine inst ~finish:(Directory.open_ schema) ~step:(fun inst ops ->
+         Result.map_error (fun m -> Monitor.Bad_ops m) (Update.apply inst ops)))
+
+(* Full admission per record ({!Directory.apply}) on a session opened
+   from the checkpoint: the differential twin of trusted replay and the
+   benchmark baseline. *)
+let checked schema inst =
+  Directory.open_ schema inst
+  |> Result.map
+       (engine ~finish:Result.ok ~step:(fun dir ops ->
+            match Directory.apply dir ops with
+            | dir, Admission.Accepted _ -> Ok dir
+            | _, Admission.Rejected { reason; _ } -> Error reason))
 
 let replay_log engine io ~lsn:lsn0 =
   (* Delta chain first: it holds the older folded segments. *)
@@ -440,85 +447,80 @@ let replay_log engine io ~lsn:lsn0 =
   let folded = replay_file st ~apply_record:engine.add io wal_file in
   let wal_replayed = st.replayed - delta_replayed
   and wal_skipped = st.skipped - delta_skipped in
-  ( engine.finish (),
-    `Wal (st.cur, wal_replayed, wal_skipped, st.broke, folded),
+  ( `Wal (st.cur, wal_replayed, wal_skipped, st.broke, folded),
     `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
   )
 
 let recover ~engine ?(auto_checkpoint = 0) io =
-  match io.Io.read schema_file with
-  | None -> Error (Not_a_store ("missing " ^ schema_file))
-  | Some spec -> (
-      match Spec_parser.parse spec with
-      | Error e ->
-          Error (Corrupt (schema_file ^ ": " ^ Spec_parser.error_to_string e))
-      | Ok schema -> (
-          match
-            Checkpoint.read io checkpoint_file ~typing:schema.Schema.typing
-          with
-          | Error m -> Error (Corrupt (checkpoint_file ^ ": " ^ m))
-          | Ok (meta, inst) -> (
-              match Directory.open_ schema inst with
-              | Error vs -> Error (Illegal vs)
-              | Ok dir0 ->
-                  let ( dir,
-                        `Wal (cur, wal_replayed, wal_skipped, wal_broke, folded),
-                        `Delta (delta_replayed, delta_broke, delta_end, segments)
-                      ) =
-                    replay_log (engine dir0) io ~lsn:meta.Checkpoint.lsn
-                  in
-                  let delta_tail, delta_end =
-                    match delta_broke with
-                    | None -> (Clean, delta_end)
-                    | Some { Wal.offset; reason } ->
-                        (* cut the chain back to whole segments/records so
-                           the next segment append extends valid frames *)
-                        Wal.truncate io delta_file ~keep:offset;
-                        (Recovered_at { offset; reason }, offset)
-                  in
-                  let truncated =
-                    match wal_broke with
-                    | Some _ -> wal_broke
-                    | None -> folded.Wal.truncated
-                  in
-                  let tail, valid_end =
-                    match truncated with
-                    | None -> (Clean, folded.Wal.end_offset)
-                    | Some { Wal.offset; reason } ->
-                        (* cut the log back to the durable prefix so the
-                           next append extends valid records, not junk *)
-                        Wal.truncate io wal_file ~keep:offset;
-                        (Recovered_at { offset; reason }, offset)
-                  in
-                  let report =
-                    {
-                      checkpoint_lsn = meta.Checkpoint.lsn;
-                      replayed = wal_replayed;
-                      skipped = wal_skipped;
-                      tail;
-                      delta_segments = segments;
-                      delta_replayed;
-                      delta_tail;
-                    }
-                  in
-                  let t = make io schema ~auto_checkpoint dir meta in
-                  Ok
-                    ( {
-                        t with
-                        lsn_v = cur;
-                        wal_bytes_v = valid_end;
-                        wal_records_v = wal_replayed + wal_skipped;
-                        chain_len = segments;
-                        delta_bytes_v = delta_end;
-                        applied =
-                          meta.Checkpoint.applied + delta_replayed
-                          + wal_replayed;
-                        recovery_v = Some report;
-                      },
-                      report ))))
+  let ( let* ) = Result.bind in
+  let* spec =
+    Option.to_result ~none:(Not_a_store ("missing " ^ schema_file))
+      (io.Io.read schema_file)
+  in
+  let* schema =
+    Spec_parser.parse spec
+    |> Result.map_error (fun e ->
+           Corrupt (schema_file ^ ": " ^ Spec_parser.error_to_string e))
+  in
+  let* meta, inst =
+    Checkpoint.read io checkpoint_file ~typing:schema.Schema.typing
+    |> Result.map_error (fun m -> Corrupt (checkpoint_file ^ ": " ^ m))
+  in
+  let illegal vs = Illegal vs in
+  let* engine = Result.map_error illegal (engine schema inst) in
+  let ( `Wal (cur, wal_replayed, wal_skipped, wal_broke, folded),
+        `Delta (delta_replayed, delta_broke, delta_end, segments) ) =
+    replay_log engine io ~lsn:meta.Checkpoint.lsn
+  in
+  (* an illegal recovered instance fails the open before any log is cut *)
+  let* dir = Result.map_error illegal (engine.finish ()) in
+  let delta_tail, delta_end =
+    match delta_broke with
+    | None -> (Clean, delta_end)
+    | Some { Wal.offset; reason } ->
+        (* cut the chain back to whole segments/records so the next
+           segment append extends valid frames *)
+        Wal.truncate io delta_file ~keep:offset;
+        (Recovered_at { offset; reason }, offset)
+  in
+  let truncated =
+    match wal_broke with Some _ -> wal_broke | None -> folded.Wal.truncated
+  in
+  let tail, valid_end =
+    match truncated with
+    | None -> (Clean, folded.Wal.end_offset)
+    | Some { Wal.offset; reason } ->
+        (* cut the log back to the durable prefix so the next append
+           extends valid records, not junk *)
+        Wal.truncate io wal_file ~keep:offset;
+        (Recovered_at { offset; reason }, offset)
+  in
+  let report =
+    {
+      checkpoint_lsn = meta.Checkpoint.lsn;
+      replayed = wal_replayed;
+      skipped = wal_skipped;
+      tail;
+      delta_segments = segments;
+      delta_replayed;
+      delta_tail;
+    }
+  in
+  let t = make io schema ~auto_checkpoint dir meta in
+  Ok
+    ( {
+        t with
+        lsn_v = cur;
+        wal_bytes_v = valid_end;
+        wal_records_v = wal_replayed + wal_skipped;
+        chain_len = segments;
+        delta_bytes_v = delta_end;
+        applied = meta.Checkpoint.applied + delta_replayed + wal_replayed;
+        recovery_v = Some report;
+      },
+      report )
 
-let open_ ?auto_checkpoint io =
-  recover ~engine:(fun d -> trusted (Directory.Bulk.start d)) ?auto_checkpoint io
+let open_ ?auto_checkpoint io = recover ~engine:trusted ?auto_checkpoint io
 
 (* --- replication (WAL shipment) ------------------------------------------ *)
 
@@ -611,11 +613,8 @@ let replica_apply t ~lsn ops =
         ignore (write t (fun p -> stage t p dir res));
         Ok `Applied
 
-(* --- the checked and forced recovery engines -------------------------------- *)
+(* --- the checked recovery engine ----------------------------------------- *)
 
 module Private = struct
   let open_checked io = recover ~engine:checked io
-
-  let open_forced ~force io =
-    recover ~engine:(fun d -> trusted (Directory.Private.bulk_start ~force d)) io
 end

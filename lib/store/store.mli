@@ -26,9 +26,9 @@
 
     Recovery ({!open_}) loads the checkpoint, folds the delta chain and
     then the log tail in lsn order, and {e truncates} the damaged file
-    at the first record that is torn, corrupt, out of sequence, or
-    rejected by the legality monitor — damaged tails yield a positioned
-    {!Recovered_at} report, never an exception.  Records whose lsn is
+    at the first record that is torn, corrupt, out of sequence, or no
+    longer applies — damaged tails yield a positioned {!Recovered_at}
+    report, never an exception.  Records whose lsn is
     already covered are skipped as duplicates, which is what makes both
     compaction sequences (segment-append-then-reset and
     snapshot-rewrite-then-reset) crash-safe at every intermediate
@@ -55,9 +55,9 @@ type error =
   | Already_a_store  (** {!init} refuses to clobber an existing store *)
   | Corrupt of string  (** unreadable schema or checkpoint *)
   | Illegal of Violation.t list
-      (** the initial instance ({!init}), the checkpointed instance
-          ({!open_}), or the result of an untrusted bulk {!load} fails
-          the admission scan *)
+      (** the initial instance ({!init}), the recovered instance
+          ({!open_}: checkpoint plus logged tail), or the result of an
+          untrusted bulk {!load} fails the admission scan *)
   | Bad_load of string
       (** a bulk {!load} feed failed (unreadable input, structurally
           impossible entry); nothing was committed *)
@@ -104,17 +104,21 @@ val init :
   (t, error) result
 
 (** [open_ io] recovers a store: checkpoint load + one streaming pass
-    over the log ({!Wal.fold} — O(record) memory however long the log),
-    then truncates any damaged tail so subsequent appends extend the
-    durable prefix.  The returned {!report} says how far recovery got.
+    over the delta chain and the log ({!Wal.fold} — O(record) memory
+    however long the log), then truncates any damaged tail so
+    subsequent appends extend the durable prefix.  The returned
+    {!report} says how far recovery got.
 
-    The tail replays through the trusted path ({!Directory.Bulk}):
-    every logged record passed admission before it was acknowledged and
-    the CRC frame vouches the bytes are unchanged, so legality is not
-    re-checked and index maintenance is batched past a cost crossover —
-    recovery is codec-decode plus state maintenance, O(|D| + Δ) instead
-    of O(Δ · re-admission).  The checked engine and the forced regimes
-    live in {!Private}. *)
+    The tail is trusted: every logged record passed admission before it
+    was acknowledged and the CRC frame vouches the bytes are unchanged,
+    so each record folds into the checkpoint's instance with
+    {!Update.apply} alone.  The session is then built once by
+    {!Directory.open_}: one index, value index, memo and monitor, and
+    one admission scan of the recovered instance — O(|D| + Δ) instead
+    of O(Δ · re-admission).  If that scan finds the instance illegal
+    (a [~trust:true] {!load} of an illegal dump, or a CRC-valid record
+    that was never admitted), [open_] is [Error (Illegal _)] and no file
+    is truncated.  The checked engine lives in {!Private}. *)
 val open_ : ?auto_checkpoint:int -> Io.t -> (t * report, error) result
 
 val schema : t -> Schema.t
@@ -277,16 +281,12 @@ val install_snapshot :
 val replica_apply :
   t -> lsn:int -> Update.op list -> ([ `Applied | `Duplicate ], string) result
 
-(** Differential testing and benchmarks only: recovery through the
-    engines {!open_} does not use. *)
+(** Differential testing and benchmarks only. *)
 module Private : sig
   (** Recover re-running full admission per record
-      ({!Directory.apply}) — the differential twin of trusted replay
-      and the benchmark baseline. *)
+      ({!Directory.apply}) on a session opened from the checkpoint —
+      the differential twin of trusted replay and the benchmark
+      baseline.  A record the monitor rejects ends replay and is
+      truncated like any other damage. *)
   val open_checked : Io.t -> (t * report, error) result
-
-  (** Trusted recovery with the {!Directory.Bulk} regime pinned instead
-      of the cost crossover ({!Directory.Private.bulk_start}). *)
-  val open_forced :
-    force:[ `Batch | `Incremental ] -> Io.t -> (t * report, error) result
 end

@@ -813,8 +813,8 @@ let prop_intern_stable_across_recovery =
 (* --- trusted replay and bulk ingest ---------------------------------------- *)
 
 let test_ingest_modes () =
-  (* the same three-record tail recovered through each batching regime of
-     the trusted path lands on the same state as checked replay *)
+  (* the same three-record tail recovered through trusted replay lands
+     on the same state as checked replay *)
   List.iter
     (fun (label, open_) ->
       let fs, st = fresh_store () in
@@ -831,26 +831,64 @@ let test_ingest_modes () =
       let _ = get_apply (label ^ ": t4") (Store.apply st' txn4) in
       check_state (label ^ ": after append") st'
         (after [ txn1; txn2; txn3; txn4 ]))
-    [
-      ("batch", Store.Private.open_forced ~force:`Batch);
-      ("incremental", Store.Private.open_forced ~force:`Incremental);
-      ("auto", fun io -> Store.open_ io);
-    ]
+    [ ("checked", Store.Private.open_checked); ("trusted", fun io -> Store.open_ io) ]
 
 let orgunit_entry ~id ~ou =
   Entry.make ~id ~rdn:("ou=" ^ ou)
     ~classes:(Oclass.set_of_list [ "orgunit"; "orggroup"; "top" ])
     [ (a "ou", Value.String ou) ]
 
+(* an orgunit with no person descendant: illegal under the schema *)
+let ghost = [ (Some 0, orgunit_entry ~id:400 ~ou:"ghost") ]
+
+let feed entries add =
+  List.fold_left
+    (fun acc (parent, e) ->
+      match acc with Error _ as err -> err | Ok () -> add ~parent e)
+    (Ok ()) entries
+
+let store_files fs =
+  List.map (Io.read_fs fs)
+    [ Store.schema_file; Store.checkpoint_file; Store.delta_file; Store.wal_file ]
+
+let test_illegal_tail () =
+  (* a CRC-valid next-lsn record that was never admitted: trusted
+     recovery folds it in, and the one admission scan of the recovered
+     instance refuses the open without cutting any log *)
+  let fs, st = fresh_store () in
+  Store.close st;
+  let parent, entry = List.hd ghost in
+  Wal.append_raw (Io.mem fs) Store.wal_file
+    (Wal.encode_record ~lsn:1 [ Update.Insert { parent; entry } ]);
+  let before = store_files fs in
+  (match Store.open_ (Io.mem fs) with
+  | Error (Store.Illegal _) -> ()
+  | Ok _ -> Alcotest.fail "trusted recovery opened an illegal directory"
+  | Error e -> Alcotest.failf "unexpected open error: %s" (Store.error_to_string e));
+  check "files unchanged by the refused open" true (store_files fs = before);
+  (* the checked twin rejects the record itself and truncates there *)
+  let st', report = get_store "checked" (Store.Private.open_checked (Io.mem fs)) in
+  check_int "checked lsn" 0 (Store.lsn st');
+  expect_recovered "checked" ~offset:0 report;
+  check_state "checked" st' WP.instance
+
+let test_trusted_load_then_write () =
+  (* a trusted load that voids the invariant stays caught when a logged
+     write follows it: the reopen scans checkpoint plus tail *)
+  let fs, st = fresh_store () in
+  (match Store.load ~trust:true st (feed ghost) with
+  | Error e -> Alcotest.failf "trusted load: %s" (Store.error_to_string e)
+  | Ok n -> check_int "trusted entries" 1 n);
+  let _ = get_apply "t1" (Store.apply st txn1) in
+  check_int "logged" 1 (Store.wal_records st);
+  match Store.open_ (Io.mem fs) with
+  | Error (Store.Illegal _) -> ()
+  | Ok _ -> Alcotest.fail "reopen after a trusted illegal load succeeded"
+  | Error e -> Alcotest.failf "unexpected open error: %s" (Store.error_to_string e)
+
 let test_bulk_load () =
   let fs, st = fresh_store () in
   let _ = get_apply "t1" (Store.apply st txn1) in
-  let feed entries add =
-    List.fold_left
-      (fun acc (parent, e) ->
-        match acc with Error _ as err -> err | Ok () -> add ~parent e)
-      (Ok ()) entries
-  in
   (* a lab with two people: passes the single final admission check *)
   let good =
     [
@@ -878,7 +916,6 @@ let test_bulk_load () =
   check_state "reopened after load" st' expected;
   (* an orgunit with no person descendant fails the admission check;
      nothing is committed *)
-  let ghost = [ (Some 0, orgunit_entry ~id:400 ~ou:"ghost") ] in
   (match Store.load st' (feed ghost) with
   | Error (Store.Illegal _) -> ()
   | Ok _ -> Alcotest.fail "illegal load was committed"
@@ -956,6 +993,9 @@ let () =
         [
           Alcotest.test_case "ingest modes" `Quick test_ingest_modes;
           Alcotest.test_case "bulk load" `Quick test_bulk_load;
+          Alcotest.test_case "illegal tail" `Quick test_illegal_tail;
+          Alcotest.test_case "trusted load then write" `Quick
+            test_trusted_load_then_write;
         ] );
       ( "recovery",
         [
