@@ -37,7 +37,9 @@ bench-write:
 # ephemeral port, drive brief mixed read/write traffic from concurrent
 # clients, and shut down cleanly over the wire.  Then: an idle daemon
 # must exit within 2 s of SIGTERM, and a daemon limited to 24 file
-# descriptors must take a 30-client burst and still answer a ping.
+# descriptors must answer every request of a 30-client burst (its own
+# uid tag, so its writes do not collide with the first burst's) and
+# still answer a ping.
 serve-smoke:
 	@dune build bin/ldapschema.exe
 	@tmp=$$(mktemp -d); bin=_build/default/bin/ldapschema.exe; \
@@ -66,8 +68,12 @@ serve-smoke:
 	wait $$pid || { echo "serve-smoke: SIGTERM stop exited non-zero"; exit 1; }; \
 	(ulimit -n 24; exec $$bin serve $$tmp/store --port 0 > $$tmp/fd.out 2>&1) & pid=$$!; \
 	port=$$(port_of $$tmp/fd.out) || { echo "serve-smoke: fd-limited daemon never bound"; kill -9 $$pid; exit 1; }; \
-	timeout 60 $$bin traffic --port $$port --clients 30 --requests 20 --write-ratio 0.3 >/dev/null \
-	  || { echo "serve-smoke: 30-client burst under ulimit -n 24 did not finish"; kill -9 $$pid; exit 1; }; \
+	out=$$(timeout 60 $$bin traffic --port $$port --clients 30 --requests 20 --write-ratio 0.3 --tag fd); rc=$$?; \
+	if [ $$rc -eq 124 ]; then \
+	  echo "serve-smoke: 30-client burst under ulimit -n 24 did not finish within 60 s"; kill -9 $$pid; exit 1; \
+	elif [ $$rc -ne 0 ]; then \
+	  echo "serve-smoke: requests failed in the 30-client burst under ulimit -n 24: $$out"; kill -9 $$pid; exit 1; \
+	fi; \
 	timeout 10 $$bin client --port $$port ping >/dev/null \
 	  || { echo "serve-smoke: no ping answer after the burst under ulimit -n 24"; kill -9 $$pid; exit 1; }; \
 	$$bin client --port $$port shutdown >/dev/null || exit 1; \

@@ -965,23 +965,21 @@ let exp_p3 ~smoke ~json () =
 
 (* --- P4: durable sessions, WAL append vs rewrite-per-transaction ------------ *)
 
-(* A store directory under the system temp dir, cleared of any earlier
-   bench run so [Store.init] finds no marker.  fsync is off: P4/P5
-   measure the WAL-vs-rewrite and replay shapes, not disk sync latency —
-   P6 owns the fsync-on numbers and the group-commit amortization. *)
-let p4_io name =
+(* Remove an earlier bench run's store files (and P4's strawman
+   snapshot) so [Store.init] finds no marker. *)
+let clear_store io =
+  List.iter io.Sio.remove
+    [ Store.schema_file; Store.checkpoint_file; Store.wal_file; "snapshot.ldif" ]
+
+(* A cleared store directory under the system temp dir.  fsync is off by
+   default: P4/P5/P7 measure the WAL-vs-rewrite and replay shapes, not
+   disk sync latency — P6 and P9 turn it on. *)
+let bench_io ?(fsync = false) name =
   let root =
     Filename.concat (Filename.get_temp_dir_name ()) ("bounds-bench-" ^ name)
   in
-  let io = Sio.real ~fsync:false ~root () in
-  List.iter io.Sio.remove
-    [
-      Store.schema_file;
-      Store.checkpoint_file;
-      Store.delta_file;
-      Store.wal_file;
-      "snapshot.ldif";
-    ];
+  let io = Sio.real ~fsync ~root () in
+  clear_store io;
   io
 
 (* Durability has two costs the WAL design trades between: the per-
@@ -1026,7 +1024,7 @@ let exp_p4 ~smoke ~json () =
   let () =
     let base = instance_of (List.hd sizes) in
     let unit = find_unit base in
-    let io = p4_io "p4check" in
+    let io = bench_io "p4check" in
     let st = Result.get_ok (Store.init io WP.schema base) in
     let ops = [ Update.Insert { parent = Some unit; entry = mk_person 3_000_000 } ] in
     ignore (Store.apply st ops);
@@ -1063,7 +1061,7 @@ let exp_p4 ~smoke ~json () =
         Staged.stage
           (let base = instance_of n in
            let unit = find_unit base in
-           let io = p4_io (Printf.sprintf "p4w%d" n) in
+           let io = bench_io (Printf.sprintf "p4w%d" n) in
            let st = Result.get_ok (Store.init io WP.schema base) in
            let ins = [ Update.Insert { parent = Some unit; entry = mk_person 3_000_000 } ] in
            let del = [ Update.Delete 3_000_000 ] in
@@ -1076,7 +1074,7 @@ let exp_p4 ~smoke ~json () =
         Staged.stage
           (let base = instance_of n in
            let unit = find_unit base in
-           let io = p4_io (Printf.sprintf "p4r%d" n) in
+           let io = bench_io (Printf.sprintf "p4r%d" n) in
            let dir = Result.get_ok (Directory.open_ WP.schema base) in
            let ins = [ Update.Insert { parent = Some unit; entry = mk_person 3_000_000 } ] in
            let del = [ Update.Delete 3_000_000 ] in
@@ -1096,7 +1094,7 @@ let exp_p4 ~smoke ~json () =
         Staged.stage
           (let base = instance_of rec_n in
            let unit = find_unit base in
-           let io = p4_io (Printf.sprintf "p4rec%d" k) in
+           let io = bench_io (Printf.sprintf "p4rec%d" k) in
            let st = Result.get_ok (Store.init io WP.schema base) in
            for i = 0 to k - 1 do
              ignore
@@ -1248,7 +1246,7 @@ let exp_p5 ~smoke ~json () =
   let prepared name k =
     let base = instance_of rec_n in
     let unit = find_unit base in
-    let io = p4_io (Printf.sprintf "%s%d" name k) in
+    let io = bench_io (Printf.sprintf "%s%d" name k) in
     let st = Result.get_ok (Store.init io WP.schema base) in
     for i = 0 to k - 1 do
       ignore
@@ -1293,18 +1291,14 @@ let exp_p5 ~smoke ~json () =
   (* ingest m entries into a small seed store: streaming bulk load with
      one final admission check, vs one logged transaction per entry
      (both end checkpointed, so the durable end states match) *)
-  let reset io =
-    List.iter io.Sio.remove
-      [ Store.schema_file; Store.checkpoint_file; Store.delta_file; Store.wal_file ]
-  in
   let load_bulk =
     Test.make_indexed ~name:"load-bulk" ~args:batches (fun m ->
         Staged.stage
           (let base = instance_of seed_n in
            let unit = find_unit base in
-           let io = p4_io (Printf.sprintf "p5lb%d" m) in
+           let io = bench_io (Printf.sprintf "p5lb%d" m) in
            fun () ->
-             reset io;
+             clear_store io;
              let st = Result.get_ok (Store.init io WP.schema base) in
              let n =
                Result.get_ok
@@ -1328,9 +1322,9 @@ let exp_p5 ~smoke ~json () =
         Staged.stage
           (let base = instance_of seed_n in
            let unit = find_unit base in
-           let io = p4_io (Printf.sprintf "p5la%d" m) in
+           let io = bench_io (Printf.sprintf "p5la%d" m) in
            fun () ->
-             reset io;
+             clear_store io;
              let st = Result.get_ok (Store.init io WP.schema base) in
              for i = 0 to m - 1 do
                ignore
@@ -1475,12 +1469,7 @@ let exp_p6 ~smoke ~json () =
   in
   (* a fresh store on real files, small |D| so fsync dominates admission *)
   let fresh_store ~fsync name =
-    let root =
-      Filename.concat (Filename.get_temp_dir_name ()) ("bounds-bench-" ^ name)
-    in
-    let io = Sio.real ~fsync ~root () in
-    List.iter io.Sio.remove
-      [ Store.schema_file; Store.checkpoint_file; Store.delta_file; Store.wal_file ];
+    let io = bench_io ~fsync name in
     let base = WP.generate ~seed:6 ~units:3 ~persons_per_unit:3 () in
     let st = Result.get_ok (Store.init io WP.schema base) in
     (st, find_unit base, Bounds_model.Instance.size base)
@@ -1719,15 +1708,15 @@ let exp_p6 ~smoke ~json () =
 
 (* The scale wall.  Every other experiment sweeps |D| in the thousands;
    P7 drives one complete store lifecycle — streaming bulk load, query,
-   single-entry transactions, O(Δ) delta checkpoint vs O(|D|) collapse,
+   single-entry transactions, O(1) segment marker vs O(|D|) collapse,
    trusted recovery — up to 10^6 entries, and reports wall-clock plus
    the peak-heap high-water mark at each size.  Single timed runs, not
    bechamel: a point is seconds of work and the sweep itself is the
    measurement, so per-run OLS would mostly re-time the page cache. *)
 let exp_p7 ~smoke ~json () =
-  header "P7   million-entry scale (interning, word kernels, delta checkpoints)"
-    "claim: with hash-consed strings, word-level bitset kernels and O(delta)\n\
-     incremental checkpoints, a 10^6-entry directory loads, queries, absorbs\n\
+  header "P7   million-entry scale (interning, word kernels, segment markers)"
+    "claim: with hash-consed strings, word-level bitset kernels and O(1)\n\
+     segment checkpoints, a 10^6-entry directory loads, queries, absorbs\n\
      transactions, compacts and recovers in time linear in the touched data,\n\
      and in heap linear in |D| with a shared-string constant.";
   let sizes = if smoke then [ 1_000; 5_000 ] else [ 10_000; 100_000; 1_000_000 ] in
@@ -1772,7 +1761,7 @@ let exp_p7 ~smoke ~json () =
   let run_point n =
     let base = WP.generate ~seed:7 ~units:(seed_n / 25) ~persons_per_unit:20 () in
     let unit = find_unit base in
-    let io = p4_io (Printf.sprintf "p7-%d" n) in
+    let io = bench_io (Printf.sprintf "p7-%d" n) in
     let st = Result.get_ok (Store.init io WP.schema base) in
     let total = Bounds_model.Instance.size base + n in
     let t_load, loaded =
@@ -1804,15 +1793,16 @@ let exp_p7 ~smoke ~json () =
                     ])
           done)
     in
-    (* the delta fold sees the [apply_txns]-record log; one more accepted
-       transaction afterwards gives the collapse a chain AND a tail *)
+    (* the soft checkpoint marks the [apply_txns]-record segment; one
+       more accepted transaction afterwards gives the collapse a marked
+       segment AND an open one *)
     let t_delta, _ = time (fun () -> Store.checkpoint st) in
-    assert (Store.delta_segments st = 1);
+    assert (Store.segments st = 1);
     ignore
       (Store.apply st
                  [ Update.Insert { parent = Some unit; entry = mk_person 7_999_999 } ]);
     let t_full, _ = time (fun () -> Store.checkpoint ~full:true st) in
-    assert (Store.delta_segments st = 0);
+    assert (Store.segments st = 0);
     Store.close st;
     let t_recover, _ =
       time (fun () ->
@@ -1832,11 +1822,11 @@ let exp_p7 ~smoke ~json () =
   in
   let results = List.map run_point sizes in
   Printf.printf
-    "  store lifecycle per size (load n, %d queries, %d txns, delta + full\n\
+    "  store lifecycle per size (load n, %d queries, %d txns, marker + full\n\
     \  checkpoint, trusted recovery); peak heap is the process high-water mark:\n"
     (List.length queries) apply_txns;
   Printf.printf "  %8s  %10s  %9s  %9s  %9s  %9s  %9s  %11s\n" "|D|" "load"
-    "query" "apply" "delta-ck" "full-ck" "recover" "peak heap";
+    "query" "apply" "mark-ck" "full-ck" "recover" "peak heap";
   List.iter
     (fun (n, l, q, a, d, f, r, h) ->
       Printf.printf "  %8d  %s  %s  %s  %s  %s  %s  %s\n" n (pp_s l) (pp_s q)
@@ -1850,7 +1840,7 @@ let exp_p7 ~smoke ~json () =
   | (n, l, _, a, d, f, r, _) :: _ ->
       Printf.printf
         "  shape: at |D| = %d the store loads %.0f entries/s, absorbs %.0f tx/s,\n\
-        \  delta-compacts a %d-record log %.1fx faster than a full collapse, and\n\
+        \  marks a %d-record segment %.1fx faster than a full collapse, and\n\
         \  recovers in %s; interning saved %.1f MiB of duplicate strings\n"
         n
         (float_of_int n /. l)
@@ -2138,15 +2128,6 @@ let exp_p9 ~smoke ~json () =
      stream quiesces.";
   let client_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let requests_per_client = if smoke then 40 else 200 in
-  let fresh_io name =
-    let root =
-      Filename.concat (Filename.get_temp_dir_name ()) ("bounds-bench-" ^ name)
-    in
-    let io = Sio.real ~fsync:true ~root () in
-    List.iter io.Sio.remove
-      [ Store.schema_file; Store.checkpoint_file; Store.delta_file; Store.wal_file ];
-    io
-  in
   let pct sorted p =
     if Array.length sorted = 0 then 0
     else
@@ -2158,12 +2139,12 @@ let exp_p9 ~smoke ~json () =
      primary while a sampler thread reads the lsn gap, then the time
      for the replica to drain the residual lag once writes stop *)
   let point clients =
-    let io = fresh_io (Printf.sprintf "p9p-%d" clients) in
+    let io = bench_io ~fsync:true (Printf.sprintf "p9p-%d" clients) in
     let base = WP.generate ~seed:9 ~units:3 ~persons_per_unit:3 () in
     let st = Result.get_ok (Store.init io WP.schema base) in
     let srv = Server.start ~port:0 ~batch_max:64 ~replicate:true st in
     let port = Server.port srv in
-    let rio = fresh_io (Printf.sprintf "p9r-%d" clients) in
+    let rio = bench_io ~fsync:true (Printf.sprintf "p9r-%d" clients) in
     let rep = Replica.start ~port:0 ~primary_port:port rio in
     let deadline = Unix.gettimeofday () +. 30. in
     while

@@ -516,8 +516,9 @@ let update_cmd =
       value & opt int 0
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
-            "With --store: compact automatically once $(docv) records \
-             accumulate in the log (0 = never).")
+            "With --store: checkpoint automatically once $(docv) records \
+             have accumulated in the log since the last checkpoint (0 = \
+             never).")
   in
   Cmd.v
     (Cmd.info "update"
@@ -905,42 +906,22 @@ let log_ dir =
         Printf.printf "checkpoint: unreadable (%s)\n" e;
         false
   in
-  let delta = Bounds_store.Wal.scan io Store.delta_file in
-  let segments =
-    List.length
-      (List.filter
-         (fun (r : Bounds_store.Wal.record) -> r.lsn = 0 && r.ops = [])
-         delta.Bounds_store.Wal.records)
-  in
-  let delta_ok =
-    if segments > 0 || delta.Bounds_store.Wal.end_offset > 0
-       || delta.Bounds_store.Wal.truncated <> None
-    then begin
-      Printf.printf "delta: %d segment(s), %d record(s), %d bytes\n" segments
-        (List.length delta.Bounds_store.Wal.records - segments)
-        delta.Bounds_store.Wal.end_offset;
-      match delta.Bounds_store.Wal.truncated with
-      | None -> true
-      | Some t ->
-          Printf.printf "delta tail: damaged at byte %d (%s)\n"
-            t.Bounds_store.Wal.offset t.Bounds_store.Wal.reason;
-          false
-    end
-    else true
-  in
   let scan = Bounds_store.Wal.scan io Store.wal_file in
+  let marker (r : Bounds_store.Wal.record) = r.lsn = 0 && r.ops = [] in
   Printf.printf "log: %d record(s), %d bytes\n"
-    (List.length scan.Bounds_store.Wal.records)
+    (List.length (List.filter (fun r -> not (marker r)) scan.Bounds_store.Wal.records))
     scan.Bounds_store.Wal.end_offset;
   List.iter
     (fun (r : Bounds_store.Wal.record) ->
-      Printf.printf "  lsn %d: %d op(s) at byte %d\n" r.lsn (List.length r.ops)
-        r.offset)
+      if marker r then Printf.printf "  segment marker at byte %d\n" r.offset
+      else
+        Printf.printf "  lsn %d: %d op(s) at byte %d\n" r.lsn (List.length r.ops)
+          r.offset)
     scan.Bounds_store.Wal.records;
   match scan.Bounds_store.Wal.truncated with
   | None ->
       Printf.printf "tail: clean\n";
-      if ckpt_ok && delta_ok then 0 else 1
+      if ckpt_ok then 0 else 1
   | Some t ->
       Printf.printf "tail: damaged at byte %d (%s)\n" t.Bounds_store.Wal.offset
         t.Bounds_store.Wal.reason;
@@ -961,15 +942,13 @@ let checkpoint_verb dir full =
     ~finally:(fun () -> Store.close st)
     (fun () ->
       Store.checkpoint ~full st;
-      if Store.delta_segments st = 0 then
-        Printf.printf
-          "checkpointed at lsn %d (%d entries); chain collapsed, log reset\n"
+      if Store.segments st = 0 then
+        Printf.printf "checkpointed at lsn %d (%d entries); log reset\n"
           (Store.lsn st)
           (Directory.size (Store.directory st))
       else
-        Printf.printf
-          "delta checkpoint at lsn %d (%d segment(s), %d bytes); log reset\n"
-          (Store.lsn st) (Store.delta_segments st) (Store.delta_bytes st);
+        Printf.printf "segment marked at lsn %d (%d segment(s), log %d bytes)\n"
+          (Store.lsn st) (Store.segments st) (Store.wal_bytes st);
       0)
 
 let full_arg =
@@ -977,16 +956,16 @@ let full_arg =
     value & flag
     & info [ "full" ]
         ~doc:
-          "Collapse: rewrite the whole snapshot and drop the delta chain \
-           instead of folding the log into an O(delta) segment.")
+          "Collapse: rewrite the whole snapshot and reset the log instead \
+           of marking the end of a segment in it.")
 
 let checkpoint_cmd =
   Cmd.v
     (Cmd.info "checkpoint"
        ~doc:
-         "Compact a durable store: recover it, fold the write-ahead log into \
-          the delta-checkpoint chain (or rewrite the full snapshot with \
-          $(b,--full) or past the chain threshold), and reset the log.")
+         "Compact a durable store: recover it and mark the end of a segment \
+          in the write-ahead log (or, with $(b,--full) or past the segment \
+          threshold, rewrite the full snapshot and reset the log).")
     Term.(const checkpoint_verb $ store_pos_arg $ full_arg)
 
 (* Recover the store and report the live session's counters, including
@@ -1255,7 +1234,11 @@ let traffic_verb host port clients requests write_ratio seed tag =
   | Error e -> or_die (Error e)
   | Ok report ->
       print_endline (Bounds_workload.Traffic.report_text report);
-      if report.Bounds_workload.Traffic.requests > 0 then 0 else 1
+      if
+        report.Bounds_workload.Traffic.requests > 0
+        && report.Bounds_workload.Traffic.failed = 0
+      then 0
+      else 1
 
 let traffic_cmd =
   let clients =
@@ -1289,7 +1272,9 @@ let traffic_cmd =
     (Cmd.info "traffic"
        ~doc:
          "Drive mixed read/write traffic at a running directory server and \
-          report throughput and latency.")
+          report throughput and latency.  Exits 1 if any request failed \
+          (a transport error or a $(b,Failed) reply, rejected writes \
+          included) or none succeeded.")
     Term.(
       const traffic_verb $ host_arg $ port_req_arg $ clients $ requests
       $ write_ratio $ seed $ tag)

@@ -121,17 +121,9 @@ let read t eval =
 
 let recovered_line = function
   | None -> "fresh"
-  | Some (r : Store.report) -> (
-      let tail name = function
-        | Store.Clean -> None
-        | Store.Recovered_at { offset; reason } ->
-            Some (Printf.sprintf "%s recovered_at %d (%s)" name offset reason)
-      in
-      match
-        List.filter_map Fun.id [ tail "delta" r.delta_tail; tail "wal" r.tail ]
-      with
-      | [] -> "clean"
-      | l -> String.concat "; " l)
+  | Some { Store.tail = Store.Clean; _ } -> "clean"
+  | Some { Store.tail = Store.Recovered_at { offset; reason }; _ } ->
+      Printf.sprintf "wal recovered_at %d (%s)" offset reason
 
 (* --- connections ---------------------------------------------------------- *)
 

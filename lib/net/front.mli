@@ -81,6 +81,6 @@ val serve_search :
   Proto.response
 
 (** The stats line on how a store recovered: ["fresh"] for [None] (a
-    store born of [init] in this process), ["clean"] when every tail
-    replayed, else each tail's positioned truncation reason. *)
+    store born of [init] in this process), ["clean"] when the whole log
+    replayed, else the log's positioned truncation reason. *)
 val recovered_line : Bounds_store.Store.report option -> string

@@ -55,51 +55,57 @@ type chunk = {
 
    Every posting-to-bitset fill looks up one rank per posting, so this
    table is on the hot path of nearly every query.  It is open
-   addressing with linear probing over one int array of (id, rank) slot
-   pairs, at a power-of-two capacity of at least 2n: the load factor
-   stays at most 1/2, and a lookup allocates nothing (the polymorphic
+   addressing over one int array of (id, rank) slot pairs, at a
+   power-of-two capacity of at least 2n: the load factor stays at most
+   1/2, and a lookup allocates nothing (the polymorphic
    [Hashtbl.find_opt] it replaced boxed one [Some] per posting).  A
    dense id-indexed array would be faster still, but ids are never
    reused ([Instance.fresh_id] is one past the largest id ever present),
    so it would grow with the id history instead of with n.
 
-   An id's home slot is its low bits xor a multiplicative hash of its
-   high bits.  Each run of [cap] consecutive ids therefore lands on a
-   permutation of the slots (ids below [cap] on themselves), so a fill
-   walking a sorted posting probes the table in nearly increasing
-   order, while sparse ids still scatter. *)
+   An id's home slot is its low bits, so any window of at most [cap]
+   consecutive ids is collision-free wherever it starts (ids below
+   [cap] map to themselves), and a fill walking a sorted posting probes
+   the table in nearly increasing order.  Such a window fills one long
+   run of slots, so an id that collides steps by an odd stride hashed
+   from all its bits, not to the next slot: with linear probing, each
+   of P7's base entries homed inside the run of its 10^5 consecutive
+   person ids walked 70k slots per lookup. *)
 module Ranks = struct
   type t = {
-    bits : int; (* capacity = 2^bits *)
-    mask : int;
+    mask : int; (* capacity - 1, capacity a power of two *)
     slots : int array; (* slot s: id at 2s, rank at 2s+1 (-1 = empty) *)
   }
 
   let create n =
-    let bits = ref 1 in
-    while 1 lsl !bits < 2 * n do
-      incr bits
+    let cap = ref 2 in
+    while !cap < 2 * n do
+      cap := 2 * !cap
     done;
-    let cap = 1 lsl !bits in
-    { bits = !bits; mask = cap - 1; slots = Array.make (2 * cap) (-1) }
+    { mask = !cap - 1; slots = Array.make (2 * !cap) (-1) }
 
-  let[@inline] home t id =
-    (id lxor (((id lsr t.bits) * 0x2545F4914F6CDD1D) lsr (63 - t.bits)))
-    land t.mask
+  (* Odd, so the probe path visits every slot of the power-of-two
+     table. *)
+  let[@inline] stride mask id = (((id * 0x2545F4914F6CDD1D) lsr 32) land mask) lor 1
 
-  (* The slot holding [id], or the empty slot ending its probe run; a
-     top-level function, so a lookup builds no closure. *)
-  let rec probe slots mask id s =
+  (* The slot holding [id], or the empty slot ending its probe path; a
+     top-level function, so a lookup builds no closure.  [step] is 0
+     until the home slot misses: a hit at home hashes nothing. *)
+  let rec probe slots mask id step s =
     if slots.((2 * s) + 1) < 0 || slots.(2 * s) = id then s
-    else probe slots mask id ((s + 1) land mask)
+    else
+      let step = if step = 0 then stride mask id else step in
+      probe slots mask id step ((s + step) land mask)
+
+  let[@inline] slot t id = probe t.slots t.mask id 0 (id land t.mask)
 
   let add t id r =
-    let s = probe t.slots t.mask id (home t id) in
+    let s = slot t id in
     t.slots.(2 * s) <- id;
     t.slots.((2 * s) + 1) <- r
 
   (* The rank of [id], or -1. *)
-  let find t id = t.slots.((2 * probe t.slots t.mask id (home t id)) + 1)
+  let find t id = t.slots.((2 * slot t id) + 1)
 end
 
 (* Lazily-materialized flat mirror for rank sweeps; [f_parents] and

@@ -195,16 +195,15 @@ let plan vx query =
    filtering and [_into] accumulation never alias a caller-visible set.
    [f_actual]/[q_actual] are recorded as nodes complete. *)
 
-(* Memo tables are hash-consed on the canonical [Query.to_string]
-   rendering (round-trip tested in the parser suite), scoped to one
-   [(index, vindex)] snapshot: a memo must be dropped with the snapshot
-   it was built from. *)
+(* Memo tables are keyed on the query itself: [Query.t] is a plain tree
+   of variants over strings, so structural equality is equality of the
+   canonical renderings (the parser round-trip tests pin that) without
+   rendering anything.  A memo is scoped to one [(index, vindex)]
+   snapshot and must be dropped with the snapshot it was built from. *)
 type memo = {
   m_vx : Vindex.t;
   m_ix : Index.t;
-  cache : (string, Query.t * Bitset.t) Hashtbl.t;
-      (* the AST rides along with each result so {!memo_apply} can
-         re-admit inserted entries without reparsing the key *)
+  cache : (Query.t, Bitset.t) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable migrated : int;
@@ -215,15 +214,13 @@ type memo = {
    read, so reader threads may share it. *)
 type ctx = { vx : Vindex.t; ix : Index.t; memo : memo option; rw : bool }
 
+let lookup m ~rw q =
+  let r = Hashtbl.find_opt m.cache q in
+  (match r with Some _ when rw -> m.hits <- m.hits + 1 | _ -> ());
+  r
+
 let cached c node =
-  match c.memo with
-  | None -> None
-  | Some m -> (
-      match Hashtbl.find_opt m.cache (Query.to_string node.q_query) with
-      | Some (_, bs) ->
-          if c.rw then m.hits <- m.hits + 1;
-          Some bs
-      | None -> None)
+  match c.memo with None -> None | Some m -> lookup m ~rw:c.rw node.q_query
 
 let verify_into ix pred cand =
   (* [Bitset.iter] reads one byte ahead of the bits it visits, so
@@ -293,7 +290,7 @@ let rec exec_q c node =
       (match c.memo with
       | Some m when c.rw ->
           m.misses <- m.misses + 1;
-          Hashtbl.add m.cache (Query.to_string node.q_query) (node.q_query, bs)
+          Hashtbl.add m.cache node.q_query bs
       | Some _ | None -> ());
       bs
 
@@ -480,32 +477,34 @@ let memo_create vx =
     dropped = 0;
   }
 
+(* A cached root answers before anything is planned. *)
 let memo_eval_gen ~rw m q =
-  exec_q { vx = m.m_vx; ix = m.m_ix; memo = Some m; rw } (plan_q m.m_vx (Index.n m.m_ix) q)
+  match lookup m ~rw q with
+  | Some bs -> bs
+  | None ->
+      exec_q { vx = m.m_vx; ix = m.m_ix; memo = Some m; rw } (plan_q m.m_vx (Index.n m.m_ix) q)
 
 let memo_eval m q = memo_eval_gen ~rw:true m q
 let memo_eval_ro m q = memo_eval_gen ~rw:false m q
 
 let prewarm m qs =
-  (* Occurrence counts over canonical renderings of every subquery node;
-     anything shared (count ≥ 2) is evaluated-and-cached up front — the
-     Figure-4 obligation set shares its class selections and χ frames
-     heavily, and even a single obligation like σ−(s_i, χ(ax, s_i, s_j))
-     names s_i twice. *)
+  (* Occurrence counts over every subquery node; anything shared
+     (count ≥ 2) is evaluated-and-cached up front — the Figure-4
+     obligation set shares its class selections and χ frames heavily,
+     and even a single obligation like σ−(s_i, χ(ax, s_i, s_j)) names
+     s_i twice. *)
   let counts = Hashtbl.create 256 in
   let subs = List.map Query.subqueries qs in
   List.iter
     (List.iter (fun sq ->
-         let key = Query.to_string sq in
-         Hashtbl.replace counts key
-           (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))))
+         Hashtbl.replace counts sq
+           (1 + Option.value ~default:0 (Hashtbl.find_opt counts sq))))
     subs;
   List.iter
     (List.iter (fun sq ->
-         let key = Query.to_string sq in
          if
-           Option.value ~default:0 (Hashtbl.find_opt counts key) >= 2
-           && not (Hashtbl.mem m.cache key)
+           Option.value ~default:0 (Hashtbl.find_opt counts sq) >= 2
+           && not (Hashtbl.mem m.cache sq)
          then ignore (memo_eval m sq)))
     subs
 
@@ -584,13 +583,13 @@ let memo_apply ~vindex ~splices ops m =
     }
   in
   Hashtbl.iter
-    (fun key (q, bs) ->
+    (fun q bs ->
       if pointwise q then begin
         let nbs = migrate bs in
         List.iter
           (fun (r', e) -> if pointwise_member q e then Bitset.set nbs r')
           inserted_ranks;
-        Hashtbl.add m'.cache key (q, nbs);
+        Hashtbl.add m'.cache q nbs;
         m'.migrated <- m'.migrated + 1
       end
       else m'.dropped <- m'.dropped + 1)

@@ -45,13 +45,14 @@
 
     {2 Memoized evaluation}
 
-    A {!memo} hash-conses subquery results on their canonical
-    {!Query.to_string} rendering, scoped to the [(index, vindex)] snapshot
-    it was created from — the Figure-4 obligation set then evaluates each
-    shared subquery (class selections, χ frames) exactly once per check.
-    A memo evaluation runs the query's plan through the memo: one
-    evaluator, and so one frame-first rule, serves {!exec} and the
-    memo.
+    A {!memo} caches subquery results keyed on the {!Query.t} itself
+    (structurally equal queries render alike), scoped to the
+    [(index, vindex)] snapshot it was created from — the Figure-4
+    obligation set then evaluates each shared subquery (class
+    selections, χ frames) exactly once per check.  A memo evaluation
+    answers a cached query before planning it; otherwise it runs the
+    query's plan through the memo: one evaluator, and so one
+    frame-first rule, serves {!exec} and the memo.
     {!memo_eval} caches and must run sequentially; {!memo_eval_ro} never
     writes, so reader threads that share a snapshot may call it
     concurrently.  Cached bitsets are shared: treat them as immutable. *)

@@ -39,6 +39,6 @@ val equal : t -> t -> bool
 val select_class : Oclass.t -> t
 
 (** All subquery nodes of [q], including [q] itself, in preorder.
-    Occurrence counts over the canonical {!to_string} renderings of these
-    nodes drive the shared-subquery prewarm of {!Plan}'s memo tables. *)
+    Occurrence counts over these nodes (structurally compared) drive the
+    shared-subquery prewarm of {!Plan}'s memo tables. *)
 val subqueries : t -> t list

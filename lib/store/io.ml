@@ -40,7 +40,33 @@ let fsync_dir path =
         ~finally:(fun () -> Unix.close fd)
         (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
 
+(* One descriptor held back for the whole process, taken when a handle
+   is made, before a daemon accepts anyone.  An append refused a
+   descriptor gives it back and retries, then takes it again once its
+   file is closed, so a daemon whose connections hold every other
+   descriptor can still commit. *)
+let spare = ref None
+let spare_lock = Mutex.create ()
+
+let take_spare () =
+  if !spare = None then
+    spare :=
+      try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+      with Unix.Unix_error _ -> None
+
+let open_append path =
+  let flags = [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ] in
+  Mutex.protect spare_lock (fun () ->
+      match Unix.openfile path flags 0o644 with
+      | fd -> fd
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _)
+        when !spare <> None ->
+          Option.iter Unix.close !spare;
+          spare := None;
+          Unix.openfile path flags 0o644)
+
 let real ?(fsync = true) ~root () =
+  Mutex.protect spare_lock take_spare;
   if not (Sys.file_exists root) then Sys.mkdir root 0o755;
   (* clean up temp files a crashed or interrupted writer left behind:
      they are by construction un-renamed, i.e. never part of the store *)
@@ -83,12 +109,11 @@ let real ?(fsync = true) ~root () =
   let append name data =
     let path = p name in
     let created = not (Sys.file_exists path) in
-    let oc =
-      open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-        path
-    in
+    let oc = Unix.out_channel_of_descr (open_append path) in
     Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
+      ~finally:(fun () ->
+        close_out_noerr oc;
+        Mutex.protect spare_lock take_spare)
       (fun () ->
         output_string oc data;
         (* durability stops at the OS page cache unless the fd is

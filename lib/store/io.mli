@@ -47,7 +47,13 @@ type t = {
     argument rests on.  [~fsync:false] stops at the OS page cache
     (atomicity against concurrent readers is kept, durability is not):
     for benchmarks that isolate fsync cost, never for stores whose
-    acknowledgements anyone trusts. *)
+    acknowledgements anyone trusts.
+
+    The first handle reserves one descriptor for the whole process.
+    An [append] whose open is refused for want of descriptors (EMFILE,
+    ENFILE) releases it and retries, then reserves it again once the
+    file is closed, so a daemon whose connections hold every other
+    descriptor still commits. *)
 val real : ?fsync:bool -> root:string -> unit -> t
 
 (** {1 In-memory files} *)

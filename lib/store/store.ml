@@ -12,9 +12,7 @@ type report = {
   replayed : int;
   skipped : int;
   tail : tail;
-  delta_segments : int;
-  delta_replayed : int;
-  delta_tail : tail;
+  segments : int;
 }
 
 (* What a replication feed sees: every durable record the moment it is
@@ -24,8 +22,8 @@ type ship =
   | Ship_txn of { lsn : int; ops : Update.op list }
   | Ship_mark of { lsn : int }
 
-(* Collapse the delta chain into a fresh full snapshot once it holds
-   this many segments. *)
+(* Collapse the log into a fresh full snapshot once it holds this many
+   segments. *)
 let delta_chain = 8
 
 (* The open write: transactions staged against the rolling version
@@ -46,8 +44,8 @@ type t = {
   mutable lsn_v : int;
   mutable wal_bytes_v : int;
   mutable wal_records_v : int;
-  mutable chain_len : int;  (** delta segments since the last full snapshot *)
-  mutable delta_bytes_v : int;
+  mutable segments_v : int;  (** segment markers since the last full snapshot *)
+  mutable since_mark : int;  (** records logged since the last marker *)
   mutable base_lsn : int;  (** lsn of the base checkpoint *)
   (* totals across crashes, counted only once a write is durable *)
   mutable applied : int;
@@ -84,10 +82,7 @@ let pp_tail ppf = function
 
 let pp_report ppf r =
   Format.fprintf ppf "checkpoint lsn %d, %d replayed, %d skipped, tail %a"
-    r.checkpoint_lsn r.replayed r.skipped pp_tail r.tail;
-  if r.delta_segments > 0 || r.delta_tail <> Clean then
-    Format.fprintf ppf "; delta: %d segment(s), %d replayed, %a"
-      r.delta_segments r.delta_replayed pp_tail r.delta_tail
+    r.checkpoint_lsn r.replayed r.skipped pp_tail r.tail
 
 let exists io = io.Io.read schema_file <> None
 
@@ -96,8 +91,7 @@ let directory t = t.dir
 let lsn t = t.lsn_v
 let wal_bytes t = t.wal_bytes_v
 let wal_records t = t.wal_records_v
-let delta_segments t = t.chain_len
-let delta_bytes t = t.delta_bytes_v
+let segments t = t.segments_v
 let recovery t = t.recovery_v
 let set_ship_hook t hook = t.ship <- hook
 
@@ -120,50 +114,43 @@ let stats t =
   }
 
 (* Collapse: rewrite the whole snapshot (atomic temp+rename), then drop
-   the delta chain and the log.  A crash after the rename leaves delta
-   and log records with lsn ≤ the new checkpoint's, which recovery skips
-   as duplicates — every intermediate state recovers. *)
+   an older build's [delta.log] and reset the log.  A crash after the
+   rename leaves log records with lsn ≤ the new checkpoint's, which
+   recovery skips as duplicates — every intermediate state recovers. *)
 let full_checkpoint t =
   Checkpoint.write t.io checkpoint_file (stats t) (Directory.instance t.dir);
-  t.io.Io.write delta_file "";
+  t.io.Io.remove delta_file;
   Wal.reset t.io wal_file;
-  t.chain_len <- 0;
-  t.delta_bytes_v <- 0;
+  t.segments_v <- 0;
+  t.since_mark <- 0;
   t.wal_bytes_v <- 0;
   t.wal_records_v <- 0;
   t.base_lsn <- t.lsn_v;
   fire_ship t (Ship_mark { lsn = t.lsn_v })
 
-(* Each delta segment starts with a marker record — lsn 0, no ops — so
-   recovery can count segments without side metadata; lsn 0 precedes
-   every real lsn, so the replay discipline skips it for free. *)
+(* A segment ends with a marker record — lsn 0, no ops — so recovery
+   can count segments without side metadata; lsn 0 precedes every real
+   lsn, so the replay discipline passes over it. *)
 let segment_marker = Wal.encode_record ~lsn:0 []
 
-(* O(Δ) compaction: fold the log into the delta chain.  The log records
-   are already CRC-framed and lsn-stamped, so the segment is one append
-   of bytes that already exist; recovery replays base + delta + log
-   under one lsn discipline.  Crash anywhere: before the append nothing
-   changed; a torn append truncates to whole records and the untouched
-   log still holds the segment (duplicates skip); between append and
-   reset, delta and log hold the same lsns (duplicates skip). *)
-let delta_checkpoint t =
-  if t.wal_records_v > 0 then begin
-    let bytes =
-      match t.io.Io.read wal_file with Some b -> b | None -> ""
-    in
-    t.io.Io.append delta_file (segment_marker ^ bytes);
-    Wal.reset t.io wal_file;
-    t.chain_len <- t.chain_len + 1;
-    t.delta_bytes_v <-
-      t.delta_bytes_v + String.length segment_marker + String.length bytes;
-    t.wal_bytes_v <- 0;
-    t.wal_records_v <- 0;
+(* O(1) compaction: close the current segment with one marker append.
+   Nothing is read or copied: the segment's records stay where they
+   are, and what bounds the log is the collapse after [delta_chain]
+   segments.  A torn marker is a torn tail, which recovery cuts; it
+   holds no transaction, so nothing acknowledged is lost.  A segment
+   with no records gets no marker. *)
+let mark_segment t =
+  if t.since_mark > 0 then begin
+    Wal.append_raw t.io wal_file segment_marker;
+    t.segments_v <- t.segments_v + 1;
+    t.since_mark <- 0;
+    t.wal_bytes_v <- t.wal_bytes_v + String.length segment_marker;
     fire_ship t (Ship_mark { lsn = t.lsn_v })
   end
 
 let checkpoint ?(full = false) t =
-  if full || t.chain_len >= delta_chain then full_checkpoint t
-  else delta_checkpoint t
+  if full || t.segments_v >= delta_chain then full_checkpoint t
+  else mark_segment t
 
 (* --- the write path -------------------------------------------------------- *)
 
@@ -202,7 +189,8 @@ let flush t p =
        rollback t p;
        raise e);
     t.wal_bytes_v <- t.wal_bytes_v + bytes;
-    t.wal_records_v <- t.wal_records_v + (t.lsn_v - p.lsn0)
+    t.wal_records_v <- t.wal_records_v + (t.lsn_v - p.lsn0);
+    t.since_mark <- t.since_mark + (t.lsn_v - p.lsn0)
   end;
   let results = List.rev p.results in
   List.iter
@@ -215,7 +203,7 @@ let flush t p =
     results;
   (* a checkpoint taken mid-write would cover records not on disk yet:
      auto-compaction waits for the flush *)
-  if bytes > 0 && t.auto_checkpoint > 0 && t.wal_records_v >= t.auto_checkpoint
+  if bytes > 0 && t.auto_checkpoint > 0 && t.since_mark >= t.auto_checkpoint
   then checkpoint t;
   results
 
@@ -284,7 +272,7 @@ let load ?(trust = false) t feed =
           t.applied <- t.applied + loaded;
           (* commit: fresh FULL checkpoint at the current lsn, then log
              reset.  Loaded entries bypass the log, so only a whole
-             snapshot captures them — a delta segment here would lose
+             snapshot captures them — a segment marker here would lose
              the load.  A crash between the two leaves old records with
              lsn ≤ the checkpoint's, which recovery skips as
              duplicates. *)
@@ -302,8 +290,8 @@ let make io schema_v ~auto_checkpoint dir (meta : Checkpoint.meta) =
     lsn_v = meta.lsn;
     wal_bytes_v = 0;
     wal_records_v = 0;
-    chain_len = 0;
-    delta_bytes_v = 0;
+    segments_v = 0;
+    since_mark = 0;
     base_lsn = meta.lsn;
     applied = meta.applied;
     rejected = meta.rejected;
@@ -333,9 +321,9 @@ let init ?(auto_checkpoint = 0) io schema inst =
           }
         in
         Checkpoint.write io checkpoint_file meta inst;
-        (* clear any stale chain/log left behind by an earlier store in
-           the same directory (the marker was removed, not the data) *)
-        io.Io.write delta_file "";
+        (* clear any stale log left behind by an earlier store in the
+           same directory (the marker was removed, not the data) *)
+        io.Io.remove delta_file;
         Wal.reset io wal_file;
         (* the schema is the store marker, written last: a crash anywhere
            during init leaves a directory [open_] refuses as Not_a_store *)
@@ -349,7 +337,8 @@ type replay_state = {
   mutable replayed : int;
   mutable skipped : int;
   mutable broke : Wal.truncation option;
-  mutable segments : int;  (** delta segment markers seen *)
+  mutable segments : int;  (** segment markers seen *)
+  mutable at_mark : int;  (** records seen up to the last marker *)
 }
 
 (* Stream the log once ({!Wal.fold} — O(record) memory) and replay each
@@ -357,43 +346,47 @@ type replay_state = {
    checkpoint already covers (left by a crash between checkpoint-rename
    and log-reset) and is skipped; lsn = current+1 is applied; anything
    else — a gap, or a record that no longer applies — marks the damage
-   point and ends replay.
-
-   One replay pass is shared by the delta chain and the log: both files
-   hold the same CRC-framed records, and one lsn discipline covers the
-   whole fold — base checkpoint, then every delta segment in append
-   order, then the log.  Segment markers (lsn 0, no ops) are counted,
-   not replayed. *)
+   point and ends replay.  Segment markers (lsn 0, no ops) are counted,
+   not replayed.  Returns where the file's valid prefix ends and the
+   damage past it, if any. *)
 let replay_file st ~apply_record io file =
-  Wal.fold io file
-    (fun () (r : Wal.record) ->
-      if st.broke <> None then ()
-      else if r.lsn = 0 && r.ops = [] then st.segments <- st.segments + 1
-      else if r.lsn <= st.cur then st.skipped <- st.skipped + 1
-      else if r.lsn = st.cur + 1 then
-        match apply_record r.ops with
-        | Ok () ->
-            st.cur <- r.lsn;
-            st.replayed <- st.replayed + 1
-        | Error rej ->
-            st.broke <-
-              Some
-                {
-                  Wal.offset = r.offset;
-                  reason =
-                    Format.asprintf "replay rejected: %a" Monitor.pp_rejection
-                      rej;
-                }
-      else
-        st.broke <-
-          Some
-            {
-              Wal.offset = r.offset;
-              reason =
-                Printf.sprintf "lsn gap: expected %d, found %d" (st.cur + 1)
-                  r.lsn;
-            })
-    ()
+  let folded =
+    Wal.fold io file
+      (fun () (r : Wal.record) ->
+        if st.broke <> None then ()
+        else if r.lsn = 0 && r.ops = [] then begin
+          st.segments <- st.segments + 1;
+          st.at_mark <- st.replayed + st.skipped
+        end
+        else if r.lsn <= st.cur then st.skipped <- st.skipped + 1
+        else if r.lsn = st.cur + 1 then
+          match apply_record r.ops with
+          | Ok () ->
+              st.cur <- r.lsn;
+              st.replayed <- st.replayed + 1
+          | Error rej ->
+              st.broke <-
+                Some
+                  {
+                    Wal.offset = r.offset;
+                    reason =
+                      Format.asprintf "replay rejected: %a"
+                        Monitor.pp_rejection rej;
+                  }
+        else
+          st.broke <-
+            Some
+              {
+                Wal.offset = r.offset;
+                reason =
+                  Printf.sprintf "lsn gap: expected %d, found %d" (st.cur + 1)
+                    r.lsn;
+              })
+      ()
+  in
+  match st.broke with
+  | Some b -> (b.Wal.offset, st.broke)
+  | None -> (folded.Wal.end_offset, folded.Wal.truncated)
 
 (* A replay engine folds logged records on top of the checkpoint's
    instance and yields the recovered session.  The default is trusted:
@@ -430,27 +423,6 @@ let checked schema inst =
             | dir, Admission.Accepted _ -> Ok dir
             | _, Admission.Rejected { reason; _ } -> Error reason))
 
-let replay_log engine io ~lsn:lsn0 =
-  (* Delta chain first: it holds the older folded segments. *)
-  let st = { cur = lsn0; replayed = 0; skipped = 0; broke = None; segments = 0 } in
-  let delta_folded = replay_file st ~apply_record:engine.add io delta_file in
-  let delta_replayed = st.replayed and delta_skipped = st.skipped in
-  let delta_broke =
-    match st.broke with
-    | Some _ as b -> b
-    | None -> delta_folded.Wal.truncated
-  in
-  (* A damaged delta tail ends the chain; the log may still bridge the
-     lost suffix (a torn segment append leaves the log un-reset, so the
-     same records replay from there as duplicates-then-fresh). *)
-  st.broke <- None;
-  let folded = replay_file st ~apply_record:engine.add io wal_file in
-  let wal_replayed = st.replayed - delta_replayed
-  and wal_skipped = st.skipped - delta_skipped in
-  ( `Wal (st.cur, wal_replayed, wal_skipped, st.broke, folded),
-    `Delta (delta_replayed, delta_broke, delta_folded.Wal.end_offset, st.segments)
-  )
-
 let recover ~engine ?(auto_checkpoint = 0) io =
   let ( let* ) = Result.bind in
   let* spec =
@@ -468,77 +440,88 @@ let recover ~engine ?(auto_checkpoint = 0) io =
   in
   let illegal vs = Illegal vs in
   let* engine = Result.map_error illegal (engine schema inst) in
-  let ( `Wal (cur, wal_replayed, wal_skipped, wal_broke, folded),
-        `Delta (delta_replayed, delta_broke, delta_end, segments) ) =
-    replay_log engine io ~lsn:meta.Checkpoint.lsn
+  let st =
+    {
+      cur = meta.Checkpoint.lsn;
+      replayed = 0;
+      skipped = 0;
+      broke = None;
+      segments = 0;
+      at_mark = 0;
+    }
   in
+  (* An older build kept closed segments in [delta.log]: they precede
+     the log.  A torn segment there may be bridged by the log, which
+     that build reset only after the append. *)
+  let legacy = Option.map String.length (io.Io.read delta_file) in
+  let delta_broke =
+    if legacy = None then None
+    else begin
+      let _, broke = replay_file st ~apply_record:engine.add io delta_file in
+      st.broke <- None;
+      broke
+    end
+  in
+  let valid_end, broke = replay_file st ~apply_record:engine.add io wal_file in
   (* an illegal recovered instance fails the open before any log is cut *)
   let* dir = Result.map_error illegal (engine.finish ()) in
-  let delta_tail, delta_end =
-    match delta_broke with
-    | None -> (Clean, delta_end)
-    | Some { Wal.offset; reason } ->
-        (* cut the chain back to whole segments/records so the next
-           segment append extends valid frames *)
-        Wal.truncate io delta_file ~keep:offset;
-        (Recovered_at { offset; reason }, offset)
-  in
-  let truncated =
-    match wal_broke with Some _ -> wal_broke | None -> folded.Wal.truncated
-  in
-  let tail, valid_end =
-    match truncated with
-    | None -> (Clean, folded.Wal.end_offset)
-    | Some { Wal.offset; reason } ->
+  let tail =
+    match (broke, delta_broke) with
+    | Some { Wal.offset; reason }, _ ->
         (* cut the log back to the durable prefix so the next append
            extends valid records, not junk *)
         Wal.truncate io wal_file ~keep:offset;
-        (Recovered_at { offset; reason }, offset)
+        Recovered_at { offset; reason }
+    | None, Some { Wal.offset; reason } ->
+        Recovered_at { offset; reason = delta_file ^ ": " ^ reason }
+    | None, None -> Clean
   in
   let report =
     {
       checkpoint_lsn = meta.Checkpoint.lsn;
-      replayed = wal_replayed;
-      skipped = wal_skipped;
+      replayed = st.replayed;
+      skipped = st.skipped;
       tail;
-      delta_segments = segments;
-      delta_replayed;
-      delta_tail;
+      segments = st.segments;
     }
   in
-  let t = make io schema ~auto_checkpoint dir meta in
-  Ok
-    ( {
-        t with
-        lsn_v = cur;
-        wal_bytes_v = valid_end;
-        wal_records_v = wal_replayed + wal_skipped;
-        chain_len = segments;
-        delta_bytes_v = delta_end;
-        applied = meta.Checkpoint.applied + delta_replayed + wal_replayed;
-        recovery_v = Some report;
-      },
-      report )
+  let t =
+    {
+      (make io schema ~auto_checkpoint dir meta) with
+      lsn_v = st.cur;
+      wal_bytes_v = valid_end;
+      wal_records_v = st.replayed + st.skipped;
+      segments_v = st.segments;
+      since_mark = st.replayed + st.skipped - st.at_mark;
+      applied = meta.Checkpoint.applied + st.replayed;
+      recovery_v = Some report;
+    }
+  in
+  (* the older build's file goes: a collapse folds what it held into
+     the snapshot, and an empty one is just removed *)
+  (match legacy with
+  | None -> ()
+  | Some 0 -> io.Io.remove delta_file
+  | Some _ -> full_checkpoint t);
+  Ok (t, report)
 
 let open_ ?auto_checkpoint io = recover ~engine:trusted ?auto_checkpoint io
 
 (* --- replication (WAL shipment) ------------------------------------------ *)
 
 (* Catch a subscriber up from its last durable lsn: every record with a
-   greater lsn still lives in the delta chain + log iff the subscriber
-   is no older than the base checkpoint (records at or below the base's
-   lsn are folded into the snapshot and gone from the logs). *)
+   greater lsn still lives in the log iff the subscriber is no older
+   than the base checkpoint (records at or below the base's lsn are
+   folded into the snapshot and gone from the log).  Segment markers
+   carry lsn 0 and drop out with the records the subscriber holds. *)
 let records_from t ~lsn:from_lsn =
   if t.pending <> None then invalid_arg "Store.records_from: inside a batch";
   if from_lsn < t.base_lsn || from_lsn > t.lsn_v then `Too_old
   else
     let take acc (r : Wal.record) =
-      if r.lsn = 0 && r.ops = [] then acc (* segment marker *)
-      else (r.lsn, r.ops) :: acc
+      if r.lsn <= from_lsn then acc else (r.lsn, r.ops) :: acc
     in
-    let acc = (Wal.fold_from t.io delta_file ~lsn:from_lsn take []).Wal.acc in
-    let acc = (Wal.fold_from t.io wal_file ~lsn:from_lsn take acc).Wal.acc in
-    `Records (List.rev acc)
+    `Records (List.rev (Wal.fold t.io wal_file take []).Wal.acc)
 
 (* A bootstrap package for a subscriber too old (or too new — a primary
    that lost data) to catch up from the logs: the schema text plus the
@@ -576,7 +559,7 @@ let install_snapshot io ~schema ~checkpoint =
       | Error m -> Error ("boot checkpoint: " ^ m)
       | Ok _ ->
           io.Io.write checkpoint_file checkpoint;
-          io.Io.write delta_file "";
+          io.Io.remove delta_file;
           Wal.reset io wal_file;
           io.Io.write schema_file schema;
           Ok ())

@@ -1,20 +1,18 @@
 (** Durable directory sessions.
 
     A store is a directory session ({!Bounds_core.Directory}) layered
-    over four files inside one store directory:
+    over three files inside one store directory:
 
     - [schema.spec] — the bounding-schema, written once at {!init} (its
       presence is the store marker: it is the last file [init] writes);
     - [checkpoint.ckpt] — one {!Frame}-wrapped snapshot of the instance
       at some log sequence number, replaced atomically only by a {e full}
       {!checkpoint} (collapse) or a bulk {!load};
-    - [delta.log] — the delta-checkpoint chain: each O(Δ) {!checkpoint}
-      folds the current log into it as one CRC-framed segment behind a
-      marker record, collapsed into a fresh full snapshot once the chain
-      holds eight segments;
     - [wal.log] — the write-ahead transaction log: every transaction
-      accepted since the last checkpoint, appended as one CRC-framed
-      record {e before} {!apply} acknowledges it.
+      accepted since the last full snapshot, appended as one CRC-framed
+      record {e before} {!apply} acknowledges it, cut into segments by
+      the marker records that soft {!checkpoint}s append; collapsed into
+      a fresh full snapshot once it holds eight segments.
 
     The store writes its own log.  Every write — {!apply}, {!batch},
     {!replica_apply} — is one step: admit through the hook-free
@@ -24,15 +22,18 @@
     count, ship and auto-compact.  An unbatched [apply] is a batch of
     one.
 
-    Recovery ({!open_}) loads the checkpoint, folds the delta chain and
-    then the log tail in lsn order, and {e truncates} the damaged file
-    at the first record that is torn, corrupt, out of sequence, or no
-    longer applies — damaged tails yield a positioned {!Recovered_at}
-    report, never an exception.  Records whose lsn is
-    already covered are skipped as duplicates, which is what makes both
-    compaction sequences (segment-append-then-reset and
-    snapshot-rewrite-then-reset) crash-safe at every intermediate
-    point.
+    Recovery ({!open_}) loads the checkpoint, folds the log in lsn
+    order, and {e truncates} it at the first record that is torn,
+    corrupt, out of sequence, or no longer applies — damaged tails yield
+    a positioned {!Recovered_at} report, never an exception.  Records
+    whose lsn is already covered are skipped as duplicates, which is
+    what makes the collapse (snapshot-rewrite-then-reset) crash-safe at
+    every intermediate point.
+
+    Stores written by older builds may also hold [delta.log], a chain of
+    segments copied out of the log.  Recovery folds it before the log
+    under the same lsn discipline, then collapses, which removes it; no
+    code path writes it any more.
 
     All I/O goes through an {!Io.t}, so the same code runs against real
     files ({!Io.real}) and against the fault-injecting harness
@@ -76,9 +77,10 @@ type report = {
   replayed : int;  (** log tail records re-applied *)
   skipped : int;  (** duplicate log records (lsn already covered) skipped *)
   tail : tail;
-  delta_segments : int;  (** delta-chain segments folded before the log *)
-  delta_replayed : int;  (** delta-chain records re-applied *)
-  delta_tail : tail;  (** how the delta chain itself ended *)
+      (** how the log ended; a damaged end of an older build's
+          [delta.log] shows here, with the file named in [reason], when
+          the log itself is clean *)
+  segments : int;  (** segment markers folded *)
 }
 
 val pp_report : Format.formatter -> report -> unit
@@ -104,10 +106,9 @@ val init :
   (t, error) result
 
 (** [open_ io] recovers a store: checkpoint load + one streaming pass
-    over the delta chain and the log ({!Wal.fold} — O(record) memory
-    however long the log), then truncates any damaged tail so
-    subsequent appends extend the durable prefix.  The returned
-    {!report} says how far recovery got.
+    over the log ({!Wal.fold} — O(record) memory however long the log),
+    then truncates any damaged tail so subsequent appends extend the
+    durable prefix.  The returned {!report} says how far recovery got.
 
     The tail is trusted: every logged record passed admission before it
     was acknowledged and the CRC frame vouches the bytes are unchanged,
@@ -132,16 +133,15 @@ val directory : t -> Directory.t
 (** Last durable log sequence number. *)
 val lsn : t -> int
 
-(** Current log size in bytes / records (since the last checkpoint). *)
+(** Current log size in bytes / transaction records (since the last
+    full snapshot; segment markers count as bytes, not records). *)
 val wal_bytes : t -> int
 
 val wal_records : t -> int
 
-(** Delta-chain length / size (segments folded since the last full
-    snapshot; zero right after a full {!checkpoint} or {!load}). *)
-val delta_segments : t -> int
-
-val delta_bytes : t -> int
+(** Segments marked in the log since the last full snapshot; zero right
+    after a full {!checkpoint} or {!load}. *)
+val segments : t -> int
 
 (** Session statistics accumulated {e across} crashes: the checkpoint
     header's totals plus everything the live session has done since.
@@ -182,19 +182,17 @@ val apply : t -> Update.op list -> Admission.result
     programming error. *)
 val batch : t -> (unit -> 'a) -> 'a * Admission.result list
 
-(** Compact in O(Δ): fold the current log into the delta chain — one
-    append of the already-framed record bytes behind a segment marker —
-    then reset the log.  Once the chain holds eight segments (or with
-    [~full:true]), collapse instead:
-    rewrite the whole snapshot (atomic replace), drop the chain, reset
-    the log — the old O(|D|) behaviour, now amortized over the chain.
+(** Compact in O(1): close the current segment by appending one marker
+    record to the log; nothing is read or copied, and a log with no
+    records since the last marker gets none.  Once the log holds eight
+    segments (or with [~full:true]), collapse instead: rewrite the whole
+    snapshot (atomic replace), reset the log — O(|D|), amortized over
+    the segments.
 
-    Recovery folds base + delta chain + log under one lsn discipline, so
-    every intermediate state of either sequence recovers: a torn segment
-    append truncates to whole records while the un-reset log still holds
-    the same lsns; a crash between append and log reset leaves
-    duplicates that replay skips; a crash inside a collapse leaves
-    delta/log records the new snapshot already covers. *)
+    Every intermediate state recovers: a torn marker is a torn tail,
+    which recovery cuts without losing a transaction; a crash inside a
+    collapse leaves log records the new snapshot already covers, which
+    replay skips. *)
 val checkpoint : ?full:bool -> t -> unit
 
 (** [load t feed] — streaming bulk load.  [feed add] drives the load,
@@ -250,8 +248,7 @@ type ship =
 val set_ship_hook : t -> (ship -> unit) option -> unit
 
 (** [records_from t ~lsn] — catch a subscriber up: every durable record
-    with lsn strictly greater than [lsn], oldest first (delta chain,
-    then log).  [`Too_old] when the base checkpoint already folded lsns
+    with lsn strictly greater than [lsn], oldest first.  [`Too_old] when the base checkpoint already folded lsns
     past [lsn] (or [lsn] is beyond this store's history): the
     subscriber needs a {!boot_blob} bootstrap instead. *)
 val records_from :

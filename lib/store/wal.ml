@@ -26,14 +26,6 @@ let fold io path f init =
       in
       go init 0
 
-(* Lsn-addressed replay for replication catch-up: skip every record a
-   subscriber already holds (lsn ≤ [lsn]) and the lsn-0 segment markers,
-   stream the rest.  Same totality as [fold]. *)
-let fold_from io path ~lsn f init =
-  fold io path
-    (fun acc r -> if r.lsn <= lsn then acc else f acc r)
-    init
-
 type scan = {
   records : record list;
   end_offset : int;

@@ -31,13 +31,6 @@ type 'a folded = {
     a positioned reason and never raises. *)
 val fold : Io.t -> string -> ('a -> record -> 'a) -> 'a -> 'a folded
 
-(** [fold_from io path ~lsn f init] — {!fold} restricted to records with
-    lsn strictly greater than [lsn]: the catch-up read of WAL shipment
-    (a subscriber names the last lsn it holds; segment markers carry
-    lsn 0 and are skipped with the other duplicates). *)
-val fold_from :
-  Io.t -> string -> lsn:int -> ('a -> record -> 'a) -> 'a -> 'a folded
-
 type scan = {
   records : record list;  (** the longest decodable prefix, in order *)
   end_offset : int;  (** where that prefix ends *)

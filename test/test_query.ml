@@ -1005,6 +1005,49 @@ let prop_rank_table_sparse =
                absent)
         [ v1; v2; v3 ])
 
+(* P7's shape: 10^5 persons under one unit with ids from 6 000 000,
+   across the 2^18 multiple at 6 029 312 (the table's capacity at this
+   size), then 200 base entries with small ids placed after them in
+   preorder.  Building the index, looking up every person and looking
+   the base entries up 100 times must cost about what the same shape
+   shifted off the boundary costs: a table whose homes cluster at the
+   boundary turns the build and the lookups quadratic, and one that
+   probes linearly walks the persons' whole run of slots for each base
+   entry homed inside it.  CPU time, best of two. *)
+let test_rank_table_boundary () =
+  let n = 100_000 and base = 200 in
+  let cost start =
+    let rec persons i k =
+      if k = n then i else persons (Instance.add_child_exn ~parent:1 (mk (start + k) "person") i) (k + 1)
+    in
+    let rec bases i k =
+      if k = base then i else bases (Instance.add_child_exn ~parent:0 (mk (2 + k) "person") i) (k + 1)
+    in
+    let inst =
+      Instance.empty
+      |> Instance.add_root_exn (mk 0 "org")
+      |> Instance.add_child_exn ~parent:0 (mk 1 "unit")
+      |> fun i -> bases (persons i 0) 0
+    in
+    let run () =
+      let t0 = Sys.time () in
+      let ix = Index.create inst in
+      for k = 0 to n - 1 do
+        ignore (Index.rank ix (start + k))
+      done;
+      for _ = 1 to 100 do
+        for k = 0 to base - 1 do
+          ignore (Index.rank ix (2 + k))
+        done
+      done;
+      Sys.time () -. t0
+    in
+    Float.min (run ()) (run ())
+  in
+  let across = cost 6_000_000 and off = cost 6_030_000 in
+  if across > 4. *. off then
+    Alcotest.failf "ids across the boundary cost %.3fs, shifted off it %.3fs" across off
+
 (* extent_of_rank really brackets the subtree *)
 let prop_extent_brackets_subtree =
   QCheck.Test.make ~name:"preorder extents bracket subtrees" ~count:200
@@ -1077,6 +1120,8 @@ let () =
           Alcotest.test_case "vindex agreement" `Quick test_vindex_agrees;
           Alcotest.test_case "neighbourhood boundaries" `Quick test_neighbourhood_boundaries;
         ] );
+      ( "rank-table",
+        [ Alcotest.test_case "dense ids across a capacity boundary" `Quick test_rank_table_boundary ] );
       ( "plan",
         [
           Alcotest.test_case "range edge cases" `Quick test_plan_range_edges;

@@ -305,7 +305,8 @@ let test_duplicate_tail () =
   let fs, st0 = fresh_store () in
   ignore st0;
   (* script ops: 0 append, 1 append, then full checkpoint = 2 tmp write,
-     3 rename, 4 delta reset, 5 log reset; crash before the resets *)
+     3 rename, 4 delta.log removal, 5 log reset; crash before the last
+     two *)
   let faulty = Io.faulty ~faults:[ Io.Crash_at 4 ] (Io.mem fs) in
   let st, _ = get_store "open faulty" (Store.open_ faulty) in
   let _ = get_apply "t1" (Store.apply st txn1) in
@@ -369,38 +370,54 @@ let test_checkpoint_empty_log () =
   (* stats survived the compaction *)
   check_int "applied carried" 2 (Store.stats st').Checkpoint.applied
 
-(* --- delta checkpoints ----------------------------------------------------- *)
+(* --- segment markers -------------------------------------------------------- *)
 
-let test_delta_checkpoint () =
+let marker = Wal.encode_record ~lsn:0 []
+let rec_ lsn txn = Wal.encode_record ~lsn txn
+let txn4 = ins 103 "wal4"
+
+(* every record [records_from ~lsn:0] returns, re-encoded *)
+let all_records st =
+  match Store.records_from st ~lsn:0 with
+  | `Records rs -> List.map (fun (lsn, ops) -> rec_ lsn ops) rs
+  | `Too_old -> Alcotest.fail "records_from 0: too old"
+
+let test_soft_checkpoint () =
   let fs, st = fresh_store () in
   let _ = get_apply "t1" (Store.apply st txn1) in
   let _ = get_apply "t2" (Store.apply st txn2) in
   Store.checkpoint st;
-  check_int "wal reset" 0 (Store.wal_bytes st);
-  check_int "one segment" 1 (Store.delta_segments st);
+  check_int "one segment" 1 (Store.segments st);
+  check "the log is its records then one marker" true
+    (Io.read_fs fs Store.wal_file = Some (rec_ 1 txn1 ^ rec_ 2 txn2 ^ marker));
+  check_int "log bytes" (2 * r1 + String.length marker) (Store.wal_bytes st);
+  check_int "records kept" 2 (Store.wal_records st);
   let _ = get_apply "t3" (Store.apply st txn3) in
   Store.checkpoint st;
-  check_int "two segments" 2 (Store.delta_segments st);
+  check_int "two segments" 2 (Store.segments st);
   (* the base snapshot was not rewritten: still the lsn-0 image *)
   let meta =
     Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
   in
   check_int "base lsn" 0 meta.Checkpoint.lsn;
-  let st', report = reopen "delta reopen" fs in
+  check "no delta.log" true (Io.read_fs fs Store.delta_file = None);
+  check "records_from 0 is complete" true
+    (all_records st = [ rec_ 1 txn1; rec_ 2 txn2; rec_ 3 txn3 ]);
+  let st', report = reopen "marked reopen" fs in
   check_int "lsn" 3 (Store.lsn st');
   check_int "checkpoint lsn" 0 report.Store.checkpoint_lsn;
-  check_int "delta segments" 2 report.Store.delta_segments;
-  check_int "delta replayed" 3 report.Store.delta_replayed;
-  check_int "wal replayed" 0 report.Store.replayed;
-  check "delta clean" true (report.Store.delta_tail = Store.Clean);
-  check "wal clean" true (report.Store.tail = Store.Clean);
-  check_state "delta" st' (after [ txn1; txn2; txn3 ]);
-  (* an empty log folds to nothing: no marker-only segments *)
+  check_int "segments" 2 report.Store.segments;
+  check_int "replayed" 3 report.Store.replayed;
+  check "clean" true (report.Store.tail = Store.Clean);
+  check_state "marked" st' (after [ txn1; txn2; txn3 ]);
+  (* no record since the last marker: no marker-only segment *)
+  let bytes = Store.wal_bytes st' in
   Store.checkpoint st';
-  check_int "no empty segment" 2 (Store.delta_segments st')
+  check_int "no empty segment" 2 (Store.segments st');
+  check_int "nothing appended" bytes (Store.wal_bytes st')
 
-let test_delta_collapse () =
-  (* the chain holds at most eight segments: eight checkpointed
+let test_collapse () =
+  (* the log holds at most eight segments: eight checkpointed
      transactions fill it, the ninth checkpoint collapses it *)
   let fs, st = fresh_store () in
   let txns =
@@ -410,10 +427,11 @@ let test_delta_collapse () =
     (fun i txn ->
       let _ = get_apply (Printf.sprintf "t%d" (i + 1)) (Store.apply st txn) in
       Store.checkpoint st;
-      if i < 8 then check_int "chain grows" (i + 1) (Store.delta_segments st))
+      if i < 8 then check_int "segments grow" (i + 1) (Store.segments st))
     txns;
-  (* chain was at the threshold: the ninth collapsed to a full snapshot *)
-  check_int "collapsed" 0 (Store.delta_segments st);
+  (* the log was at the threshold: the ninth collapsed to a full snapshot *)
+  check_int "collapsed" 0 (Store.segments st);
+  check_int "log reset" 0 (Store.wal_bytes st);
   let meta =
     Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
   in
@@ -422,61 +440,87 @@ let test_delta_collapse () =
   let st', report = reopen "collapse reopen" fs in
   check_int "lsn" 9 (Store.lsn st');
   check_int "checkpoint lsn" 9 report.Store.checkpoint_lsn;
-  check_int "delta segments" 0 report.Store.delta_segments;
-  check "delta clean" true (report.Store.delta_tail = Store.Clean);
+  check_int "segments" 0 report.Store.segments;
+  check "clean" true (report.Store.tail = Store.Clean);
   check_state "collapse" st' (after txns)
 
-let test_delta_torn_segment () =
-  (* a torn segment append: the chain truncates back to whole records,
-     and the log — not yet reset when the crash hit — still holds every
-     record of the segment *)
+let test_torn_marker () =
+  (* a torn marker append is a torn tail: recovery cuts it, and every
+     acknowledged record before it stays *)
   let fs, st0 = fresh_store () in
   ignore st0;
-  (* ops: 0 append, 1 append, 2 delta segment append, 3 log reset *)
+  (* ops: 0 append, 1 append, 2 marker append *)
   let faulty = Io.faulty ~faults:[ Io.Tear { op = 2; keep = 5 } ] (Io.mem fs) in
   let st, _ = get_store "open faulty" (Store.open_ faulty) in
   let _ = get_apply "t1" (Store.apply st txn1) in
   let _ = get_apply "t2" (Store.apply st txn2) in
   (match Store.checkpoint st with
   | exception Io.Crash -> ()
-  | () -> Alcotest.fail "delta checkpoint survived the scheduled tear");
-  let st', report = reopen "torn segment" fs in
+  | () -> Alcotest.fail "soft checkpoint survived the scheduled tear");
+  let st', report = reopen "torn marker" fs in
   check_int "lsn" 2 (Store.lsn st');
-  check_int "wal replayed" 2 report.Store.replayed;
-  (match report.Store.delta_tail with
-  | Store.Recovered_at { offset = 0; _ } -> ()
-  | _ -> Alcotest.fail "delta tail was not truncated at byte 0");
-  check_state "torn segment" st' (after [ txn1; txn2 ]);
-  (* the next delta checkpoint extends the truncated chain cleanly *)
+  check_int "replayed" 2 report.Store.replayed;
+  check_int "no segment" 0 report.Store.segments;
+  expect_recovered "torn marker" ~offset:(2 * r1)
+    ~reason:"truncated frame header" report;
+  check_state "torn marker" st' (after [ txn1; txn2 ]);
+  (* the next soft checkpoint extends the cut log cleanly *)
   Store.checkpoint st';
-  check_int "segment after heal" 1 (Store.delta_segments st');
+  check_int "segment after heal" 1 (Store.segments st');
   let st'', report' = reopen "healed" fs in
   check_int "healed lsn" 2 (Store.lsn st'');
-  check "healed delta clean" true (report'.Store.delta_tail = Store.Clean);
-  check_int "healed delta replayed" 2 report'.Store.delta_replayed;
+  check "healed clean" true (report'.Store.tail = Store.Clean);
+  check_int "healed segments" 1 report'.Store.segments;
   check_state "healed" st'' (after [ txn1; txn2 ])
 
-let test_delta_duplicate_log () =
-  (* crash between the segment append and the log reset: delta chain and
-     log hold the same lsns; replay applies them once and skips the
-     duplicates *)
+(* A store as an older build left it: [delta.log] and [wal.log] written
+   byte for byte, the segment marker heading each copied segment.  Both
+   recovery engines must open it at [lsn] on [txns], collapse it (no
+   [delta.log] left, the snapshot at [lsn]), and reopen clean. *)
+let check_legacy what ~delta ~wal ~lsn txns =
   let fs, st0 = fresh_store () in
   ignore st0;
-  let faulty = Io.faulty ~faults:[ Io.Crash_at 3 ] (Io.mem fs) in
-  let st, _ = get_store "open faulty" (Store.open_ faulty) in
-  let _ = get_apply "t1" (Store.apply st txn1) in
-  let _ = get_apply "t2" (Store.apply st txn2) in
-  (match Store.checkpoint st with
-  | exception Io.Crash -> ()
-  | () -> Alcotest.fail "delta checkpoint survived the scheduled crash");
-  let st', report = reopen "duplicate log" fs in
-  check_int "lsn" 2 (Store.lsn st');
-  check_int "delta segments" 1 report.Store.delta_segments;
-  check_int "delta replayed" 2 report.Store.delta_replayed;
-  check_int "log duplicates skipped" 2 report.Store.skipped;
-  check "delta clean" true (report.Store.delta_tail = Store.Clean);
-  check "wal clean" true (report.Store.tail = Store.Clean);
-  check_state "duplicate log" st' (after [ txn1; txn2 ])
+  Io.write_fs fs Store.delta_file delta;
+  Io.write_fs fs Store.wal_file wal;
+  let st_c, _ =
+    get_store (what ^ ": checked") (Store.Private.open_checked (Io.mem (Io.copy_fs fs)))
+  in
+  check_int (what ^ ": checked lsn") lsn (Store.lsn st_c);
+  check_state (what ^ ": checked") st_c (after txns);
+  let st, _ = reopen what fs in
+  check_int (what ^ ": lsn") lsn (Store.lsn st);
+  check_state what st (after txns);
+  check (what ^ ": no delta.log") true (Io.read_fs fs Store.delta_file = None);
+  let meta =
+    Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
+  in
+  check_int (what ^ ": collapsed") lsn meta.Checkpoint.lsn;
+  check_int (what ^ ": applied carried") lsn meta.Checkpoint.applied;
+  let st', report = reopen (what ^ ": reopen") fs in
+  check (what ^ ": reopen clean") true (report.Store.tail = Store.Clean);
+  check_int (what ^ ": reopen lsn") lsn (Store.lsn st');
+  check_state (what ^ ": reopen") st' (after txns)
+
+let test_legacy_segment () =
+  (* two copied segments, then a log tail *)
+  check_legacy "legacy segments"
+    ~delta:(marker ^ rec_ 1 txn1 ^ rec_ 2 txn2 ^ marker ^ rec_ 3 txn3)
+    ~wal:(rec_ 4 txn4) ~lsn:4 [ txn1; txn2; txn3; txn4 ]
+
+let test_legacy_torn_segment () =
+  (* the segment append tore inside its second record; the log, not yet
+     reset, still holds both records *)
+  let segment = marker ^ rec_ 1 txn1 ^ rec_ 2 txn2 in
+  check_legacy "legacy torn segment"
+    ~delta:(String.sub segment 0 (String.length marker + r1 + 10))
+    ~wal:(rec_ 1 txn1 ^ rec_ 2 txn2) ~lsn:2 [ txn1; txn2 ]
+
+let test_legacy_duplicate_log () =
+  (* a crash between the segment append and the log reset: both files
+     hold the same lsns, applied once and skipped once *)
+  check_legacy "legacy duplicate log"
+    ~delta:(marker ^ rec_ 1 txn1 ^ rec_ 2 txn2)
+    ~wal:(rec_ 1 txn1 ^ rec_ 2 txn2) ~lsn:2 [ txn1; txn2 ]
 
 let test_auto_checkpoint () =
   let fs = Io.fresh_fs () in
@@ -485,17 +529,24 @@ let test_auto_checkpoint () =
       (Store.init ~auto_checkpoint:2 (Io.mem fs) WP.schema WP.instance)
   in
   let _ = get_apply "t1" (Store.apply st txn1) in
-  check_int "one record pending" 1 (Store.wal_records st);
+  check_int "no segment yet" 0 (Store.segments st);
   let _ = get_apply "t2" (Store.apply st txn2) in
-  (* second record crossed the threshold: compacted into a delta segment *)
-  check_int "log reset" 0 (Store.wal_records st);
-  check_int "delta segment" 1 (Store.delta_segments st);
+  (* the second record crossed the threshold: its segment is marked *)
+  check_int "one segment" 1 (Store.segments st);
+  check_int "records kept" 2 (Store.wal_records st);
+  let _ = get_apply "t3" (Store.apply st txn3) in
   let st', report = reopen "auto checkpoint" fs in
-  check_int "lsn" 2 (Store.lsn st');
+  check_int "lsn" 3 (Store.lsn st');
   check "clean" true (report.Store.tail = Store.Clean);
-  check_int "delta segments recovered" 1 report.Store.delta_segments;
-  check_int "delta replayed" 2 report.Store.delta_replayed;
-  check_state "auto checkpoint" st' (after [ txn1; txn2 ])
+  check_int "segments recovered" 1 report.Store.segments;
+  check_int "replayed" 3 report.Store.replayed;
+  check_state "auto checkpoint" st' (after [ txn1; txn2; txn3 ]);
+  (* recovery counted t3 into the open segment: t4 closes it *)
+  let st', _ =
+    get_store "auto reopen" (Store.open_ ~auto_checkpoint:2 (Io.mem fs))
+  in
+  let _ = get_apply "t4" (Store.apply st' txn4) in
+  check_int "second segment" 2 (Store.segments st')
 
 (* A write whose append fails without crashing (ENOSPC, say) rolls back
    and counts nothing: [applied] moves only once a record is durable,
@@ -552,18 +603,18 @@ let test_init_guards () =
 
 (* --- crash-point property -------------------------------------------------- *)
 
-(* One scripted session: some transactions, an O(Δ) delta checkpoint in
-   the middle, more transactions, and a full (collapse) checkpoint at
-   the end — so the crash points cover every intermediate state of both
-   compaction sequences (segment-append + log-reset, and
-   snapshot-rewrite + delta-reset + log-reset with a non-empty chain).
+(* One scripted session: some transactions, a soft checkpoint (one
+   segment marker) in the middle, more transactions, and a full
+   (collapse) checkpoint at the end — so the crash points cover every
+   intermediate state of both compactions (the marker append, and
+   snapshot-rewrite + delta.log removal + log-reset over a marked log).
    [run] drives it against any handle, counting the transactions
    acknowledged before a crash (if any). *)
 type script = {
   schema : Schema.t;
   seed_inst : Instance.t;
   txns : Update.op list list;  (* every one accepted in the clean run *)
-  ckpt_after : int;  (* delta checkpoint once this many txns are in *)
+  ckpt_after : int;  (* soft checkpoint once this many txns are in *)
   ckpt_full_after : int;  (* full checkpoint once this many txns are in *)
   states : Instance.t array;  (* states.(k) = seed + first k txns *)
 }
@@ -848,8 +899,7 @@ let feed entries add =
     (Ok ()) entries
 
 let store_files fs =
-  List.map (Io.read_fs fs)
-    [ Store.schema_file; Store.checkpoint_file; Store.delta_file; Store.wal_file ]
+  List.map (Io.read_fs fs) [ Store.schema_file; Store.checkpoint_file; Store.wal_file ]
 
 let test_illegal_tail () =
   (* a CRC-valid next-lsn record that was never admitted: trusted
@@ -978,12 +1028,14 @@ let () =
           Alcotest.test_case "empty log" `Quick test_empty_log;
           Alcotest.test_case "checkpoint + empty log" `Quick
             test_checkpoint_empty_log;
-          Alcotest.test_case "delta checkpoint" `Quick test_delta_checkpoint;
-          Alcotest.test_case "delta collapse" `Quick test_delta_collapse;
+          Alcotest.test_case "delta checkpoint" `Quick test_soft_checkpoint;
+          Alcotest.test_case "delta collapse" `Quick test_collapse;
+          Alcotest.test_case "torn marker" `Quick test_torn_marker;
+          Alcotest.test_case "legacy segments" `Quick test_legacy_segment;
           Alcotest.test_case "delta torn segment" `Quick
-            test_delta_torn_segment;
+            test_legacy_torn_segment;
           Alcotest.test_case "delta duplicate log" `Quick
-            test_delta_duplicate_log;
+            test_legacy_duplicate_log;
           Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
           Alcotest.test_case "failed write not counted" `Quick
             test_failed_write_not_counted;
