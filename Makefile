@@ -39,7 +39,10 @@ bench-write:
 # must exit within 2 s of SIGTERM, and a daemon limited to 24 file
 # descriptors must answer every request of a 30-client burst (its own
 # uid tag, so its writes do not collide with the first burst's) and
-# still answer a ping.
+# still answer a ping.  Last, on a 2521-entry store, one connection
+# lists every entry (a reply over 64 KiB, which grows the connection's
+# buffer and drops it back) and then one uid; both must match
+# `query --store` on the same store.
 serve-smoke:
 	@dune build bin/ldapschema.exe
 	@tmp=$$(mktemp -d); bin=_build/default/bin/ldapschema.exe; \
@@ -78,7 +81,27 @@ serve-smoke:
 	  || { echo "serve-smoke: no ping answer after the burst under ulimit -n 24"; kill -9 $$pid; exit 1; }; \
 	$$bin client --port $$port shutdown >/dev/null || exit 1; \
 	wait $$pid; \
-	echo "serve-smoke: ok (daemon exited cleanly; SIGTERM stops it idle; it survives running out of descriptors)"
+	$$bin generate --units 120 --persons 20 --out $$tmp/big.ldif \
+	  --emit-schema $$tmp/big.spec 2>/dev/null; \
+	$$bin update --store $$tmp/big -s $$tmp/big.spec -d $$tmp/big.ldif \
+	  -o $$tmp/empty.ldif >/dev/null; \
+	$$bin serve $$tmp/big --port 0 > $$tmp/big.out 2>&1 & pid=$$!; \
+	port=$$(port_of $$tmp/big.out) || { echo "serve-smoke: big-store daemon never bound"; kill $$pid; exit 1; }; \
+	$$bin client --port $$port query '(objectClass=*)' > $$tmp/all.wire \
+	  && $$bin client --port $$port query '(uid=u3p4)' > $$tmp/one.wire \
+	  || { echo "serve-smoke: big-store query failed"; kill $$pid; exit 1; }; \
+	$$bin client --port $$port shutdown >/dev/null || exit 1; \
+	wait $$pid; \
+	[ "$$(head -1 $$tmp/all.wire)" = 2521 ] && [ $$(wc -c < $$tmp/all.wire) -gt 65536 ] \
+	  && [ "$$(head -1 $$tmp/one.wire)" = 1 ] \
+	  || { echo "serve-smoke: expected 2521 DNs (over 64 KiB), then 1"; exit 1; }; \
+	for q in 'all (objectClass=*)' 'one (uid=u3p4)'; do \
+	  f=$${q%% *}; \
+	  $$bin query --store $$tmp/big "$${q#* }" 2>/dev/null | tail -n +2 > $$tmp/$$f.local; \
+	  tail -n +2 $$tmp/$$f.wire | cmp -s - $$tmp/$$f.local \
+	    || { echo "serve-smoke: served $${q#* } differs from query --store"; exit 1; }; \
+	done; \
+	echo "serve-smoke: ok (daemon exited cleanly; SIGTERM stops it idle; it survives running out of descriptors; a listing over 64 KiB, then a one-DN one, match the store)"
 
 # Replication round-trip: serve a store with --replicate, bootstrap a
 # replica over the wire, drive writes, kill -9 the replica mid-stream,

@@ -233,8 +233,11 @@ let consistent_cmd =
 (* --- query --------------------------------------------------------------- *)
 
 let print_ids inst ids =
-  Printf.printf "%d entries\n" (List.length ids);
-  List.iter (Printf.printf "%s\n") (Instance.dns inst ids)
+  let o = Outbuf.create 4096 in
+  Outbuf.add_string o (Printf.sprintf "%d entries" (List.length ids));
+  ignore (Instance.add_dns inst o ids);
+  Outbuf.add_char o '\n';
+  output stdout o.bytes 0 o.len
 
 let query schema_path data_path expr explain store =
   let q =
@@ -441,13 +444,16 @@ let update schema_path data_path ops_path out_path stats store every =
             or_die (parse_changes ~typing inst (read_file ops_path))
           in
           match Store.apply st ops with
-          | Admission.Accepted _ ->
+          | Admission.Accepted { lsn; _ } ->
               let d = Store.directory st in
               Printf.printf
                 "transaction accepted: %d operation(s), %d entries now\n"
                 (List.length ops) (Directory.size d);
-              Printf.printf "logged at lsn %d (%d record(s), %d bytes)\n"
-                (Store.lsn st) (Store.wal_records st) (Store.wal_bytes st);
+              (* an empty transaction takes no lsn *)
+              if lsn = None then print_endline "nothing logged"
+              else
+                Printf.printf "logged at lsn %d (%d record(s), %d bytes)\n"
+                  (Store.lsn st) (Store.wal_records st) (Store.wal_bytes st);
               if stats then
                 Format.printf "%a@." Directory.pp_stats (Directory.stats d);
               write_out out_path d;

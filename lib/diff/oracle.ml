@@ -1093,7 +1093,8 @@ let store_roundtrip =
                             if accepted = 0 then Store.checkpoint st;
                             match (store_v, twin_v) with
                             | Admission.Accepted _, Admission.Accepted _ ->
-                                drive twin' (accepted + 1) rest
+                                (* an empty transaction takes no lsn *)
+                                drive twin' (if ops = [] then accepted else accepted + 1) rest
                             | Admission.Rejected _, Admission.Rejected _ ->
                                 drive twin accepted rest
                             | Admission.Accepted _, Admission.Rejected { reason; _ }

@@ -43,7 +43,7 @@ let object_class_values e =
 
 let values e a =
   if Attr.equal a Attr.object_class then object_class_values e
-  else match Attr.Map.find_opt a e.attrs with Some vs -> vs | None -> []
+  else match Attr.Map.find a e.attrs with vs -> vs | exception Not_found -> []
 
 let has_attr e a =
   if Attr.equal a Attr.object_class then true else Attr.Map.mem a e.attrs

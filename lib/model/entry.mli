@@ -34,6 +34,8 @@ val n_classes : t -> int
     [values e objectClass] synthesizes the class names as strings. *)
 val values : t -> Attr.t -> Value.t list
 
+(** [has_attr e a] is [values e a <> []]: a stored attribute is never
+    bound to an empty value list. *)
 val has_attr : t -> Attr.t -> bool
 val has_pair : t -> Attr.t -> Value.t -> bool
 

@@ -234,23 +234,88 @@ let node_dn n parent_dn =
       Bytes.blit_string p 0 b (lr + 1) lp;
       Bytes.unsafe_to_string b
 
-(* [memo] holds the DN of every entry with children rendered so far —
-   the only DNs a later id can reuse — so each ancestor is rendered
-   once per memo, from its own parent's. *)
-let rec memo_dn memo t id =
-  match Itbl.find_opt memo id with
-  | Some s -> s
-  | None ->
-      let n = match Imap.find_opt id t.nodes with Some n -> n | None -> raise Not_found in
-      let s = node_dn n (Option.map (memo_dn memo t) n.parent) in
-      if n.rev_children <> [] then Itbl.add memo id s;
-      s
+(* The DN whose rdns below [n] take its first [pos] bytes: the walk up
+   sums the lengths, the root creates the one [Bytes] the sum fills, and
+   each node writes its rdn (and the comma after it) as the walk
+   returns, from the root end back to the leaf. *)
+let rec fill_dn nodes n pos =
+  let rdn = Entry.rdn n.entry in
+  let stop = pos + String.length rdn in
+  let b =
+    match n.parent with
+    | None -> Bytes.create stop
+    | Some p ->
+        let b = fill_dn nodes (Imap.find p nodes) (stop + 1) in
+        Bytes.set b stop ',';
+        b
+  in
+  Bytes.blit_string rdn 0 b pos (String.length rdn);
+  b
 
-let dns t ids =
+(* One allocation; a root's DN is its rdn itself. *)
+let dn t id =
+  let n = Imap.find id t.nodes in
+  match n.parent with
+  | None -> Entry.rdn n.entry
+  | Some _ -> Bytes.unsafe_to_string (fill_dn t.nodes n 0)
+
+(* A memo entry is where a DN already sits in the listing's buffer: its
+   offset and length packed in one int, so a hit allocates nothing. *)
+let span off len = (off lsl 32) lor len
+
+(* The next piece would take the buffer past the call's limit. *)
+exception Full
+
+let room (o : Outbuf.t) limit n = if o.len + n > limit then raise Full
+
+(* Append node [n]'s DN: its rdn, then — unless it is a root — a comma
+   and its parent's DN, copied from earlier in [o] when [memo] has it,
+   else rendered here the same way.  A node with children records where
+   its DN sits as the walk returns, so each ancestor is rendered once
+   per call, as the suffix of the first DN below it. *)
+let rec add_node_dn nodes memo limit (o : Outbuf.t) id n =
+  let start = o.len in
+  let rdn = Entry.rdn n.entry in
+  room o limit (String.length rdn + 1);
+  Outbuf.add_string o rdn;
+  (match n.parent with
+  | None -> ()
+  | Some p -> (
+      Outbuf.add_char o ',';
+      match Itbl.find memo p with
+      | s ->
+          room o limit (s land 0xFFFF_FFFF);
+          Outbuf.add_copy o (s lsr 32) (s land 0xFFFF_FFFF)
+      | exception Not_found -> add_node_dn nodes memo limit o p (Imap.find p nodes)));
+  if n.rev_children <> [] then Itbl.add memo id (span start (o.len - start))
+
+let add_dn nodes memo limit (o : Outbuf.t) id =
+  let n = Imap.find id nodes in
+  room o limit 1;
+  Outbuf.add_char o '\n';
+  (* only an entry with children can be in the memo *)
+  if n.rev_children <> [] && Itbl.mem memo id then begin
+    let s = Itbl.find memo id in
+    room o limit (s land 0xFFFF_FFFF);
+    Outbuf.add_copy o (s lsr 32) (s land 0xFFFF_FFFF)
+  end
+  else add_node_dn nodes memo limit o id n
+
+(* The first DN of a call is rendered whatever its length, so a caller
+   that sends what fits and calls again with the rest always advances. *)
+let add_dns ?(limit = max_int) t o ids =
   let memo = Itbl.create 16 in
-  List.map (memo_dn memo t) ids
-
-let dn t id = memo_dn (Itbl.create 1) t id
+  let rec go limit' = function
+    | [] -> []
+    | id :: rest as ids -> (
+        let mark = o.Outbuf.len in
+        match add_dn t.nodes memo limit' o id with
+        | () -> go limit rest
+        | exception Full ->
+            o.len <- mark;
+            ids)
+  in
+  go max_int ids
 
 let iter_preorder_dn f t =
   let rec go parent_dn id =

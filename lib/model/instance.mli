@@ -110,17 +110,25 @@ val max_id : t -> int
 val fresh_id : t -> Entry.id
 
 (** Distinguished name: rdns from the entry up to its root, joined with
-    commas (leaf first), e.g. ["uid=laks,ou=databases,o=att"].  The
-    one-id case of {!dns}.  Raises [Not_found] if [id] is absent. *)
+    commas (leaf first), e.g. ["uid=laks,ou=databases,o=att"].  One
+    allocation (none for a root, whose DN is its rdn).  Raises
+    [Not_found] if [id] is absent. *)
 val dn : t -> Entry.id -> string
 
-(** [dns t ids] is [List.map (dn t) ids], rendered once per ancestor:
-    each DN is the entry's rdn joined to its parent's DN, and the DN of
-    every entry with children is kept for the rest of the call, so
-    siblings share their parent's string instead of each walking to the
-    root again.  Correct for ids in any order, repeats included; raises
-    [Not_found] on the first absent id. *)
-val dns : t -> Entry.id list -> string list
+(** [add_dns ?limit t o ids] appends, for each id in turn, a newline
+    and [dn t id] to [o]: the one renderer of DN listings (served
+    replies, the CLI).  Each DN is written straight into [o], and each
+    ancestor's DN is rendered once per call: where it landed in [o] is
+    remembered, so siblings copy their parent's DN from there instead
+    of walking to the root again.  With [limit], it stops before the
+    first DN (other than the first of the call) that would take
+    [o.len] past [limit], leaving [o] as it was after the DN before,
+    and returns the ids it did not render, so a caller can send what
+    fits and call again with the rest; without, it renders them all
+    and returns [[]].  Correct for ids in any order, repeats included;
+    raises [Not_found] on the first absent id, with the DNs before it
+    already appended. *)
+val add_dns : ?limit:int -> t -> Outbuf.t -> Entry.id list -> Entry.id list
 
 (** {!iter_preorder} (without the depth) with each entry's DN, rendered
     from its parent's as the walk descends: O(|D|) lookups in all, and

@@ -28,6 +28,22 @@ let top = "top"
 module Set = Set.Make (String)
 module Map = Map.Make (String)
 
+let is_capital c = 'A' <= c && c <= 'Z'
+
+(* [c = String.lowercase_ascii s] from byte [i], for a lowercase [c] as
+   long as [s]. *)
+let rec lowers_to c s i =
+  i = String.length c
+  || String.unsafe_get c i = Char.lowercase_ascii (String.unsafe_get s i)
+     && lowers_to c s (i + 1)
+
+(* Classes are lowercase, so a needle without capitals is looked up as
+   it is, and one with capitals is compared with each class in place. *)
+let mem_caseless s set =
+  if String.exists is_capital s then
+    Set.exists (fun c -> String.length c = String.length s && lowers_to c s 0) set
+  else Set.mem s set
+
 let set_of_list names = Set.of_list (List.map of_string names)
 
 let pp_set ppf s =

@@ -24,5 +24,11 @@ val top : t
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
+(** [mem_caseless s set]: some class in [set] equals [s] up to ASCII
+    case ([s] is not trimmed): [Set.mem] of the lowercased [s], without
+    lowercasing it.  Allocates nothing when [s] has no capital letter,
+    and one closure when it does. *)
+val mem_caseless : string -> Set.t -> bool
+
 val set_of_list : string list -> Set.t
 val pp_set : Format.formatter -> Set.t -> unit

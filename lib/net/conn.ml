@@ -6,22 +6,79 @@
    [Error], a clean close as [Ok None]. *)
 
 module Frame = Bounds_store.Frame
+module Outbuf = Bounds_model.Outbuf
 
 (* Refuse absurd frames before allocating: a corrupt or hostile length
    must not turn into a multi-gigabyte Bytes.create. *)
 let max_payload = 64 * 1024 * 1024
 
-let rec write_all fd s off len =
+let rec write_all fd b off len =
   if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
+    let n = Unix.write fd b off len in
+    write_all fd b (off + n) (len - n)
   end
 
 let send_parts fd parts =
-  let framed = Frame.encode_parts parts in
-  write_all fd framed 0 (String.length framed)
+  let framed = Bytes.unsafe_of_string (Frame.encode_parts parts) in
+  write_all fd framed 0 (Bytes.length framed)
 
 let send fd payload = send_parts fd [ payload ]
+
+(* A connection's buffer is one block of this size.  A payload that
+   does not fit is streamed through it rather than grown into a bigger
+   one, and a chunk that outgrows it all the same (one piece larger
+   than the block) is let go once the frame is sent. *)
+let retained = 64 * 1024
+
+type buffer = { out : Outbuf.t; home : Bytes.t }
+
+let buffer () =
+  let home = Bytes.create retained in
+  { out = { Outbuf.bytes = home; len = 0 }; home }
+
+let capacity b = Bytes.length b.out.bytes
+
+(* The common case renders the payload after the header's room, seals
+   the header over it in place and writes the frame with one call.  A
+   payload still unfinished when the block is full is streamed: the
+   header comes first on the wire but needs the whole payload's length
+   and CRC, so the chunks are produced once for those, then again, from
+   a fresh producer, to be written. *)
+let send_with b fd start =
+  let o = b.out in
+  let fill = start () in
+  o.len <- Frame.header_size;
+  if fill o then begin
+    let len = ref (o.len - Frame.header_size) in
+    let crc = ref (Frame.crc_extend 0l o.bytes Frame.header_size !len) in
+    let more = ref true in
+    while !more do
+      o.len <- 0;
+      more := fill o;
+      len := !len + o.len;
+      crc := Frame.crc_extend !crc o.bytes 0 o.len
+    done;
+    let fill = start () in
+    o.len <- Frame.header_size;
+    let more = ref (fill o) in
+    Frame.write_header o.bytes !len !crc;
+    write_all fd o.bytes 0 o.len;
+    while !more do
+      o.len <- 0;
+      more := fill o;
+      write_all fd o.bytes 0 o.len
+    done
+  end
+  else begin
+    Frame.seal o.bytes (o.len - Frame.header_size);
+    write_all fd o.bytes 0 o.len
+  end;
+  if o.bytes != b.home then o.bytes <- b.home
+
+let send_parts_with b fd parts =
+  send_with b fd (fun () o ->
+      List.iter (Outbuf.add_string o) parts;
+      false)
 
 (* Fill [buf] from [off] to its end; [Ok false] iff the peer closed
    cleanly before the first byte of the whole buffer. *)

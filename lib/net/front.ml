@@ -13,7 +13,7 @@ module Store = Bounds_store.Store
 
 type outcome =
   | Reply of Proto.response
-  | Feed of Proto.response * (Unix.file_descr -> unit)
+  | Feed of Proto.response * (Unix.file_descr -> Conn.buffer -> unit)
 
 type t = {
   listen_fd : Unix.file_descr;
@@ -75,45 +75,71 @@ let publish t snap =
 
 (* --- read evaluation ------------------------------------------------------ *)
 
-(* The reply body: the count, then one DN per line.  [Instance.dns]
-   renders each ancestor once for the whole listing. *)
-let dn_listing inst ids =
-  String.concat "\n" (string_of_int (List.length ids) :: Instance.dns inst ids)
+type answer = (Instance.t * Entry.id list, string) result
 
-let serve_query snap text =
+let query_answer snap text =
   match Bounds_query.Query_parser.parse text with
-  | Error e -> Proto.Failed ("query: " ^ Parse_error.to_string e)
-  | Ok q ->
-      let ids = Directory.Snapshot.query_ids_ro snap q in
-      Proto.Reply (dn_listing (Directory.Snapshot.instance snap) ids)
+  | Error e -> Error ("query: " ^ Parse_error.to_string e)
+  | Ok q -> Ok (Directory.Snapshot.instance snap, Directory.Snapshot.query_ids_ro snap q)
 
-let serve_search snap ~base ~scope ~filter =
-  match Bounds_query.Search.scope_of_string scope with
+let search_answer snap ~base ~scope ~filter =
+  let ( let* ) = Result.bind in
+  let* scope = Bounds_query.Search.scope_of_string scope in
+  let* filter =
+    Result.map_error
+      (fun e -> "filter: " ^ Parse_error.to_string e)
+      (Bounds_query.Filter_parser.parse filter)
+  in
+  let inst = Directory.Snapshot.instance snap in
+  let* base =
+    match base with
+    | None -> Ok None
+    | Some dn -> (
+        match Instance.resolve_dn inst dn with
+        | Some id -> Ok (Some id)
+        | None -> Error (Printf.sprintf "base %S not found" dn))
+  in
+  Ok (inst, Directory.Snapshot.search snap ~base scope filter)
+
+(* The reply body, after [head]: the count, then one DN per line.  The
+   producer's first call renders [head], the count and the DNs that fit
+   in [limit] bytes of [o], each later call the DNs that fit next; each
+   says whether any are left. *)
+let listing ?(head = "") ?limit (inst, ids) =
+  let first = ref true and rest = ref ids in
+  fun o ->
+    if !first then begin
+      first := false;
+      Outbuf.add_string o head;
+      Outbuf.add_string o (string_of_int (List.length ids))
+    end;
+    rest := Instance.add_dns ?limit inst o !rest;
+    !rest <> []
+
+let reply = function
   | Error e -> Proto.Failed e
-  | Ok scope -> (
-      match Bounds_query.Filter_parser.parse filter with
-      | Error e -> Proto.Failed ("filter: " ^ Parse_error.to_string e)
-      | Ok filter -> (
-          let inst = Directory.Snapshot.instance snap in
-          let base_id =
-            match base with
-            | None -> Ok None
-            | Some dn -> (
-                match Instance.resolve_dn inst dn with
-                | Some id -> Ok (Some id)
-                | None -> Error (Printf.sprintf "base %S not found" dn))
-          in
-          match base_id with
-          | Error e -> Proto.Failed e
-          | Ok base ->
-              let ids = Directory.Snapshot.search snap ~base scope filter in
-              Proto.Reply (dn_listing inst ids)))
+  | Ok answer ->
+      let o = Outbuf.create 256 in
+      ignore (listing answer o);
+      Proto.Reply (Outbuf.contents o)
+
+let serve_query snap text = reply (query_answer snap text)
+let serve_search snap ~base ~scope ~filter = reply (search_answer snap ~base ~scope ~filter)
+
+(* The listing is rendered after the verb line straight into the
+   connection's frame buffer, a block at a time: the same bytes as
+   [reply]'s, never a block of their size. *)
+let send_answer out fd = function
+  | Error e -> Conn.send_parts_with out fd (Proto.response_parts (Proto.Failed e))
+  | Ok answer ->
+      Conn.send_with out fd (fun () ->
+          listing ~head:Proto.reply_line ~limit:(Conn.capacity out) answer)
 
 (* Nothing is published until a replica first synchronizes; a server
    publishes before it serves. *)
 let read t eval =
   match Atomic.get t.current with
-  | None -> Proto.Failed "replica not yet synchronized"
+  | None -> Error "replica not yet synchronized"
   | Some snap ->
       let r = eval snap in
       Atomic.incr t.reads;
@@ -145,8 +171,10 @@ let stop t =
     shutdown t.listen_fd
   end
 
+(* Every response on the connection is framed in its one buffer. *)
 let connection t ~handle ~stats fd =
-  let send r = Conn.send_parts fd (Proto.response_parts r) in
+  let out = Conn.buffer () in
+  let send r = Conn.send_parts_with out fd (Proto.response_parts r) in
   let rec loop role =
     match Conn.recv fd with
     | Ok None | Error _ -> ()  (* clean close, torn frame: drop the conn *)
@@ -178,10 +206,10 @@ let connection t ~handle ~stats fd =
             send (Proto.Reply "stopping");
             stop t
         | Ok (Proto.Query text) ->
-            send (read t (fun snap -> serve_query snap text));
+            send_answer out fd (read t (fun snap -> query_answer snap text));
             loop role
         | Ok (Proto.Search { base; scope; filter }) ->
-            send (read t (fun snap -> serve_search snap ~base ~scope ~filter));
+            send_answer out fd (read t (fun snap -> search_answer snap ~base ~scope ~filter));
             loop role
         | Ok req -> (
             match handle ~role req with
@@ -190,7 +218,7 @@ let connection t ~handle ~stats fd =
                 loop role
             | Feed (r, feed) ->
                 send r;
-                feed fd))
+                feed fd out))
   in
   (try loop Proto.Reader with Unix.Unix_error _ -> ());
   Mutex.protect t.m (fun () ->
@@ -208,6 +236,10 @@ let accept_loop t ~handle ~stats =
           loop ()
         end
     | fd, _ -> (
+        (* A reply streamed through the connection's buffer takes
+           several writes; with Nagle's algorithm the last one would
+           wait for the client's delayed acknowledgement (~40 ms). *)
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
         match
           Mutex.protect t.m (fun () ->
               if t.stopping then `Stopping

@@ -31,13 +31,16 @@ val publish : t -> Bounds_core.Directory.Snapshot.t -> unit
     answer itself. *)
 type outcome =
   | Reply of Proto.response  (** send it, then read the next request *)
-  | Feed of Proto.response * (Unix.file_descr -> unit)
-      (** send it, then hand the socket to the function; the connection
-          closes when it returns *)
+  | Feed of Proto.response * (Unix.file_descr -> Conn.buffer -> unit)
+      (** send it, then hand the socket and the connection's frame
+          buffer to the function; the connection closes when it
+          returns *)
 
 (** [serve t ~handle ~stats ~wake] starts the acceptor, which runs
     until {!stop}: a failed [accept] is retried, after a short pause
-    when the process is out of descriptors.  [handle ~role]
+    when the process is out of descriptors.  Accepted connections send
+    with [TCP_NODELAY], as a reply streamed through the connection's
+    buffer takes several writes.  [handle ~role]
     answers [Apply], [Checkpoint] and [Subscribe]; [role] is what the
     connection declared in its hello ([Reader] if it said none).
     [stats ()] is the [Stats] reply.  [wake ()] runs once, when the
@@ -67,12 +70,38 @@ val reads : t -> int
 (** Snapshots superseded by a later {!publish}. *)
 val retired : t -> int
 
-(** {1 Read evaluation} *)
+(** {1 Read evaluation}
 
-(** The reply to a [Query]: the count, then one DN per line. *)
+    A read is evaluated to an {!answer}, which one renderer lists: the
+    count, then one DN per line ({!Bounds_model.Instance.add_dns}).
+    The connection loop renders it straight into the connection's frame
+    buffer ({!send_answer}); {!serve_query} and {!serve_search} render
+    it into a fresh buffer and return the body. *)
+
+(** The entries a read lists, with the instance their DNs come from, or
+    the message of its [Failed] reply. *)
+type answer = (Bounds_model.Instance.t * Bounds_model.Entry.id list, string) result
+
+val query_answer : Bounds_core.Directory.Snapshot.t -> string -> answer
+
+val search_answer :
+  Bounds_core.Directory.Snapshot.t ->
+  base:string option ->
+  scope:string ->
+  filter:string ->
+  answer
+
+(** [send_answer b fd a] sends [a]'s response through the connection
+    buffer [b], the listing rendered in place after the verb line: what
+    the connection loop does with every [Query] and [Search].  The
+    frame is byte for byte the framing of the matching {!serve_query}
+    or {!serve_search} response. *)
+val send_answer : Conn.buffer -> Unix.file_descr -> answer -> unit
+
+(** The response to a [Query]: [Reply] of the listing. *)
 val serve_query : Bounds_core.Directory.Snapshot.t -> string -> Proto.response
 
-(** The reply to a [Search], listed as {!serve_query}'s. *)
+(** The response to a [Search], listed as {!serve_query}'s. *)
 val serve_search :
   Bounds_core.Directory.Snapshot.t ->
   base:string option ->

@@ -60,11 +60,13 @@ let encode_request = function
       Printf.sprintf "hello %d %s" version (role_to_string role)
   | Subscribe { from_lsn } -> Printf.sprintf "subscribe %d" from_lsn
 
-(* A message is its verb line, then its body: the parts are framed as
-   they are ({!Conn.send_parts}), so a body is copied once, into the
-   frame, and the [encode_*] forms are the parts concatenated. *)
+(* A message is its verb line, then its body: the parts are copied
+   into a frame as they are ({!Conn}), and the [encode_*] forms are the
+   parts concatenated. *)
+let reply_line = "ok\n"
+
 let response_parts = function
-  | Reply body -> [ "ok\n"; body ]
+  | Reply body -> [ reply_line; body ]
   | Failed msg -> [ "err\n"; msg ]
 
 let encode_response r = String.concat "" (response_parts r)

@@ -69,10 +69,15 @@ val encode_request : request -> string
 val decode_request : string -> (request, string) result
 
 (** A response as the parts of its payload: the verb line, then the
-    body.  Daemons send these with {!Conn.send_parts}, which copies a
-    reply's body once, straight into its frame; {!encode_response} is
-    their concatenation, so both give the same bytes on the wire. *)
+    body.  Daemons copy these straight into a frame ({!Conn}), without
+    first joining them; {!encode_response} is their concatenation, so
+    both give the same bytes on the wire. *)
 val response_parts : response -> string list
+
+(** The verb line of a {!Reply}: [response_parts (Reply body)] is
+    [[reply_line; body]].  A served listing is rendered straight into
+    its frame after it. *)
+val reply_line : string
 
 val encode_response : response -> string
 val decode_response : string -> (response, string) result

@@ -313,8 +313,9 @@ let enqueue t req =
 (* Drain a subscriber's queue to its socket until the server stops or
    the peer goes away (a failed send).  Runs on the connection's own
    handler thread — after [Subscribe] is granted, the connection stops
-   being request/response and becomes this one-way feed. *)
-let feed_loop t fd sub =
+   being request/response and becomes this one-way feed, framed in the
+   connection's buffer [out]. *)
+let feed_loop t fd out sub =
   let rec loop () =
     let items =
       Mutex.protect t.m (fun () ->
@@ -333,7 +334,7 @@ let feed_loop t fd sub =
         match
           List.iter
             (fun item ->
-              Conn.send_parts fd (Proto.stream_parts item);
+              Conn.send_parts_with out fd (Proto.stream_parts item);
               sub.sent_lsn <-
                 (match item with
                 | Proto.Ship { lsn; _ } | Proto.Mark { lsn } | Proto.Boot { lsn; _ }
@@ -358,7 +359,7 @@ let handle t ~role = function
   | req -> (
       match enqueue t req with
       | { reply = Proto.Reply _ as r; sub = Some sub; _ } ->
-          Front.Feed (r, fun fd -> feed_loop t fd sub)
+          Front.Feed (r, fun fd out -> feed_loop t fd out sub)
       | p -> Front.Reply p.reply)
 
 (* --- lifecycle ----------------------------------------------------------- *)

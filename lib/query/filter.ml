@@ -62,21 +62,54 @@ let substr_matches { initial; any; final } raw =
       let nf = String.length f in
       nf <= n - p && String.sub s (n - nf) nf = f
 
+(* [Eq] and [Present] allocate nothing: [Eq] compares each value's
+   rendering with the assertion in place, up to ASCII case, and tests
+   [objectClass] on the class set (see {!Oclass.mem_caseless}). *)
+
+let rec same_caseless a b i =
+  i = String.length a
+  || Char.lowercase_ascii (String.unsafe_get a i) = Char.lowercase_ascii (String.unsafe_get b i)
+     && same_caseless a b (i + 1)
+
+let eq_caseless a b = String.length a = String.length b && same_caseless a b 0
+
+(* [string_of_int n = v], digit by digit from the end; [m] is [-|n|]
+   still to match, kept non-positive so [min_int] needs no case. *)
+let rec int_digits m v i first =
+  i >= first
+  && Char.code (String.unsafe_get v i) - 48 = -(m mod 10)
+  && (m / 10 = 0 && i = first || m / 10 <> 0 && int_digits (m / 10) v (i - 1) first)
+
+let int_is n v =
+  if n < 0 then String.length v > 1 && v.[0] = '-' && int_digits n v (String.length v - 1) 1
+  else int_digits (-n) v (String.length v - 1) 0
+
+(* [norm (Value.to_string x) = norm v] *)
+let value_is v = function
+  | Value.String s | Value.Dn s -> eq_caseless s v
+  | Value.Int n -> int_is n v
+  | Value.Bool b -> eq_caseless (if b then "TRUE" else "FALSE") v
+
+let rec any_value_is v = function [] -> false | x :: r -> value_is v x || any_value_is v r
+
 let rec matches f e =
   match f with
-  | Present a -> Entry.values e a <> []
+  | Present a -> Entry.has_attr e a
   | Eq (a, v) ->
-      let v = norm v in
-      List.exists (fun x -> norm (Value.to_string x) = v) (Entry.values e a)
+      if Attr.equal a Attr.object_class then Oclass.mem_caseless v (Entry.classes e)
+      else any_value_is v (Entry.values e a)
   | Ge (a, v) ->
       List.exists (fun x -> order_cmp (Value.to_string x) v >= 0) (Entry.values e a)
   | Le (a, v) ->
       List.exists (fun x -> order_cmp (Value.to_string x) v <= 0) (Entry.values e a)
   | Substr (a, sub) ->
       List.exists (fun x -> substr_matches sub (Value.to_string x)) (Entry.values e a)
-  | And fs -> List.for_all (fun f -> matches f e) fs
-  | Or fs -> List.exists (fun f -> matches f e) fs
+  | And fs -> all fs e
+  | Or fs -> any fs e
   | Not f -> not (matches f e)
+
+and all fs e = match fs with [] -> true | f :: r -> matches f e && all r e
+and any fs e = match fs with [] -> false | f :: r -> matches f e || any r e
 
 let rec size = function
   | Present _ | Eq _ | Ge _ | Le _ | Substr _ -> 1

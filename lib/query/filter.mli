@@ -29,7 +29,12 @@ type t =
     needs. *)
 val class_eq : Oclass.t -> t
 
-(** [matches f e] decides whether entry [e] satisfies [f]. *)
+(** [matches f e] decides whether entry [e] satisfies [f].  [Present]
+    and [Eq] are decided in place — values compared with the assertion
+    up to ASCII case without lowercased copies, [objectClass] tested on
+    the entry's class set — so they allocate nothing, bar one closure
+    for an [objectClass] assertion with capital letters; nor do [And],
+    [Or] and [Not] around them. *)
 val matches : t -> Entry.t -> bool
 
 (** Number of nodes — the [|Q|] contribution of atomic selections. *)

@@ -23,10 +23,12 @@ let tables =
   done;
   t
 
-(* The CRC of [len] bytes of [b] from [off], pre- and post-inverted. *)
-let crc_bytes b off len =
+(* [crc] extended over [len] bytes of [b] from [off]: the register
+   resumes from the post-inverted [crc], so [crc_extend 0l] is the CRC
+   of those bytes alone and a CRC can be taken chunk by chunk. *)
+let crc_extend crc b off len =
   let t = tables in
-  let c = ref 0xFFFFFFFF and i = ref off in
+  let c = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) and i = ref off in
   let stop = off + len in
   while !i + 8 <= stop do
     let lo = (Int32.to_int (Bytes.get_int32_le b !i) land 0xFFFFFFFF) lxor !c in
@@ -48,14 +50,20 @@ let crc_bytes b off len =
   done;
   Int32.of_int (!c lxor 0xFFFFFFFF)
 
-let crc32 s = crc_bytes (Bytes.unsafe_of_string s) 0 (String.length s)
+let crc32 s = crc_extend 0l (Bytes.unsafe_of_string s) 0 (String.length s)
 
 (* --- framing ------------------------------------------------------------ *)
 
 let header_size = 8
 
+let write_header b len crc =
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 crc
+
+let seal b len = write_header b len (crc_extend 0l b header_size len)
+
 (* The payload is the parts' concatenation, copied once, straight into
-   the frame; the CRC is taken over that slice of the frame. *)
+   the frame, which is then sealed in place. *)
 let encode_parts parts =
   let len = List.fold_left (fun n p -> n + String.length p) 0 parts in
   let b = Bytes.create (header_size + len) in
@@ -65,8 +73,7 @@ let encode_parts parts =
          Bytes.blit_string p 0 b off (String.length p);
          off + String.length p)
        header_size parts);
-  Bytes.set_int32_le b 0 (Int32.of_int len);
-  Bytes.set_int32_le b 4 (crc_bytes b header_size len);
+  seal b len;
   Bytes.unsafe_to_string b
 
 let encode payload = encode_parts [ payload ]
@@ -88,7 +95,7 @@ let read s off =
     if len < 0 then Torn { offset = off; reason = "corrupt frame length" }
     else if off + header_size + len > n then
       Torn { offset = off; reason = "truncated frame payload" }
-    else if crc_bytes b (off + header_size) len <> crc then
+    else if crc_extend 0l b (off + header_size) len <> crc then
       Torn { offset = off; reason = "crc mismatch" }
     else
       Record

@@ -14,7 +14,29 @@
     builds (byte-at-a-time) verify unchanged. *)
 val crc32 : string -> int32
 
+(** [crc_extend crc b off len] is the CRC of the bytes [crc] covers
+    followed by the [len] bytes of [b] from [off]: [crc_extend 0l] is
+    the CRC of those bytes alone, and
+    [crc_extend (crc32 x) (Bytes.of_string y) 0 (String.length y)] is
+    [crc32 (x ^ y)].  The one CRC loop behind every frame check. *)
+val crc_extend : int32 -> Bytes.t -> int -> int -> int32
+
 val header_size : int
+
+(** [write_header b len crc] writes a frame header — the payload's
+    length, then its CRC — into [b]'s first [header_size] bytes: the
+    one header writer.  A connection streaming a frame too long for its
+    buffer writes the header this way, from the length and CRC of its
+    chunks. *)
+val write_header : Bytes.t -> int -> int32 -> unit
+
+(** [seal b len] writes the header of the frame whose [len]-byte payload
+    already lies in [b] from [header_size]: the CRC of those bytes, in
+    place, then {!write_header}.  The frame is then [b]'s first
+    [header_size + len] bytes.  {!encode_parts} seals after copying the
+    parts in, a connection after rendering a reply into its own
+    buffer. *)
+val seal : Bytes.t -> int -> unit
 
 (** [encode_parts parts] is [encode (String.concat "" parts)] without
     the concatenation: the parts are copied once, straight into the

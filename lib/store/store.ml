@@ -219,9 +219,17 @@ let write t f =
       raise e
   | result -> (result, flush t p)
 
+(* An admitted transaction with no ops changes nothing, so it takes no
+   lsn and no record, and [flush] neither counts nor ships it.  (An
+   empty record an older build logged or shipped still takes its lsn
+   in recovery and in [replica_apply], which keep the primary's
+   numbering.) *)
 let admit t p ops =
-  let dir, res = Directory.apply t.dir ops in
-  stage t p dir res
+  match Directory.apply t.dir ops with
+  | _, (Admission.Accepted { ops = []; _ } as res) ->
+      p.results <- res :: p.results;
+      res
+  | dir, res -> stage t p dir res
 
 (* Group commit.  Every {!apply} inside [f] is admitted against the
    rolling version as usual and staged; when [f] returns, the whole

@@ -154,7 +154,9 @@ val stats : t -> Checkpoint.meta
     one.  Rejected transactions touch neither the log nor the session.
     An accepted verdict carries the record's durable lsn
     ({!Bounds_core.Admission.lsn}); the advanced session is available
-    through {!directory}.  If the append raises, the store stays at the
+    through {!directory}.  An accepted transaction with no ops changes
+    nothing and is not logged: its verdict carries no lsn, and it costs
+    no append, no fsync and no ship, nor counts as applied.  If the append raises, the store stays at the
     previous version and the exception propagates.  Inside {!batch},
     the record is staged for the batch's shared append instead. *)
 val apply : t -> Update.op list -> Admission.result

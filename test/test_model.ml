@@ -394,9 +394,10 @@ let prop_preorder_complete =
                  pos p < pos id)
            (Instance.ids t))
 
-(* [Instance.dns] against [Instance.dn] and against an independent
-   rendering from [ancestors] (and [iter_preorder_dn] against the same
-   rendering in [iter_preorder]'s order), on forests built to stress the sharing:
+(* The listing renderer [Instance.add_dns] against [Instance.dn] and
+   against an independent rendering from [ancestors] (and
+   [iter_preorder_dn] against the same rendering in [iter_preorder]'s
+   order), on forests built to stress the sharing:
    few distinct rdns (siblings and cousins repeat them), several roots,
    chains up to depth 20, ids listed in any order with repeats, and
    versions after [remove_leaf] (the older version must still render
@@ -441,12 +442,43 @@ let arb_dn_case =
       let n = Instance.size t in
       triple (return t) (list_size (int_bound 60) (int_bound (n - 1))) (int_bound 10) )
 
+(* [add_dns] appends after what the buffer already holds: a newline and
+   a DN per id. *)
+let listing t ids =
+  let o = Outbuf.create 1 in
+  Outbuf.add_string o "head";
+  ignore (Instance.add_dns t o ids);
+  Outbuf.contents o
+
+let lines dns = "head" ^ String.concat "" (List.map (fun dn -> "\n" ^ dn) dns)
+
+(* The same listing rendered [limit] bytes at a time: each call starts
+   an empty buffer with the ids the last one left; every chunk but a
+   lone first DN stays within [limit], and the chunks join up to the
+   whole listing. *)
+let chunked t ~limit ids =
+  let rec go acc ids =
+    let o = Outbuf.create 1 in
+    let left = Instance.add_dns ~limit t o ids in
+    let chunk = Outbuf.contents o in
+    let ok = String.length chunk <= limit || String.index_from_opt chunk 1 '\n' = None in
+    if not ok then None
+    else if left = [] then Some (String.concat "" (List.rev (chunk :: acc)))
+    else if List.length left >= List.length ids then None
+    else go (chunk :: acc) left
+  in
+  go [] ids
+
 let prop_dns_render =
   QCheck.Test.make ~name:"dns = map dn, any order" ~count:300 arb_dn_case
     (fun (t, ids, removals) ->
       let agrees t ids =
-        let got = Instance.dns t ids in
-        got = List.map (Instance.dn t) ids && got = List.map (reference_dn t) ids
+        let got = listing t ids in
+        got = lines (List.map (Instance.dn t) ids)
+        && got = lines (List.map (reference_dn t) ids)
+        && List.for_all
+             (fun limit -> Option.map (( ^ ) "head") (chunked t ~limit ids) = Some got)
+             [ 1; 17; 64; 400 ]
       in
       (* remove up to [removals] leaves, one version at a time *)
       let rec shrink t k =
@@ -473,9 +505,9 @@ let prop_dns_render =
       && List.for_all
            (fun id ->
              raises (fun () -> Instance.dn t' id)
-             && raises (fun () -> Instance.dns t' (live @ [ id ])))
+             && raises (fun () -> listing t' (live @ [ id ])))
            gone
-      && raises (fun () -> Instance.dns t [ Instance.fresh_id t ]))
+      && raises (fun () -> listing t [ Instance.fresh_id t ]))
 
 (* pool laws: share is canonical and idempotent, ids are stable and
    invertible, find_id never pollutes *)

@@ -361,6 +361,161 @@ let test_served_listings () =
         ])
     units
 
+(* --- the connection buffer ------------------------------------------------- *)
+
+(* A forest with long DNs, so that listings reach the sizes the buffer
+   must handle: [o=acme], 60 units under it, 50 persons under each, each
+   person's DN about 100 bytes. *)
+let long_dn_instance () =
+  let cls names = Oclass.set_of_list names in
+  let uid = Attr.of_string "uid" in
+  let add parent e t = Result.get_ok (Instance.add ~parent e t) in
+  let t = add None (Entry.make ~id:0 ~rdn:"o=acme" ~classes:(cls [ "top" ]) []) Instance.empty in
+  let t = ref t in
+  for u = 1 to 60 do
+    let unit_id = u * 1000 in
+    t :=
+      add (Some 0)
+        (Entry.make ~id:unit_id ~rdn:(Printf.sprintf "ou=u%d" u) ~classes:(cls [ "top" ]) [])
+        !t;
+    for p = 1 to 50 do
+      let id = unit_id + p in
+      let name = Printf.sprintf "p%d" id in
+      t :=
+        add (Some unit_id)
+          (Entry.make ~id
+             ~rdn:(Printf.sprintf "uid=%s-%s" name (String.make 80 'x'))
+             ~classes:(cls [ "top"; "person" ])
+             [ (uid, Value.String name) ])
+          !t
+    done
+  done;
+  !t
+
+(* One frame off the socket, header included, as the bytes it was. *)
+let read_raw_frame fd =
+  let read_exactly n =
+    let b = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read fd b off (n - off) with
+        | 0 -> Alcotest.fail "closed mid-frame"
+        | k -> go (off + k)
+    in
+    go 0;
+    Bytes.to_string b
+  in
+  let header = read_exactly Frame.header_size in
+  let len = Int32.to_int (String.get_int32_le header 0) in
+  header ^ read_exactly len
+
+(* One connection sends listings of 0 DNs, ~300 KB, 1 DN and ~5 KB in
+   that order through its one buffer: each frame is the framing of the
+   listing [serve_search] returns, byte for byte — the 300 KB one
+   streamed through the 64 KiB block — so nothing of a longer earlier
+   reply leaks into a shorter later one, and after every frame the
+   buffer is at its initial capacity. *)
+let test_buffer_stale_and_retention () =
+  let inst = long_dn_instance () in
+  let snap = Directory.Snapshot.of_instance inst in
+  let reads =
+    [
+      (None, "sub", "(uid=nobody)");
+      (None, "sub", "(objectClass=*)");
+      (None, "sub", "(uid=p1001)");
+      (Some "ou=u7,o=acme", "one", "(objectClass=person)");
+    ]
+  in
+  let initial = Conn.capacity (Conn.buffer ()) in
+  let expected =
+    List.map
+      (fun (base, scope, filter) ->
+        Frame.encode_parts (Proto.response_parts (Server.serve_search snap ~base ~scope ~filter)))
+      reads
+  in
+  let sizes = List.map String.length expected in
+  check "a big and a small listing" true
+    (List.nth sizes 1 > 300_000 && List.nth sizes 3 > 5_000 && List.nth sizes 3 < initial);
+  with_socketpair (fun a b ->
+      let out = Conn.buffer () in
+      let capacities = ref [] in
+      let sender =
+        Thread.create
+          (fun () ->
+            List.iter
+              (fun (base, scope, filter) ->
+                Front.send_answer out a (Front.search_answer snap ~base ~scope ~filter);
+                capacities := Conn.capacity out :: !capacities)
+              reads)
+          ()
+      in
+      List.iteri
+        (fun i want -> check_string (Printf.sprintf "frame %d" i) want (read_raw_frame b))
+        expected;
+      Thread.join sender;
+      check "back at the initial capacity after every frame" true
+        (List.for_all (( = ) initial) !capacities))
+
+(* Listings through one connection's buffer — 200 of over 2 KiB, then
+   20 of about 300 KB, streamed — add less than one body's worth of
+   words to the major heap, where rendering each into a body and
+   framing that ([serve_search], then [Frame.encode_parts]) puts at
+   least a body's worth of blocks there per reply.  A block too big for
+   the minor heap is allocated in the major heap directly, so the direct
+   major words are [major_words] less [promoted_words], read after a
+   minor collection, which is when such a block is counted. *)
+let test_buffer_allocation () =
+  let inst = long_dn_instance () in
+  let snap = Directory.Snapshot.of_instance inst in
+  let fd = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let direct_major k f =
+    f ();
+    (* a full major first, so no earlier test's blocks are still to be
+       counted *)
+    Gc.full_major ();
+    Gc.minor ();
+    let s0 = Gc.quick_stat () in
+    for _ = 1 to k do
+      f ()
+    done;
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    s1.Gc.major_words -. s1.Gc.promoted_words -. (s0.Gc.major_words -. s0.Gc.promoted_words)
+  in
+  let measure k (base, scope, filter) ~min_bytes =
+    let body =
+      match Server.serve_search snap ~base ~scope ~filter with
+      | Proto.Reply body -> body
+      | Proto.Failed e -> Alcotest.fail e
+    in
+    check "body size" true (String.length body > min_bytes);
+    let body_words = float_of_int (String.length body / (Sys.word_size / 8)) in
+    let out = Conn.buffer () in
+    let buffered =
+      direct_major k (fun () ->
+          Front.send_answer out fd (Front.search_answer snap ~base ~scope ~filter))
+    in
+    let by_body =
+      direct_major k (fun () ->
+          let framed =
+            Frame.encode_parts (Proto.response_parts (Server.serve_search snap ~base ~scope ~filter))
+          in
+          ignore (Unix.write_substring fd framed 0 (String.length framed)))
+    in
+    if buffered >= body_words then
+      Alcotest.failf "%d buffered listings: %.0f direct major words, a body is %.0f" k buffered
+        body_words;
+    if by_body < float_of_int k *. body_words then
+      Alcotest.failf "%d listings by body: %.0f direct major words, expected at least %.0f" k
+        by_body
+        (float_of_int k *. body_words)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      measure 200 (Some "ou=u7,o=acme", "one", "(objectClass=person)") ~min_bytes:2048;
+      measure 20 (None, "sub", "(objectClass=*)") ~min_bytes:300_000)
+
 (* --- group commit: equivalence and crash --------------------------------- *)
 
 (* A deterministic script of legal transactions over a small
@@ -1185,6 +1340,10 @@ let () =
           Alcotest.test_case "torn vs corrupt classification" `Quick
             test_torn_vs_corrupt_classification;
           Alcotest.test_case "send by parts" `Quick test_send_by_parts;
+          Alcotest.test_case "buffer: no stale bytes, retention bounded" `Quick
+            test_buffer_stale_and_retention;
+          Alcotest.test_case "buffer: listings stay out of the major heap" `Quick
+            test_buffer_allocation;
         ] );
       ( "group-commit",
         [ qt prop_group_commit_equivalence; qt prop_crash_during_group_commit ] );

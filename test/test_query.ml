@@ -1049,6 +1049,171 @@ let test_rank_table_boundary () =
     Alcotest.failf "ids across the boundary cost %.3fs, shifted off it %.3fs" across off
 
 (* extent_of_rank really brackets the subtree *)
+(* [Filter.matches] against its earlier definition, kept here as the
+   reference: lowercased copies of both sides and [objectClass] values
+   synthesized from the class set.  [Naive_eval] (every oracle's naive
+   side) calls [Filter.matches] too, so no differential oracle could see
+   a fault in it.  Entries mix case variants, multi-valued and absent
+   attributes, and [Int]/[Bool]/[Dn] values; assertion values are case
+   variants of those renderings and near misses. *)
+module Ref_filter = struct
+  let norm = String.lowercase_ascii
+
+  let values e a =
+    if Attr.equal a Attr.object_class then
+      List.map
+        (fun c -> Value.String (Oclass.to_string c))
+        (Oclass.Set.elements (Entry.classes e))
+    else List.filter_map (fun (b, v) -> if Attr.equal a b then Some v else None) (Entry.stored_pairs e)
+
+  let order_cmp x y =
+    match (int_of_string_opt (String.trim x), int_of_string_opt (String.trim y)) with
+    | Some a, Some b -> Int.compare a b
+    | _ -> String.compare (norm x) (norm y)
+
+  let contains_from hay pos needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i =
+      if i + nn > nh then None
+      else if String.sub hay i nn = needle then Some (i + nn)
+      else go (i + 1)
+    in
+    if nn = 0 then Some pos else go pos
+
+  let substr_matches { Filter.initial; any; final } raw =
+    let s = norm raw in
+    let n = String.length s in
+    let pos =
+      match initial with
+      | None -> Some 0
+      | Some i ->
+          let i = norm i in
+          if String.length i <= n && String.sub s 0 (String.length i) = i then
+            Some (String.length i)
+          else None
+    in
+    let pos =
+      List.fold_left
+        (fun pos mid -> match pos with None -> None | Some p -> contains_from s p (norm mid))
+        pos any
+    in
+    match (pos, final) with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some p, Some f ->
+        let f = norm f in
+        let nf = String.length f in
+        nf <= n - p && String.sub s (n - nf) nf = f
+
+  let rec matches f e =
+    match f with
+    | Filter.Present a -> values e a <> []
+    | Filter.Eq (a, v) ->
+        let v = norm v in
+        List.exists (fun x -> norm (Value.to_string x) = v) (values e a)
+    | Filter.Ge (a, v) ->
+        List.exists (fun x -> order_cmp (Value.to_string x) v >= 0) (values e a)
+    | Filter.Le (a, v) ->
+        List.exists (fun x -> order_cmp (Value.to_string x) v <= 0) (values e a)
+    | Filter.Substr (a, sub) ->
+        List.exists (fun x -> substr_matches sub (Value.to_string x)) (values e a)
+    | Filter.And fs -> List.for_all (fun f -> matches f e) fs
+    | Filter.Or fs -> List.exists (fun f -> matches f e) fs
+    | Filter.Not f -> not (matches f e)
+end
+
+(* Near misses of a rendering [s]: itself, case variants, its first or
+   last byte changed, its last dropped, a sign or a zero put in front. *)
+let near_miss s =
+  let n = String.length s in
+  QCheck.Gen.oneofl
+    [
+      s;
+      String.uppercase_ascii s;
+      String.lowercase_ascii s;
+      String.capitalize_ascii s;
+      (if n = 0 then "+" else "+" ^ String.sub s 1 (n - 1));
+      (if n = 0 then "x" else String.sub s 0 (n - 1) ^ if s.[n - 1] = 'x' then "y" else "x");
+      (if n = 0 then "" else String.sub s 0 (n - 1));
+      "-" ^ s;
+      "0" ^ s;
+      " " ^ s;
+    ]
+
+let gen_matches_case =
+  let open QCheck.Gen in
+  let attrs = [ "cn"; "uid"; "seeAlso" ] in
+  let value =
+    oneof
+      [
+        map (fun s -> Value.String s)
+          (oneofl [ "Alice"; "alice"; "ALICE"; "al"; ""; " alice"; "Ab"; "aB"; "z"; "-7" ]);
+        map (fun n -> Value.Int n) (oneofl [ 0; 7; -7; 42; -42; 100; max_int; min_int ]);
+        map (fun b -> Value.Bool b) bool;
+        map (fun d -> Value.Dn d) (oneofl [ "uid=Alice,o=Acme"; "UID=alice,O=acme"; "o=x" ]);
+      ]
+  in
+  let entry =
+    list_size (int_bound 4) (oneofl [ "person"; "orgUnit"; "staffMember"; "online" ])
+    >>= fun classes ->
+    list_size (int_bound 6) (pair (oneofl attrs) value) >|= fun pairs ->
+    Entry.make ~id:1 ~rdn:"cn=x"
+      ~classes:(Oclass.set_of_list ("top" :: classes))
+      (List.map (fun (at, v) -> (a at, v)) pairs)
+  in
+  let pool =
+    oneofl
+      [ "alice"; "Alice"; "al"; ""; "0"; "7"; "-7"; "+7"; "-"; "true"; "FALSE"; "o=X";
+        "person"; "PERSON"; "orgUnit"; "Top"; "onlinE" ]
+  in
+  let gattr = oneofl ("objectClass" :: attrs) >|= a in
+  (* an assertion on one of [e]'s own attributes, its value a near miss
+     of one of the values there *)
+  let own e =
+    let pairs =
+      (Attr.object_class, Value.String "objectClass")
+      :: List.map (fun c -> (Attr.object_class, Value.String (Oclass.to_string c)))
+           (Oclass.Set.elements (Entry.classes e))
+      @ Entry.stored_pairs e
+    in
+    oneofl pairs >>= fun (at, v) -> near_miss (Value.to_string v) >|= fun t -> (at, t)
+  in
+  let leaf e =
+    frequency
+      [
+        (1, map (fun at -> Filter.Present at) gattr);
+        (1, map2 (fun at v -> Filter.Eq (at, v)) gattr pool);
+        (4, map (fun (at, v) -> Filter.Eq (at, v)) (own e));
+        (1, map (fun (at, v) -> Filter.Ge (at, v)) (own e));
+        (1, map (fun (at, v) -> Filter.Le (at, v)) (own e));
+        ( 1,
+          map3
+            (fun at i f -> Filter.Substr (at, { Filter.initial = i; any = [ "L" ]; final = f }))
+            gattr (opt (oneofl [ "A"; "uid" ])) (opt (oneofl [ "e"; "ME" ])) );
+      ]
+  in
+  let filter e =
+    sized_size (int_bound 6)
+      (fix (fun self n ->
+           if n = 0 then leaf e
+           else
+             frequency
+               [
+                 (2, leaf e);
+                 (1, map (fun f -> Filter.Not f) (self (n - 1)));
+                 (1, map (fun fs -> Filter.And fs) (list_size (int_bound 3) (self (n / 2))));
+                 (1, map (fun fs -> Filter.Or fs) (list_size (int_bound 3) (self (n / 2))));
+               ]))
+  in
+  entry >>= fun e -> filter e >|= fun f -> (e, f)
+
+let prop_filter_matches_reference =
+  QCheck.Test.make ~name:"filter matches = reference definition" ~count:3000
+    (QCheck.make
+       ~print:(fun (e, f) -> Format.asprintf "%a@ %s" Entry.pp e (Filter.to_string f))
+       gen_matches_case)
+    (fun (e, f) -> Filter.matches f e = Ref_filter.matches f e)
+
 let prop_extent_brackets_subtree =
   QCheck.Test.make ~name:"preorder extents bracket subtrees" ~count:200
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000))
@@ -1145,5 +1310,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_search_reference;
           QCheck_alcotest.to_alcotest prop_rank_table_sparse;
           QCheck_alcotest.to_alcotest prop_extent_brackets_subtree;
+          QCheck_alcotest.to_alcotest prop_filter_matches_reference;
         ] );
     ]

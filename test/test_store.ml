@@ -120,6 +120,19 @@ let of_hex h =
   String.init (String.length h / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
 
+(* A CRC taken chunk by chunk, at every split point, is the CRC of the
+   whole: what a streamed frame's header carries. *)
+let test_crc_extend () =
+  let s = String.init 300 (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let b = Bytes.of_string s in
+  check "empty prefix" true (Frame.crc_extend 0l b 0 300 = Frame.crc32 s);
+  for cut = 0 to 300 do
+    let head = Frame.crc_extend 0l b 0 cut in
+    check "head" true (head = Frame.crc32 (String.sub s 0 cut));
+    if Frame.crc_extend head b cut (300 - cut) <> Frame.crc32 s then
+      Alcotest.failf "split at %d" cut
+  done
+
 let test_legacy_frame () =
   let raw = of_hex legacy_frame in
   match Frame.read raw 0 with
@@ -591,6 +604,51 @@ let test_failed_write_not_counted () =
   check_int "reopen: applied" 1 (applied st');
   check_state "reopen" st' (after [ txn1 ])
 
+(* An accepted transaction with no ops changes nothing: it takes no lsn,
+   adds no record, ships nothing and is not counted. *)
+let test_empty_txn_not_logged () =
+  let fs, st = fresh_store () in
+  let shipped = ref 0 in
+  Store.set_ship_hook st (Some (fun _ -> incr shipped));
+  let _ = get_apply "t1" (Store.apply st txn1) in
+  let wal = Io.read_fs fs Store.wal_file in
+  let applied = (Store.stats st).Checkpoint.applied in
+  (match Store.apply st [] with
+  | Admission.Accepted { lsn = None; _ } -> ()
+  | Admission.Accepted { lsn = Some l; _ } -> Alcotest.failf "empty apply took lsn %d" l
+  | Admission.Rejected _ -> Alcotest.fail "empty apply rejected");
+  check_int "lsn" 1 (Store.lsn st);
+  check "WAL bytes untouched" true (Io.read_fs fs Store.wal_file = wal);
+  check_int "wal_records" 1 (Store.wal_records st);
+  check_int "shipped once, for t1" 1 !shipped;
+  check_int "applied" applied (Store.stats st).Checkpoint.applied;
+  (* in a batch, only the insert is logged *)
+  let (), verdicts =
+    Store.batch st (fun () ->
+        ignore (Store.apply st []);
+        ignore (Store.apply st txn2))
+  in
+  check "batch lsns" true (List.map Admission.lsn verdicts = [ None; Some 2 ]);
+  check "one record added" true
+    (Io.read_fs fs Store.wal_file = Some (rec_ 1 txn1 ^ rec_ 2 txn2));
+  check_int "shipped t2" 2 !shipped;
+  let st', _ = reopen "after empty transactions" fs in
+  check_int "recovered lsn" 2 (Store.lsn st');
+  check_state "after empty transactions" st' (after [ txn1; txn2 ])
+
+(* Older builds logged empty transactions: such a record at lsn 1 still
+   takes its lsn in recovery, and later records follow it. *)
+let test_legacy_empty_record () =
+  let fs, _ = fresh_store () in
+  Io.write_fs fs Store.wal_file (rec_ 1 [] ^ rec_ 2 txn1);
+  let st, report = reopen "legacy empty record" fs in
+  check "clean" true (report.Store.tail = Store.Clean);
+  check_int "replayed" 2 report.Store.replayed;
+  check_int "lsn" 2 (Store.lsn st);
+  check_state "legacy empty record" st (after [ txn1 ]);
+  let _ = get_apply "t2" (Store.apply st txn2) in
+  check_int "next lsn" 3 (Store.lsn st)
+
 let test_init_guards () =
   let fs, st0 = fresh_store () in
   ignore st0;
@@ -1008,6 +1066,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_frame_roundtrip;
           Alcotest.test_case "torn and flipped" `Quick test_frame_torn;
           Alcotest.test_case "crc known answers" `Quick test_crc_known_answers;
+          Alcotest.test_case "crc extends chunk by chunk" `Quick test_crc_extend;
           QCheck_alcotest.to_alcotest prop_crc_reference;
           Alcotest.test_case "legacy frame" `Quick test_legacy_frame;
           QCheck_alcotest.to_alcotest prop_encode_parts;
@@ -1040,6 +1099,10 @@ let () =
           Alcotest.test_case "failed write not counted" `Quick
             test_failed_write_not_counted;
           Alcotest.test_case "init guards" `Quick test_init_guards;
+          Alcotest.test_case "empty transaction not logged" `Quick
+            test_empty_txn_not_logged;
+          Alcotest.test_case "older build's empty record" `Quick
+            test_legacy_empty_record;
         ] );
       ( "ingest",
         [
