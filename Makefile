@@ -1,4 +1,4 @@
-.PHONY: all test bench bench-smoke bench-scale bench-write fault-smoke fuzz-smoke serve-smoke replica-smoke doc clean
+.PHONY: all test bench bench-smoke bench-scale bench-write fault-smoke fuzz-smoke fuzz-index serve-smoke replica-smoke doc clean
 
 all:
 	dune build
@@ -40,8 +40,8 @@ bench-write:
 # descriptors must answer every request of a 30-client burst (its own
 # uid tag, so its writes do not collide with the first burst's) and
 # still answer a ping.  Last, on a 2521-entry store, one connection
-# lists every entry (a reply over 64 KiB, which grows the connection's
-# buffer and drops it back) and then one uid; both must match
+# lists every entry (a reply over 64 KiB, which streams through the
+# connection's 64 KiB block) and then one uid; both must match
 # `query --store` on the same store.
 serve-smoke:
 	@dune build bin/ldapschema.exe
@@ -163,6 +163,15 @@ fault-smoke:
 # non-zero if any oracle pair disagrees.
 fuzz-smoke:
 	dune exec -- ldapschema fuzz --budget 200 --seed 42
+
+# The index-version gate: the differential oracles that read index
+# versions made by splices (rank table, chunk walks, χ sweeps, scoped
+# search, memo migration) at budget 500.
+fuzz-index:
+	dune exec -- ldapschema fuzz --budget 500 \
+	  --oracle index-apply-vs-rebuild --oracle plan-vs-naive \
+	  --oracle query-vs-naive --oracle search-vs-naive \
+	  --oracle monitor-vs-recheck
 
 # API documentation (requires odoc; dune reports a clear error if the
 # toolchain lacks it).

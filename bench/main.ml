@@ -1911,9 +1911,9 @@ let exp_p7 ~smoke ~json () =
    write path.  A read-after-write series runs the same pairs with one
    root-scoped (uid=...) lookup through [Directory.Snapshot.search] on
    each new version: its tx/s and the mean first-read time show what a
-   version costs when something reads it (the lazy flat mirror, built
-   on a version's first read).  Single timed runs like P7: the sweep is
-   the measurement. *)
+   version costs when something reads it (every version is read through
+   its chunks, so the first read pays no per-version build).  Single
+   timed runs like P7: the sweep is the measurement. *)
 let exp_p8 ~smoke ~json () =
   header "P8   steady-state write throughput (chunked COW index versions)"
     "claim: with chunked copy-on-write versions (index spine + persistent\n\

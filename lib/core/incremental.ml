@@ -287,10 +287,15 @@ let check_delete ?class_count (schema : Schema.t) ~base ~root =
             let still_there =
               match class_count with
               | Some count -> count c - k > 0
-              | None ->
-                  Instance.fold
-                    (fun e ok -> ok || Entry.has_class e c)
-                    remaining false
+              | None -> (
+                  (* stop at the first survivor of class c *)
+                  match
+                    Instance.iter
+                      (fun e -> if Entry.has_class e c then raise_notrace Exit)
+                      remaining
+                  with
+                  | () -> false
+                  | exception Exit -> true)
             in
             if not still_there then
               add (Violation.Missing_required_class { cls = c }))

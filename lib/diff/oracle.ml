@@ -873,7 +873,7 @@ let search_vs_naive =
                             match Directory.apply dir c.Case.ops with
                             | _, Admission.Rejected _ -> None
                             | dir, Admission.Accepted _ ->
-                                (* no flat mirror until this first read *)
+                                (* the first read of a patched version *)
                                 let snap = Directory.snapshot dir in
                                 let ix = Directory.Snapshot.Private.index snap in
                                 search_diff "after apply" (Directory.instance dir) f

@@ -300,6 +300,22 @@ let iter_range f s ~lo ~hi =
 
 let iter f s = iter_range f s ~lo:0 ~hi:s.n
 
+(* Members in decreasing order, skipping all-zero 64-bit words; the
+   padding bits past [n] are always clear. *)
+let iter_rev f s =
+  let b = ref (Bytes.length s.words - 1) in
+  while !b >= 0 do
+    if !b >= 7 && Bytes.get_int64_le s.words (!b - 7) = 0L then b := !b - 8
+    else begin
+      let c = Char.code (Bytes.get s.words !b) in
+      if c <> 0 then
+        for j = 7 downto 0 do
+          if c land (1 lsl j) <> 0 then f ((!b lsl 3) + j)
+        done;
+      decr b
+    end
+  done
+
 let fold f s init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) s;

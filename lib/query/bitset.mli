@@ -73,6 +73,9 @@ val subset : t -> t -> bool
     set is much cheaper than a full rank scan. *)
 val iter : (int -> unit) -> t -> unit
 
+(** [iter_rev f s] — members in decreasing order, at [iter]'s cost. *)
+val iter_rev : (int -> unit) -> t -> unit
+
 (** [iter_range f s ~lo ~hi] — members within [lo, hi) only, in
     increasing order.  Out-of-range bounds are clamped. *)
 val iter_range : (int -> unit) -> t -> lo:int -> hi:int -> unit

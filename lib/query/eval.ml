@@ -1,10 +1,7 @@
 let eval_filter ix f =
-  Index.materialize ix;
-  let n = Index.n ix in
-  let bs = Bitset.create n in
-  for r = 0 to n - 1 do
-    if Filter.matches f (Index.entry_of_rank ix r) then Bitset.set bs r
-  done;
+  let bs = Bitset.create (Index.n ix) in
+  Index.iter_entries ix ~lo:0 ~hi:(Index.n ix - 1) (fun r e ->
+      if Filter.matches f e then Bitset.set bs r);
   bs
 
 (* result = q1 ∩ { e | some child of e is in q2 }: iterate the members of
@@ -30,32 +27,51 @@ let chi_parent ix q1 q2 =
     q1;
   result
 
-(* Reverse preorder sweep: when node r is visited all its descendants have
-   already pushed their contribution into [below].(r). *)
-let chi_descendant ix q1 q2 =
-  let n = Index.n ix in
-  let below = Bitset.create n in
-  for r = n - 1 downto 0 do
-    if Bitset.mem q2 r || Bitset.mem below r then begin
-      let p = Index.parent_rank ix r in
-      if p >= 0 then Bitset.set below p
-    end
-  done;
-  Bitset.inter q1 below
+(* One flag per depth, grown on demand: the full sweeps below keep what
+   they know of the current root path here instead of looking parents
+   up. *)
+let flags () = ref (Bytes.make 64 '\000')
 
-(* Forward preorder sweep: parents are visited before children. *)
+let[@inline] flag fl d = d < Bytes.length !fl && Bytes.get !fl d <> '\000'
+
+let set_flag fl d v =
+  if d >= Bytes.length !fl then begin
+    let b = Bytes.make (2 * (d + 1)) '\000' in
+    Bytes.blit !fl 0 b 0 (Bytes.length !fl);
+    fl := b
+  end;
+  Bytes.set !fl d (if v then '\001' else '\000')
+
+(* Reverse preorder sweep.  Between two ranks of depth d the sweep
+   visits exactly the subtree of the lower one, so [below.(d + 1)]
+   holds, when a rank of depth d is reached, whether one of its
+   children is in q2 or has a descendant there; it is cleared for the
+   next rank of depth d. *)
+let chi_descendant ix q1 q2 =
+  let result = Bitset.create (Index.n ix) in
+  let below = flags () in
+  Index.iter_depths_rev ix (fun r d ->
+      let b = flag below (d + 1) in
+      if b then begin
+        set_flag below (d + 1) false;
+        if Bitset.mem q1 r then Bitset.set result r
+      end;
+      if b || Bitset.mem q2 r then set_flag below d true);
+  result
+
+(* Forward preorder sweep: the last rank seen at depth d - 1 is the
+   parent of a rank at depth d, and [above.(d)] says whether the last
+   rank seen at depth d is in q2 or below a member of it. *)
 let chi_ancestor ix q1 q2 =
-  let n = Index.n ix in
-  let above = Bitset.create n in
-  for r = 0 to n - 1 do
-    let p = Index.parent_rank ix r in
-    if p >= 0 && (Bitset.mem q2 p || Bitset.mem above p) then Bitset.set above r
-  done;
-  Bitset.inter q1 above
+  let result = Bitset.create (Index.n ix) in
+  let above = flags () in
+  Index.iter_depths ix (fun r d ->
+      let a = d > 0 && flag above (d - 1) in
+      if a && Bitset.mem q1 r then Bitset.set result r;
+      set_flag above d (a || Bitset.mem q2 r));
+  result
 
 let chi ix ax s1 s2 =
-  (* every axis kernel is a rank sweep over parent pointers *)
-  Index.materialize ix;
   match ax with
   | Query.Child -> chi_child ix s1 s2
   | Query.Parent -> chi_parent ix s1 s2

@@ -42,8 +42,7 @@ val fold_siblings : (int -> 'a -> 'a) -> Index.t -> lo:int -> hi:int -> 'a -> 'a
     [chi ix ax q1 frame] is [q1 ∩ N]: the frame members' parents
     ([Child]), children ([Parent]), proper ancestors ([Descendant]) or
     proper descendants ([Ancestor]).  Walked from the frame's members in
-    O(|N| + |D|/8) (parent pointers and extent jumps, no sweep and no
-    {!Index.materialize}); [None] as soon as more than [budget] ranks are
-    reached. *)
+    O(|N| + |D|/8) (parent pointers and extent jumps, no sweep); [None]
+    as soon as more than [budget] ranks are reached. *)
 val neighbourhood :
   Index.t -> Query.axis -> Bitset.t -> budget:int -> Bitset.t option

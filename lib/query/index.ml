@@ -2,12 +2,11 @@ open Bounds_model
 
 (* {1 Chunked copy-on-write preorder versions}
 
-   A version still assigns each entry a dense preorder rank, but the
-   five per-rank columns no longer live in flat arrays copied per
-   transaction.  They are cut into immutable chunks of at most
-   [chunk_cap] slots strung on a spine; versions share chunks
-   structurally, and a splice rebuilds only the chunk(s) it touches
-   plus the O(#chunks) spine.
+   A version assigns each entry a dense preorder rank, but the five
+   per-rank columns do not live in flat arrays copied per transaction.
+   They are cut into immutable chunks of at most [chunk_cap] slots
+   strung on a spine; versions share chunks structurally, and a splice
+   rebuilds only the chunk(s) it touches plus the O(#chunks) spine.
 
    The preorder-shift problem — an insert at rank [k] renumbers every
    rank after [k] — is solved by storing nothing rank-absolute inside a
@@ -21,28 +20,18 @@ open Bounds_model
      [extent r = r + size - 1], and a splice changes sizes only along
      the ancestor path of the splice point.
 
-   The id->rank table is a persistent Patricia map ({!Pmap}) from id to
-   [(chunk uid, slot)], shared between versions and updated in
-   O(touched slots · log n) — replacing the per-transaction
-   [Hashtbl.copy].  A chunk's [uid] names its {e logical} slot layout:
-   copy-on-write that preserves every slot (an ancestor size bump, a
-   payload replace) keeps the uid, so the id->loc map needs no update;
-   only rebuilds that move slots allocate fresh uids.
-
-   Query sweeps (χ axes, filter scans) want flat arrays back: a version
-   lazily materializes a flat mirror (rank table included) on first
-   sweep, under a mutex: the server's and the replica's reader threads
-   share snapshots and may race to build it.
-   The write path never forces it. *)
+   Every version is read through its chunks, by accessors that allocate
+   nothing and take no lock: rank -> chunk through a per-version coarse
+   table, id -> rank through a rank table shared between versions (see
+   {!table}).  Sweeps over every rank walk the chunks in order
+   ({!iter_entries}, {!iter_depths}). *)
 
 let chunk_cap = 256
-let slot_bits = 8 (* chunk_cap <= 2^slot_bits; locs pack (uid, slot) *)
-let slot_mask = (1 lsl slot_bits) - 1
 let next_uid = Atomic.make 0
 let fresh_uid () = Atomic.fetch_and_add next_uid 1
 
 type chunk = {
-  uid : int;
+  uid : int; (* identity of the physical chunk: sharing and ownership *)
   len : int;
   c_ids : int array; (* slot -> Entry.id *)
   c_entries : Entry.t array;
@@ -51,7 +40,7 @@ type chunk = {
   c_sizes : int array; (* slot -> subtree size *)
 }
 
-(* {2 The mirror's id->rank table}
+(* {2 The frozen id->rank table}
 
    Every posting-to-bitset fill looks up one rank per posting, so this
    table is on the hot path of nearly every query.  It is open
@@ -108,60 +97,163 @@ module Ranks = struct
   let find t id = t.slots.((2 * slot t id) + 1)
 end
 
-(* Lazily-materialized flat mirror for rank sweeps; [f_parents] and
-   [f_extents] are back in rank coordinates. *)
-type flat = {
-  f_ids : Entry.id array;
-  f_entries : Entry.t array;
-  f_parents : int array;
-  f_depths : int array;
-  f_extents : int array;
-  f_ranks : Ranks.t;
+(* {2 Rank tables shared between versions}
+
+   One frozen table maps every id of the version it was built for to
+   its rank there.  Later versions share it and record what changed
+   since, in the [Frozen]/[Patched] discipline of {!Vindex}'s postings:
+
+   - [seg_at]/[seg_shift]: the splices since the freeze, composed into
+     one monotone map from frozen ranks to current ranks.  Segment [i]
+     covers frozen ranks [[seg_at.(i), seg_at.(i+1))] and adds
+     [seg_shift.(i)] to them, or drops them when the shift is [dead]:
+     splices never reorder the entries they keep, so k splices cut the
+     frozen ranks into at most 2k+1 such segments;
+   - [added]: the ids placed since the freeze, at their current ranks
+     (an id deleted and placed again is dead in the frozen table and
+     alive here).
+
+   A lookup is one probe of the frozen table, a step or two from the
+   segment a per-version coarse table ([seg_of]) names, and a probe of
+   [added] only when the id is not alive in the frozen table.  The
+   builder folds a fresh table at seal time, on the writer's thread,
+   once [fold_splices] splices or [fold_added] placed ids accumulate:
+   one O(n) pass per that many versions. *)
+type table = {
+  frozen : Ranks.t;
+  frozen_n : int; (* frozen ranks are [[0, frozen_n)] *)
+  seg_at : int array; (* seg_at.(0) = 0 *)
+  seg_shift : int array;
+  seg_of : int array; (* frozen rank lsr coarse_bits -> its segment *)
+  added : Ranks.t;
+  n_added : int;
+  edits : int; (* splices since the freeze *)
 }
+
+let coarse_bits = 8
+let dead = min_int
+let fold_splices = 64
+let fold_added = 256
+let no_added = Ranks.create 0
+
+let frozen_table frozen frozen_n =
+  {
+    frozen;
+    frozen_n;
+    seg_at = [| 0 |];
+    seg_shift = [| 0 |];
+    seg_of = [||];
+    added = no_added;
+    n_added = 0;
+    edits = 0;
+  }
+
+(* Greatest [i < len] with [a.(i) <= x]; [a.(0) <= x]. *)
+let last_le a len x =
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) lsr 1 in
+    if a.(mid) <= x then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* [seg_of] for a segment map: the segment holding each multiple of
+   [2^coarse_bits] below [frozen_n]. *)
+let seg_index seg_at frozen_n =
+  let len = Array.length seg_at in
+  let out = Array.make ((frozen_n + (1 lsl coarse_bits) - 1) lsr coarse_bits) 0 in
+  let i = ref 0 in
+  for j = 0 to Array.length out - 1 do
+    while !i + 1 < len && seg_at.(!i + 1) <= j lsl coarse_bits do
+      incr i
+    done;
+    out.(j) <- !i
+  done;
+  out
+
+(* Current rank of frozen rank [r0], or -1 when it was removed. *)
+let[@inline] translate tb r0 =
+  let sa = tb.seg_at in
+  let len = Array.length sa in
+  let i =
+    if len = 1 then 0
+    else begin
+      let i = ref tb.seg_of.(r0 lsr coarse_bits) in
+      while !i + 1 < len && sa.(!i + 1) <= r0 do
+        incr i
+      done;
+      !i
+    end
+  in
+  let d = tb.seg_shift.(i) in
+  if d = dead then -1 else r0 + d
+
+(* The rank of [id], or -1.  An id alive in the frozen table is never
+   placed again, so [added] is only asked about the others. *)
+let[@inline] find_rank tb id =
+  let r0 = Ranks.find tb.frozen id in
+  let r = if r0 < 0 then -1 else translate tb r0 in
+  if r >= 0 || tb.n_added = 0 then r else Ranks.find tb.added id
+
+(* Compose the segment map with one splice in current coordinates:
+   ranks below [at] stay, [[at, at + removed)] die, the rest shift by
+   [inserted - removed].  Adjacent segments with one shift merge. *)
+let compose_splice seg_at seg_shift ~at ~removed ~inserted =
+  let len = Array.length seg_at in
+  let out_at = Array.make ((len * 3) + 2) 0 and out_shift = Array.make ((len * 3) + 2) 0 in
+  let k = ref 0 in
+  (* pieces arrive non-empty and in order *)
+  let emit a d =
+    if !k = 0 || out_shift.(!k - 1) <> d then begin
+      out_at.(!k) <- a;
+      out_shift.(!k) <- d;
+      incr k
+    end
+  in
+  for i = 0 to len - 1 do
+    let a = seg_at.(i) and d = seg_shift.(i) in
+    if d = dead then emit a dead
+    else begin
+      (* the splice's cut points, in the frozen ranks of this segment *)
+      let hi = if i + 1 < len then seg_at.(i + 1) else max_int in
+      let c1 = at - d and c2 = at + removed - d in
+      if c1 > a then emit a d;
+      if removed > 0 && c2 > a && c1 < hi then emit (max a c1) dead;
+      if c2 < hi then emit (max a c2) (d + inserted - removed)
+    end
+  done;
+  (Array.sub out_at 0 !k, Array.sub out_shift 0 !k)
 
 type t = {
   instance : Instance.t;
   n : int;
   chunks : chunk array; (* the spine *)
-  starts : int array; (* spine pos -> rank of the chunk's slot 0 *)
-  locs : int Pmap.t; (* Entry.id -> (uid lsl slot_bits) lor slot *)
-  pos : (int, int) Hashtbl.t; (* uid -> spine pos, rebuilt per version *)
-  mutable flat : flat option;
-  flat_lock : Mutex.t;
+  starts : int array; (* spine pos -> rank of its slot 0; starts.(nchunks) = n *)
+  coarse : int array; (* r lsr coarse_bits -> spine pos of the chunk holding r *)
+  table : table;
 }
 
-(* Greatest [p] with [starts.(p) <= r]; caller guarantees a non-empty
-   spine and [r < n]. *)
-let find_pos starts nchunks r =
-  let lo = ref 0 and hi = ref (nchunks - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if starts.(mid) <= r then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-let spine_of_chunks chunks =
+let spine_of_chunks n chunks =
   let nchunks = Array.length chunks in
-  let starts = Array.make (max 1 nchunks) 0 in
-  let pos = Hashtbl.create (max 16 nchunks) in
+  let starts = Array.make (nchunks + 1) n in
   let r = ref 0 in
   for p = 0 to nchunks - 1 do
     starts.(p) <- !r;
-    Hashtbl.replace pos chunks.(p).uid p;
     r := !r + chunks.(p).len
   done;
-  (Array.sub starts 0 nchunks, pos)
+  let coarse = Array.make ((n + (1 lsl coarse_bits) - 1) lsr coarse_bits) 0 in
+  let p = ref 0 in
+  for j = 0 to Array.length coarse - 1 do
+    while starts.(!p + 1) <= j lsl coarse_bits do
+      incr p
+    done;
+    coarse.(j) <- !p
+  done;
+  (starts, coarse)
 
-let locs_of_chunks chunks =
-  Array.fold_left
-    (fun locs c ->
-      let base = c.uid lsl slot_bits in
-      let locs = ref locs in
-      for i = 0 to c.len - 1 do
-        locs := Pmap.add c.c_ids.(i) (base lor i) !locs
-      done;
-      !locs)
-    Pmap.empty chunks
+let version instance n chunks table =
+  let starts, coarse = spine_of_chunks n chunks in
+  { instance; n; chunks; starts; coarse; table }
 
 (* Cut flat preorder columns ([parents]/[extents] in rank coordinates)
    into chunks. *)
@@ -239,171 +331,98 @@ let create instance =
     if p >= 0 && extents.(r) > extents.(p) then extents.(p) <- extents.(r)
   done;
   let entries = Array.init n (fun r -> Instance.entry instance ids.(r)) in
-  let chunks = chunkify n ids entries parents depths extents in
-  let starts, pos = spine_of_chunks chunks in
-  (* A freshly-built version keeps its flat mirror: the build already
-     paid for it, and bulk-loaded bases are the versions queries sweep
-     hardest. *)
-  let flat =
-    Some
-      {
-        f_ids = ids;
-        f_entries = entries;
-        f_parents = parents;
-        f_depths = depths;
-        f_extents = extents;
-        f_ranks = ranks;
-      }
-  in
-  {
-    instance;
-    n;
-    chunks;
-    starts;
-    locs = locs_of_chunks chunks;
-    pos;
-    flat;
-    flat_lock = Mutex.create ();
-  }
+  version instance n (chunkify n ids entries parents depths extents) (frozen_table ranks n)
 
 let instance ix = ix.instance
 let n ix = ix.n
 
-let force_flat t =
-  Mutex.lock t.flat_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.flat_lock)
-    (fun () ->
-      match t.flat with
-      | Some f -> f
-      | None ->
-          let n = t.n in
-          let f_ids = Array.make n 0 in
-          let f_depths = Array.make n 0 in
-          let f_ranks = Ranks.create n in
-          let f_entries =
-            if n = 0 then [||] else Array.make n t.chunks.(0).c_entries.(0)
-          in
-          let r = ref 0 in
-          Array.iter
-            (fun c ->
-              for i = 0 to c.len - 1 do
-                f_ids.(!r) <- c.c_ids.(i);
-                f_entries.(!r) <- c.c_entries.(i);
-                f_depths.(!r) <- c.c_depths.(i);
-                Ranks.add f_ranks c.c_ids.(i) !r;
-                incr r
-              done)
-            t.chunks;
-          let f_parents = Array.make n (-1) in
-          let f_extents = Array.make n 0 in
-          let r = ref 0 in
-          Array.iter
-            (fun c ->
-              for i = 0 to c.len - 1 do
-                let pid = c.c_parents.(i) in
-                if pid >= 0 then f_parents.(!r) <- Ranks.find f_ranks pid;
-                f_extents.(!r) <- !r + c.c_sizes.(i) - 1;
-                incr r
-              done)
-            t.chunks;
-          let f =
-            { f_ids; f_entries; f_parents; f_depths; f_extents; f_ranks }
-          in
-          t.flat <- Some f;
-          f)
+(* Nothing to build: kept for callers that time where a version's first
+   read begins. *)
+let materialize (_ : t) = ()
 
-let materialize t = match t.flat with Some _ -> () | None -> ignore (force_flat t)
-
-(* Reading [t.flat] without the lock is safe: the record is immutable
-   once published, and a stale [None] only costs the chunk-tier path. *)
+(* Spine position of the chunk holding rank [r]: the coarse table's
+   guess, then forward past chunks that end at or before [r]. *)
+let[@inline] pos_of_rank t r =
+  let p = ref t.coarse.(r lsr coarse_bits) in
+  while t.starts.(!p + 1) <= r do
+    incr p
+  done;
+  !p
 
 let rank t id =
-  match t.flat with
-  | Some f ->
-      let r = Ranks.find f.f_ranks id in
-      if r < 0 then raise Not_found else r
-  | None -> (
-      match Pmap.find_opt id t.locs with
-      | None -> raise Not_found
-      | Some loc ->
-          t.starts.(Hashtbl.find t.pos (loc lsr slot_bits))
-          + (loc land slot_mask))
+  let r = find_rank t.table id in
+  if r < 0 then raise Not_found else r
 
 let rank_opt t id =
-  match t.flat with
-  | Some f ->
-      let r = Ranks.find f.f_ranks id in
-      if r < 0 then None else Some r
-  | None -> (
-      match Pmap.find_opt id t.locs with
-      | None -> None
-      | Some loc ->
-          Some
-            (t.starts.(Hashtbl.find t.pos (loc lsr slot_bits))
-            + (loc land slot_mask)))
-
-let[@inline] chunk_at t r =
-  let p = find_pos t.starts (Array.length t.chunks) r in
-  (t.chunks.(p), r - t.starts.(p))
+  let r = find_rank t.table id in
+  if r < 0 then None else Some r
 
 let id_of_rank t r =
-  match t.flat with
-  | Some f -> f.f_ids.(r)
-  | None ->
-      let c, i = chunk_at t r in
-      c.c_ids.(i)
+  let p = pos_of_rank t r in
+  t.chunks.(p).c_ids.(r - t.starts.(p))
 
 let entry_of_rank t r =
-  match t.flat with
-  | Some f -> f.f_entries.(r)
-  | None ->
-      let c, i = chunk_at t r in
-      c.c_entries.(i)
+  let p = pos_of_rank t r in
+  t.chunks.(p).c_entries.(r - t.starts.(p))
 
 let parent_rank t r =
-  match t.flat with
-  | Some f -> f.f_parents.(r)
-  | None ->
-      let c, i = chunk_at t r in
-      let pid = c.c_parents.(i) in
-      if pid < 0 then -1 else rank t pid
+  let p = pos_of_rank t r in
+  let pid = t.chunks.(p).c_parents.(r - t.starts.(p)) in
+  if pid < 0 then -1 else find_rank t.table pid
 
 let depth_of_rank t r =
-  match t.flat with
-  | Some f -> f.f_depths.(r)
-  | None ->
-      let c, i = chunk_at t r in
-      c.c_depths.(i)
+  let p = pos_of_rank t r in
+  t.chunks.(p).c_depths.(r - t.starts.(p))
 
 let extent_of_rank t r =
-  match t.flat with
-  | Some f -> f.f_extents.(r)
-  | None ->
-      let c, i = chunk_at t r in
-      r + c.c_sizes.(i) - 1
+  let p = pos_of_rank t r in
+  r + t.chunks.(p).c_sizes.(r - t.starts.(p)) - 1
 
-let ids_of t bs =
-  let k = Bitset.count bs in
-  if k = 0 then []
-  else begin
-    let out = Array.make k 0 in
-    let j = ref 0 in
-    (match t.flat with
-    | Some f ->
-        Bitset.iter
-          (fun r ->
-            out.(!j) <- f.f_ids.(r);
-            incr j)
-          bs
-    | None ->
-        Bitset.iter
-          (fun r ->
-            out.(!j) <- id_of_rank t r;
-            incr j)
-          bs);
-    Array.to_list out
+let iter_entries t ~lo ~hi f =
+  let lo = if lo < 0 then 0 else lo and hi = if hi >= t.n then t.n - 1 else hi in
+  if lo <= hi then begin
+    let p = ref (pos_of_rank t lo) and r = ref lo in
+    while !r <= hi do
+      let c = t.chunks.(!p) and s = t.starts.(!p) in
+      let last = if s + c.len <= hi then c.len - 1 else hi - s in
+      for i = !r - s to last do
+        f (s + i) c.c_entries.(i)
+      done;
+      r := s + c.len;
+      incr p
+    done
   end
+
+let iter_depths t f =
+  let r = ref 0 in
+  Array.iter
+    (fun c ->
+      for i = 0 to c.len - 1 do
+        f (!r + i) c.c_depths.(i)
+      done;
+      r := !r + c.len)
+    t.chunks
+
+let iter_depths_rev t f =
+  for p = Array.length t.chunks - 1 downto 0 do
+    let c = t.chunks.(p) and s = t.starts.(p) in
+    for i = c.len - 1 downto 0 do
+      f (s + i) c.c_depths.(i)
+    done
+  done
+
+(* Members from the top rank down, consed: the list comes out in rank
+   order with no intermediate array. *)
+let ids_of t bs =
+  let acc = ref [] and p = ref (Array.length t.chunks - 1) in
+  Bitset.iter_rev
+    (fun r ->
+      while t.starts.(!p) > r do
+        decr p
+      done;
+      acc := t.chunks.(!p).c_ids.(r - t.starts.(!p)) :: !acc)
+    bs;
+  !acc
 
 let chunk_count t = Array.length t.chunks
 
@@ -427,7 +446,8 @@ let shared_chunks t1 t2 =
    representation the splice rebuilds only the chunks overlapping the
    block's boundaries (interior chunks of a removed range are dropped
    whole), bumps subtree sizes along the ancestor path of the splice
-   point, and recomputes the spine — O(|Δ| + touched chunks + #chunks)
+   point, recomputes the spine and composes the splice into the rank
+   table's segment map — O(|Δ| + touched chunks + #chunks + #segments)
    per transaction instead of O(n). *)
 
 type splice = { sp_at : int; sp_removed : int; sp_inserted : int }
@@ -438,8 +458,12 @@ type builder = {
   mutable b_chunks : chunk array; (* dense prefix of length b_nchunks *)
   mutable b_nchunks : int;
   mutable b_starts : int array; (* same capacity as b_chunks *)
-  mutable b_locs : int Pmap.t;
-  b_pos : (int, int) Hashtbl.t;
+  b_frozen : Ranks.t;
+  b_frozen_n : int;
+  mutable b_seg_at : int array;
+  mutable b_seg_shift : int array;
+  b_added : (Entry.id, int) Hashtbl.t; (* ids placed since the freeze -> rank *)
+  mutable b_edits : int;
   (* Chunks this builder allocated: not yet visible to any sealed
      version, so slot-preserving edits may mutate them in place. *)
   b_owned : (int, chunk) Hashtbl.t;
@@ -458,26 +482,45 @@ let dummy_chunk =
   }
 
 let builder_of t =
+  let tb = t.table in
+  let added = Hashtbl.create (max 16 tb.n_added) in
+  if tb.n_added > 0 then
+    for s = 0 to tb.added.mask do
+      let r = tb.added.slots.((2 * s) + 1) in
+      if r >= 0 then Hashtbl.replace added tb.added.slots.(2 * s) r
+    done;
   {
     b_inst = t.instance;
     b_n = t.n;
     b_chunks = Array.copy t.chunks;
     b_nchunks = Array.length t.chunks;
-    b_starts = Array.copy t.starts;
-    b_locs = t.locs;
-    b_pos = Hashtbl.copy t.pos;
+    b_starts = Array.sub t.starts 0 (Array.length t.chunks);
+    b_frozen = tb.frozen;
+    b_frozen_n = tb.frozen_n;
+    b_seg_at = tb.seg_at;
+    b_seg_shift = tb.seg_shift;
+    b_added = added;
+    b_edits = tb.edits;
     b_owned = Hashtbl.create 16;
     b_splices = [];
   }
 
+(* Greatest [p] with [starts.(p) <= r]; caller guarantees a non-empty
+   spine and [r < n]. *)
+let find_pos b r = last_le b.b_starts b.b_nchunks r
+
+let b_rank b id =
+  let r0 = Ranks.find b.b_frozen id in
+  let d = if r0 < 0 then dead else b.b_seg_shift.(last_le b.b_seg_at (Array.length b.b_seg_at) r0) in
+  if d <> dead then r0 + d
+  else match Hashtbl.find_opt b.b_added id with Some r -> r | None -> -1
+
 let recompute_spine b =
   if Array.length b.b_starts < Array.length b.b_chunks then
     b.b_starts <- Array.make (Array.length b.b_chunks) 0;
-  Hashtbl.clear b.b_pos;
   let r = ref 0 in
   for p = 0 to b.b_nchunks - 1 do
     b.b_starts.(p) <- !r;
-    Hashtbl.replace b.b_pos b.b_chunks.(p).uid p;
     r := !r + b.b_chunks.(p).len
   done
 
@@ -522,6 +565,25 @@ let empty_slab =
     s_sizes = [||];
   }
 
+(* The rank table follows the splice: the segment map composes it,
+   placed ids inside the removed window drop out and the rest shift,
+   and the slab's ids are placed at their new ranks. *)
+let splice_ranks b ~at ~removed slab =
+  let w = Array.length slab.s_ids in
+  let seg_at, seg_shift =
+    compose_splice b.b_seg_at b.b_seg_shift ~at ~removed ~inserted:w
+  in
+  b.b_seg_at <- seg_at;
+  b.b_seg_shift <- seg_shift;
+  b.b_edits <- b.b_edits + 1;
+  Hashtbl.filter_map_inplace
+    (fun _ r ->
+      if r < at then Some r
+      else if r < at + removed then None
+      else Some (r + w - removed))
+    b.b_added;
+  Array.iteri (fun i id -> Hashtbl.replace b.b_added id (at + i)) slab.s_ids
+
 (* The one structural edit: remove ranks [at, at+removed) and insert
    [slab] in their place.  Slots kept from the boundary chunks and the
    slab are redistributed into fresh evenly-sized chunks (each at most
@@ -534,22 +596,10 @@ let splice_chunks b ~at ~removed slab =
     if b.b_nchunks = 0 then (0, -1)
     else if at >= b.b_n then (b.b_nchunks - 1, b.b_nchunks - 1)
     else
-      let p0 = find_pos b.b_starts b.b_nchunks at in
-      let p1 =
-        if removed = 0 then p0
-        else find_pos b.b_starts b.b_nchunks (at + removed - 1)
-      in
+      let p0 = find_pos b at in
+      let p1 = if removed = 0 then p0 else find_pos b (at + removed - 1) in
       (p0, p1)
   in
-  (* Unbind the removed slots (interior chunks included). *)
-  if removed > 0 then
-    for p = p_lo to p_hi do
-      let c = b.b_chunks.(p) and s = b.b_starts.(p) in
-      let lo = max 0 (at - s) and hi = min (c.len - 1) (at + removed - 1 - s) in
-      for i = lo to hi do
-        b.b_locs <- Pmap.remove c.c_ids.(i) b.b_locs
-      done
-    done;
   let left_len = if p_hi < p_lo then 0 else min at b.b_n - b.b_starts.(p_lo) in
   let right_len =
     if p_hi < p_lo then 0
@@ -597,22 +647,15 @@ let splice_chunks b ~at ~removed slab =
           c_parents = parents; c_depths = depths; c_sizes = sizes })
   in
   replace_spine b p_lo p_hi repl;
-  (* Rebind every slot of the rebuilt chunks (kept boundary slots moved
-     chunk too) and let later edits in this transaction mutate them. *)
-  Array.iter
-    (fun c ->
-      Hashtbl.replace b.b_owned c.uid c;
-      let base = c.uid lsl slot_bits in
-      for i = 0 to c.len - 1 do
-        b.b_locs <- Pmap.add c.c_ids.(i) (base lor i) b.b_locs
-      done)
-    repl;
+  (* later edits in this transaction may mutate the rebuilt chunks *)
+  Array.iter (fun c -> Hashtbl.replace b.b_owned c.uid c) repl;
+  splice_ranks b ~at ~removed slab;
   b.b_n <- b.b_n - removed + w;
   b.b_splices <-
     { sp_at = at; sp_removed = removed; sp_inserted = w } :: b.b_splices
 
-(* Copy-on-write for a slot-preserving edit: uid (and so every loc into
-   the chunk) survives; only the physical arrays fork. *)
+(* Copy-on-write for a slot-preserving edit: only the physical arrays
+   fork. *)
 let cow_chunk b p =
   let c = b.b_chunks.(p) in
   match Hashtbl.find_opt b.b_owned c.uid with
@@ -620,7 +663,7 @@ let cow_chunk b p =
   | _ ->
       let c' =
         {
-          uid = c.uid;
+          uid = fresh_uid ();
           len = c.len;
           c_ids = Array.copy c.c_ids;
           c_entries = Array.copy c.c_entries;
@@ -629,18 +672,22 @@ let cow_chunk b p =
           c_sizes = Array.copy c.c_sizes;
         }
       in
-      Hashtbl.replace b.b_owned c.uid c';
+      Hashtbl.replace b.b_owned c'.uid c';
       b.b_chunks.(p) <- c';
       c'
 
-(* (spine pos, slot, rank) of an id in the builder. *)
+(* (spine pos, slot, rank) of an id in the builder.  The slot must hold
+   the id: a rank table out of step with the chunks fails here instead
+   of walking a parent chain that never ends. *)
 let b_find b id =
-  match Pmap.find_opt id b.b_locs with
-  | None -> None
-  | Some loc ->
-      let p = Hashtbl.find b.b_pos (loc lsr slot_bits) in
-      let slot = loc land slot_mask in
-      Some (p, slot, b.b_starts.(p) + slot)
+  let r = b_rank b id in
+  if r < 0 then None
+  else
+    let p = find_pos b r in
+    let slot = r - b.b_starts.(p) in
+    if b.b_chunks.(p).c_ids.(slot) <> id then
+      invalid_arg (Printf.sprintf "Index: rank table maps %d to rank %d" id r);
+    Some (p, slot, r)
 
 let bump_sizes b start_pid w =
   let pid = ref start_pid in
@@ -689,22 +736,39 @@ let delete_one b id =
       splice_chunks b ~at:r ~removed:1 empty_slab;
       if pid >= 0 then bump_sizes b pid (-1)
 
+(* A fresh frozen table over the builder's chunks. *)
+let fold_table b =
+  let ranks = Ranks.create b.b_n in
+  for p = 0 to b.b_nchunks - 1 do
+    let c = b.b_chunks.(p) and s = b.b_starts.(p) in
+    for i = 0 to c.len - 1 do
+      Ranks.add ranks c.c_ids.(i) (s + i)
+    done
+  done;
+  frozen_table ranks b.b_n
+
 let seal b =
   (* Published chunks must never mutate again: forget ownership so a
      reused builder copies on its next write. *)
   Hashtbl.reset b.b_owned;
-  let chunks = Array.sub b.b_chunks 0 b.b_nchunks in
-  let starts, pos = spine_of_chunks chunks in
-  {
-    instance = b.b_inst;
-    n = b.b_n;
-    chunks;
-    starts;
-    locs = b.b_locs;
-    pos;
-    flat = None;
-    flat_lock = Mutex.create ();
-  }
+  let n_added = Hashtbl.length b.b_added in
+  let table =
+    if b.b_edits > fold_splices || n_added > fold_added then fold_table b
+    else
+      let added = if n_added = 0 then no_added else Ranks.create n_added in
+      Hashtbl.iter (Ranks.add added) b.b_added;
+      {
+        frozen = b.b_frozen;
+        frozen_n = b.b_frozen_n;
+        seg_at = b.b_seg_at;
+        seg_shift = b.b_seg_shift;
+        seg_of = seg_index b.b_seg_at b.b_frozen_n;
+        added;
+        n_added;
+        edits = b.b_edits;
+      }
+  in
+  version b.b_inst b.b_n (Array.sub b.b_chunks 0 b.b_nchunks) table
 
 let apply_op_b b = function
   | Update.Insert { parent; entry } -> insert_one b ~parent entry
@@ -714,27 +778,25 @@ let graft_b b ~parent ?delta_index delta =
   let dix =
     match delta_index with Some d -> d | None -> create delta
   in
-  let w = dix.n in
-  if w > 0 then begin
+  if dix.n > 0 then begin
     (match Instance.graft ~parent delta b.b_inst with
     | Ok inst -> b.b_inst <- inst
     | Error e -> invalid_arg ("Index.graft: " ^ Instance.error_to_string e));
     let pid, k, depth_off = parent_point b ~op:"graft" parent in
-    let f = force_flat dix in
     (* Parents as ids and extents as sizes make the block translation-
        free except for the depth offset and the delta-roots' parent. *)
+    let column f = Array.concat (Array.to_list (Array.map f dix.chunks)) in
     let slab =
       {
-        s_ids = f.f_ids;
-        s_entries = f.f_entries;
-        s_parents =
-          Array.map (fun pr -> if pr < 0 then pid else f.f_ids.(pr)) f.f_parents;
-        s_depths = Array.map (fun d -> depth_off + d) f.f_depths;
-        s_sizes = Array.init w (fun i -> f.f_extents.(i) - i + 1);
+        s_ids = column (fun c -> c.c_ids);
+        s_entries = column (fun c -> c.c_entries);
+        s_parents = column (fun c -> Array.map (fun p -> if p < 0 then pid else p) c.c_parents);
+        s_depths = column (fun c -> Array.map (fun d -> depth_off + d) c.c_depths);
+        s_sizes = column (fun c -> c.c_sizes);
       }
     in
     splice_chunks b ~at:k ~removed:0 slab;
-    if pid >= 0 then bump_sizes b pid w
+    if pid >= 0 then bump_sizes b pid dix.n
   end
 
 let prune_b b root =

@@ -2,25 +2,28 @@
 
     Built in O(|D|); assigns each entry a dense {e rank} equal to its
     position in a depth-first preorder of the forest.  This single
-    numbering makes all four χ axes evaluable in one linear array sweep
-    (see {!Eval}): in preorder every node precedes its descendants, so a
+    numbering makes all four χ axes evaluable in one linear sweep (see
+    {!Eval}): in preorder every node precedes its descendants, so a
     reverse sweep propagates information from descendants to ancestors and
     a forward sweep the other way.
 
     Versions are {e chunked copy-on-write}: the per-rank columns live in
-    immutable chunks shared structurally between versions, the id->rank
-    table is a persistent map, and a transaction's version step copies
-    only the chunks its splices touch plus an O(#chunks) spine — not the
-    O(n) array blits + [Hashtbl.copy] of the flat representation this
-    replaced.  Rank sweeps lazily materialize a flat mirror per version
-    ({!materialize}); the write path never does. *)
+    immutable chunks shared structurally between versions, and a
+    transaction's version step copies only the chunks its splices touch
+    plus an O(#chunks) spine.  Every version, fresh or patched, is read
+    through its chunks: the accessors below allocate nothing and take no
+    lock, and a sweep over every rank walks the chunks in order
+    ({!iter_entries}, {!iter_depths}).  Ids map to ranks through one
+    frozen table shared between versions plus the splices since it was
+    built, folded into a fresh table on the writer's side once they
+    pass a fixed bound. *)
 
 open Bounds_model
 
 type t
 
 (** [create instance] — one preorder numbering pass (a rank {e is} a
-    DFS position).  The result keeps its flat mirror pre-materialized. *)
+    DFS position). *)
 val create : Instance.t -> t
 
 val instance : t -> Instance.t
@@ -46,16 +49,27 @@ val depth_of_rank : t -> int -> int
     [[r, extent_of_rank ix r]]. *)
 val extent_of_rank : t -> int -> int
 
-(** Ranks back to entry ids. *)
+(** Ranks back to entry ids, in rank order.  Walks the set from the top
+    rank down and conses: no intermediate array. *)
 val ids_of : t -> Bitset.t -> Entry.id list
 
-(** Force the flat per-rank mirror (idempotent, thread-safe): five
-    per-rank arrays and an open-addressing id->rank table (power-of-two
-    capacity at least 2n), built in O(n).  Call before an O(n) rank
-    sweep or a posting-to-bitset fill: per-rank accessors then run at
-    array speed, and {!rank}/{!rank_opt} cost a probe or two with no
-    allocation.  Accessors fall back to the chunk tier (binary search +
-    persistent map, fine for sparse access) when it is absent. *)
+(** [iter_entries ix ~lo ~hi f] — [f r e] for every rank [r] of
+    [[lo, hi]] (clamped to the version) in increasing order, chunk by
+    chunk. *)
+val iter_entries : t -> lo:int -> hi:int -> (int -> Entry.t -> unit) -> unit
+
+(** [iter_depths ix f] — [f r depth] for every rank in increasing
+    order; the parent of [r] is the last rank visited at depth
+    [depth - 1], so a sweep can keep parents on a depth stack instead
+    of looking each one up. *)
+val iter_depths : t -> (int -> int -> unit) -> unit
+
+(** {!iter_depths} from the last rank down. *)
+val iter_depths_rev : t -> (int -> int -> unit) -> unit
+
+(** Does nothing: every version is read through its chunks.  Kept so
+    that callers timing where a version's first read begins still
+    compile. *)
 val materialize : t -> unit
 
 (** {2 Chunk introspection} — for memory/sharing properties and bench
@@ -72,7 +86,8 @@ val shared_chunks : t -> t -> int
     A preorder subtree is a contiguous rank interval, so updates patch
     the encoding by interval splicing.  Each splice rebuilds only the
     chunks overlapping its boundaries, adjusts subtree sizes along the
-    ancestor path, and recomputes the O(#chunks) spine of rank offsets —
+    ancestor path, recomputes the O(#chunks) spine of rank offsets and
+    records itself in the rank table's overlay —
     the old version (and every bitset computed against it) stays fully
     usable, now sharing all untouched chunks with the new one.  The full
     rebuild {!create} stays as the differential-fuzz twin

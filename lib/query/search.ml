@@ -37,11 +37,12 @@ let candidates ix ~base scope =
       let r = Index.rank ix id in
       Interval (r, Index.extent_of_rank ix r)
 
-(* Scope first: [f] sees each candidate satisfying [filter], in rank
-   order.  Without a value index, or when the planner's own rule prices
-   [verify_factor] x candidates below materializing the filter, each
-   candidate is tested with [Filter.matches]; otherwise the filter is
-   evaluated once and only its members inside the scope are visited. *)
+(* Scope first: [f] sees the id of each candidate satisfying [filter],
+   in rank order.  Without a value index, or when the planner's own
+   rule prices [verify_factor] x candidates below materializing the
+   filter, each candidate is tested with [Filter.matches]; otherwise the
+   filter is evaluated once and only its members inside the scope are
+   visited. *)
 let iter_matches ?vindex ix ~base scope filter f =
   let cands = candidates ix ~base scope in
   let k =
@@ -54,20 +55,17 @@ let iter_matches ?vindex ix ~base scope filter f =
         if Plan.prefers_verify plan ~candidates:k then None else Some (Plan.exec plan)
     | _ -> None
   in
-  let test r = Filter.matches filter (Index.entry_of_rank ix r) in
+  let test e = if Filter.matches filter e then f (Bounds_model.Entry.id e) in
+  let member r = f (Index.id_of_rank ix r) in
   match (members, cands) with
-  | None, Interval (lo, hi) ->
-      for r = lo to hi do
-        if test r then f r
-      done
-  | None, Ranks rs -> List.iter (fun r -> if test r then f r) rs
-  | Some bs, Interval (lo, hi) -> Bitset.iter_range f bs ~lo ~hi:(hi + 1)
-  | Some bs, Ranks rs -> List.iter (fun r -> if Bitset.mem bs r then f r) rs
+  | None, Interval (lo, hi) -> Index.iter_entries ix ~lo ~hi (fun _ e -> test e)
+  | None, Ranks rs -> List.iter (fun r -> test (Index.entry_of_rank ix r)) rs
+  | Some bs, Interval (lo, hi) -> Bitset.iter_range member bs ~lo ~hi:(hi + 1)
+  | Some bs, Ranks rs -> List.iter (fun r -> if Bitset.mem bs r then member r) rs
 
 let search ?vindex ix ~base scope filter =
   let acc = ref [] in
-  iter_matches ?vindex ix ~base scope filter (fun r ->
-      acc := Index.id_of_rank ix r :: !acc);
+  iter_matches ?vindex ix ~base scope filter (fun id -> acc := id :: !acc);
   List.rev !acc
 
 let count ?vindex ix ~base scope filter =

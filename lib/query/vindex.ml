@@ -103,22 +103,19 @@ let push_id tbl k id =
 
 let create ix =
   let n = Index.n ix in
-  Index.materialize ix;
   (* Pre-sized: one eq bucket per entry-value pair is the common case
      (duplicate pairs only shrink it), so seed with |D| instead of
      growing through doublings from a constant. *)
   let eq = Hashtbl.create (max 64 (2 * n)) and present = Hashtbl.create (max 16 n) in
-  for r = 0 to n - 1 do
-    let e = Index.entry_of_rank ix r in
-    let id = Entry.id e in
-    List.iter
-      (fun (a, v) ->
-        push_id eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
-      (Entry.pairs e);
-    Attr.Set.iter
-      (fun a -> push_id present (attr_key (Attr.to_string a)) id)
-      (Entry.attributes e)
-  done;
+  Index.iter_entries ix ~lo:0 ~hi:(n - 1) (fun _ e ->
+      let id = Entry.id e in
+      List.iter
+        (fun (a, v) ->
+          push_id eq (eq_key (Attr.to_string a) (norm (Value.to_string v))) id)
+        (Entry.pairs e);
+      Attr.Set.iter
+        (fun a -> push_id present (attr_key (Attr.to_string a)) id)
+        (Entry.attributes e));
   (* snapshot-build time is freeze time: every posting list becomes one
      sorted id array before the first lookup runs *)
   let to_pmap tbl =
@@ -141,8 +138,6 @@ let create ix =
 let index t = t.ix
 
 let of_postings t p =
-  (* query path: force array-speed rank lookups before the member walk *)
-  Index.materialize t.ix;
   let bs = Bitset.create (Index.n t.ix) in
   p_iter (fun id -> Bitset.set bs (Index.rank t.ix id)) p;
   bs
@@ -255,7 +250,6 @@ let range_slices ri ~ge v =
 
 let lookup_range t ~ge a v =
   let ri = range_of t a in
-  Index.materialize t.ix;
   let bs = Bitset.create (Index.n t.ix) in
   List.iter
     (fun (ids, lo, hi) ->
@@ -332,7 +326,6 @@ let substr_candidates t a sub =
   | None -> lookup_present t a
   | Some [] -> Bitset.create (Index.n t.ix)
   | Some (first :: rest) ->
-      Index.materialize t.ix;
       let bs = Bitset.create (Index.n t.ix) in
       Array.iter (fun id -> Bitset.set bs (Index.rank t.ix id)) first;
       List.iter

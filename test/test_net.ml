@@ -457,10 +457,13 @@ let test_buffer_stale_and_retention () =
         (List.for_all (( = ) initial) !capacities))
 
 (* Listings through one connection's buffer — 200 of over 2 KiB, then
-   20 of about 300 KB, streamed — add less than one body's worth of
-   words to the major heap, where rendering each into a body and
-   framing that ([serve_search], then [Frame.encode_parts]) puts at
-   least a body's worth of blocks there per reply.  A block too big for
+   20 of about 300 KB, streamed, then 60 χ answers of 3000 entries
+   each — add less than one body's worth of words to the major heap,
+   where rendering each into a body and framing that ([serve_search] or
+   [serve_query], then [Frame.encode_parts]) puts at least a body's
+   worth of blocks there per reply.  A χ answer's id list is built
+   without an intermediate array, which would be a major-heap block per
+   answer of more than 256 ids.  A block too big for
    the minor heap is allocated in the major heap directly, so the direct
    major words are [major_words] less [promoted_words], read after a
    minor collection, which is when such a block is counted. *)
@@ -482,24 +485,29 @@ let test_buffer_allocation () =
     let s1 = Gc.quick_stat () in
     s1.Gc.major_words -. s1.Gc.promoted_words -. (s0.Gc.major_words -. s0.Gc.promoted_words)
   in
-  let measure k (base, scope, filter) ~min_bytes =
+  let measure k read ~min_bytes =
+    let answer () =
+      match read with
+      | `Search (base, scope, filter) -> Front.search_answer snap ~base ~scope ~filter
+      | `Query q -> Front.query_answer snap q
+    in
+    let serve () =
+      match read with
+      | `Search (base, scope, filter) -> Server.serve_search snap ~base ~scope ~filter
+      | `Query q -> Server.serve_query snap q
+    in
     let body =
-      match Server.serve_search snap ~base ~scope ~filter with
+      match serve () with
       | Proto.Reply body -> body
       | Proto.Failed e -> Alcotest.fail e
     in
     check "body size" true (String.length body > min_bytes);
     let body_words = float_of_int (String.length body / (Sys.word_size / 8)) in
     let out = Conn.buffer () in
-    let buffered =
-      direct_major k (fun () ->
-          Front.send_answer out fd (Front.search_answer snap ~base ~scope ~filter))
-    in
+    let buffered = direct_major k (fun () -> Front.send_answer out fd (answer ())) in
     let by_body =
       direct_major k (fun () ->
-          let framed =
-            Frame.encode_parts (Proto.response_parts (Server.serve_search snap ~base ~scope ~filter))
-          in
+          let framed = Frame.encode_parts (Proto.response_parts (serve ())) in
           ignore (Unix.write_substring fd framed 0 (String.length framed)))
     in
     if buffered >= body_words then
@@ -513,8 +521,10 @@ let test_buffer_allocation () =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      measure 200 (Some "ou=u7,o=acme", "one", "(objectClass=person)") ~min_bytes:2048;
-      measure 20 (None, "sub", "(objectClass=*)") ~min_bytes:300_000)
+      measure 200 (`Search (Some "ou=u7,o=acme", "one", "(objectClass=person)")) ~min_bytes:2048;
+      measure 20 (`Search (None, "sub", "(objectClass=*)")) ~min_bytes:300_000;
+      measure 60 (`Query "(chi p (objectClass=person) (objectClass=top))") ~min_bytes:300_000;
+      measure 60 (`Query "(chi a (objectClass=person) (objectClass=top))") ~min_bytes:300_000)
 
 (* --- group commit: equivalence and crash --------------------------------- *)
 

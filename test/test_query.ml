@@ -911,7 +911,7 @@ let prop_search_reference =
                [ None; Some base ])
            [ None; Some vx ]))
 
-(* --- the flat mirror's rank table ---------------------------------------- *)
+(* --- the rank table, across folds --------------------------------------- *)
 
 (* Ids with gaps of up to 10^9 between them: the rank table must not
    assume ids are dense, small or sequential. *)
@@ -941,8 +941,86 @@ let rank_answers ix probes =
       (Index.rank_opt ix id, match Index.rank ix id with r -> Some r | exception Not_found -> None))
     probes
 
+(* A version's table records at most 64 splices before the writer folds
+   it; a chain of one-edit versions this long crosses the fold twice. *)
+let past_two_folds = 150
+
+(* Every per-rank fact of [v] against a rebuild of its instance, the
+   chunk walks included. *)
+let same_as_rebuild v =
+  let f = Index.create (Index.instance v) in
+  let n = Index.n f in
+  let walked = ref [] and depths = ref [] and depths_rev = ref [] in
+  Index.iter_entries v ~lo:0 ~hi:(n - 1) (fun r e -> walked := (r, Entry.id e) :: !walked);
+  Index.iter_depths v (fun r d -> depths := (r, d) :: !depths);
+  Index.iter_depths_rev v (fun r d -> depths_rev := (r, d) :: !depths_rev);
+  Index.n v = n
+  && List.for_all
+       (fun r ->
+         Index.id_of_rank v r = Index.id_of_rank f r
+         && Entry.equal (Index.entry_of_rank v r) (Index.entry_of_rank f r)
+         && Index.parent_rank v r = Index.parent_rank f r
+         && Index.depth_of_rank v r = Index.depth_of_rank f r
+         && Index.extent_of_rank v r = Index.extent_of_rank f r
+         && Index.rank v (Index.id_of_rank f r) = r)
+       (List.init n Fun.id)
+  && List.rev !walked = List.init n (fun r -> (r, Index.id_of_rank f r))
+  && List.rev !depths = List.init n (fun r -> (r, Index.depth_of_rank f r))
+  && !depths_rev = List.init n (fun r -> (r, Index.depth_of_rank f r))
+  && Index.ids_of v (Bitset.full n) = List.init n (Index.id_of_rank f)
+
+(* One edit of [inst]: a fresh entry under a random parent (or as a
+   root), the delete of a random leaf, the graft of a small forest, or
+   the prune of a random subtree. *)
+let random_step rng fresh v =
+  let inst = Index.instance v in
+  let ids = Array.of_list (Instance.ids inst) in
+  let pick () = ids.(Random.State.int rng (Array.length ids)) in
+  let new_id () =
+    incr fresh;
+    !fresh
+  in
+  match Random.State.int rng 10 with
+  | (0 | 1 | 2) when Array.length ids > 20 -> (
+      match List.filter (Instance.is_leaf inst) (Array.to_list ids) with
+      | [] -> v
+      | leaves -> Index.apply [ Update.Delete (List.nth leaves (Random.State.int rng (List.length leaves))) ] v)
+  | 3 when Array.length ids > 40 ->
+      let root = pick () in
+      if List.length (Instance.descendants inst root) < 12 then Index.prune root v else v
+  | 4 ->
+      let delta = sparse_forest rng (List.init (1 + Random.State.int rng 6) (fun _ -> new_id ())) in
+      Index.graft ~parent:(if Array.length ids = 0 then None else Some (pick ())) delta v
+  | _ ->
+      let parent = if Array.length ids = 0 || Random.State.int rng 10 = 0 then None else Some (pick ()) in
+      Index.apply [ Update.Insert { parent; entry = mk (new_id ()) "b" } ] v
+
+let prop_version_chain_folds =
+  QCheck.Test.make ~name:"index versions: a chain across two folds = rebuilds" ~count:10
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let inst =
+        Bounds_workload.Gen.random_forest ~seed ~size:(60 + Random.State.int rng 200)
+          ~mk_entry:(fun _ id -> mk id "a") ()
+      in
+      let fresh = ref (Instance.max_id inst) in
+      let versions = Array.make (past_two_folds + 1) (Index.create inst) in
+      for i = 1 to past_two_folds do
+        versions.(i) <- random_step rng fresh versions.(i - 1);
+        if not (same_as_rebuild versions.(i)) then
+          QCheck.Test.fail_reportf "version %d differs from its rebuild when sealed" i
+      done;
+      (* earlier versions, read again after every later one is sealed *)
+      Array.iteri
+        (fun i v ->
+          if not (same_as_rebuild v) then
+            QCheck.Test.fail_reportf "version %d differs from its rebuild at the end" i)
+        versions;
+      true)
+
 let prop_rank_table_sparse =
-  QCheck.Test.make ~name:"rank table: chunk tier = mirror on sparse ids" ~count:100
+  QCheck.Test.make ~name:"rank table: sparse ids across a fold" ~count:100
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Random.State.make [| seed |] in
@@ -960,18 +1038,44 @@ let prop_rank_table_sparse =
         | [] -> None
         | l -> Some (List.nth l (Random.State.int rng (List.length l)))
       in
+      (* one-insert and one-delete versions with sparse ids, past the
+         fold bound; every id ever used is probed below *)
+      let history = ref ids in
+      let chain = ref v0 in
+      let steps = ref [] in
+      for _ = 1 to past_two_folds / 2 do
+        let v = !chain in
+        let inst = Index.instance v in
+        let leaves = List.filter (Instance.is_leaf inst) (Instance.ids inst) in
+        let v' =
+          if leaves <> [] && Instance.size inst > 10 && Random.State.bool rng then
+            Index.apply [ Update.Delete (List.nth leaves (Random.State.int rng (List.length leaves))) ] v
+          else begin
+            let id = List.hd (take 1) in
+            history := id :: !history;
+            Index.apply [ Update.Insert { parent = pick inst; entry = mk id "c" } ] v
+          end
+        in
+        steps := v' :: !steps;
+        chain := v'
+      done;
+      let base = !chain in
+      let inst = Index.instance base in
       (* Index.apply: fresh entries under random parents, then the delete
          of a leaf no insert went under *)
       let ops =
         let leaf = Option.to_list (List.find_opt (Instance.is_leaf inst) (Instance.ids inst)) in
         List.map
-          (fun id -> Update.Insert { parent = pick ~except:leaf inst; entry = mk id "b" })
+          (fun id ->
+            history := id :: !history;
+            Update.Insert { parent = pick ~except:leaf inst; entry = mk id "b" })
           (take (1 + Random.State.int rng 5))
         @ List.map (fun id -> Update.Delete id) leaf
       in
-      let v1 = Index.apply ops v0 in
-      let delta = sparse_forest rng (take (1 + Random.State.int rng 20)) in
-      let v2 = Index.graft ~parent:(pick (Index.instance v1)) delta v1 in
+      let v1 = Index.apply ops base in
+      let grafted = take (1 + Random.State.int rng 20) in
+      history := grafted @ !history;
+      let v2 = Index.graft ~parent:(pick (Index.instance v1)) (sparse_forest rng grafted) v1 in
       let v3 =
         match pick (Index.instance v2) with
         | Some root -> Index.prune root v2
@@ -980,18 +1084,12 @@ let prop_rank_table_sparse =
       List.for_all
         (fun v ->
           let present = Instance.ids (Index.instance v) in
-          let unused = take 5 in
           let absent =
             [ -1; -2; -1_000_000_007; min_int; max_int ]
-            @ List.filter (fun id -> not (Instance.mem (Index.instance v) id)) (ids @ unused)
+            @ List.filter (fun id -> not (Instance.mem (Index.instance v) id)) (!history @ take 5)
           in
           let probes = present @ absent in
-          (* a sealed version has no mirror: these go through the chunk tier *)
-          let chunk_tier = rank_answers v probes in
-          Index.materialize v;
-          let mirror = rank_answers v probes in
-          let rebuilt = rank_answers (Index.create (Index.instance v)) probes in
-          chunk_tier = mirror && mirror = rebuilt
+          rank_answers v probes = rank_answers (Index.create (Index.instance v)) probes
           && List.for_all
                (fun id ->
                  match Index.rank_opt v id with
@@ -1003,7 +1101,7 @@ let prop_rank_table_sparse =
                  Index.rank_opt v id = None
                  && match Index.rank v id with _ -> false | exception Not_found -> true)
                absent)
-        [ v1; v2; v3 ])
+        ((v0 :: List.rev !steps) @ [ v1; v2; v3 ]))
 
 (* P7's shape: 10^5 persons under one unit with ids from 6 000 000,
    across the 2^18 multiple at 6 029 312 (the table's capacity at this
@@ -1309,6 +1407,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitset_splice;
           QCheck_alcotest.to_alcotest prop_search_reference;
           QCheck_alcotest.to_alcotest prop_rank_table_sparse;
+          QCheck_alcotest.to_alcotest prop_version_chain_folds;
           QCheck_alcotest.to_alcotest prop_extent_brackets_subtree;
           QCheck_alcotest.to_alcotest prop_filter_matches_reference;
         ] );

@@ -331,6 +331,76 @@ let test_chunk_sharing () =
   check "chain end still shares ≥90% with the base" true
     (10 * shared0 >= 9 * Index.chunk_count !prev)
 
+(* A version costs what its step copies, not O(|D|): on a 10^4-entry
+   white-pages session, one accepted insert plus the first root-scoped
+   (uid=...) search of the version it makes allocate fewer than n/8
+   words directly in the major heap (a block too big for the minor heap
+   goes there at once, so these are [major_words] less
+   [promoted_words], read after a minor collection).  A per-version
+   flat copy of the index, built by the step or by the first read,
+   costs several words per entry there.  The index accessors on that
+   version allocate nothing at all. *)
+let test_version_read_cost () =
+  let base = WP.generate ~seed:11 ~units:500 ~persons_per_unit:20 () in
+  let n = Instance.size base in
+  let unit_id =
+    Instance.fold
+      (fun e acc -> if Entry.has_class e (c "orgunit") then Some (Entry.id e) else acc)
+      base None
+    |> Option.get
+  in
+  let root = List.hd (Instance.roots base) in
+  let dir =
+    match Directory.open_ WP.schema base with
+    | Ok d -> d
+    | Error _ -> Alcotest.fail "white pages rejected"
+  in
+  let id = 3_000_000 in
+  Gc.full_major ();
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let dir =
+    match
+      Directory.apply dir
+        [ Update.Insert { parent = Some unit_id; entry = person ~id ~uid:"cost1" () } ]
+    with
+    | d, Admission.Accepted _ -> d
+    | _, Admission.Rejected _ -> Alcotest.fail "insert rejected"
+  in
+  let snap = Directory.snapshot dir in
+  let hits =
+    Directory.Snapshot.search snap ~base:(Some root) Bounds_query.Search.Subtree
+      (Bounds_query.Filter.Eq (a "uid", "cost1"))
+  in
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  let direct =
+    s1.Gc.major_words -. s1.Gc.promoted_words -. (s0.Gc.major_words -. s0.Gc.promoted_words)
+  in
+  check "the first read finds the insert" true (hits = [ id ]);
+  if direct >= float_of_int (n / 8) then
+    Alcotest.failf "a write and its first read: %.0f direct major words at n = %d (bound %d)"
+      direct n (n / 8);
+  let ix = Directory.Snapshot.Private.index snap in
+  let probe name f =
+    let k = 10_000 in
+    let sink = ref 0 in
+    let w0 = Gc.minor_words () in
+    for i = 0 to k - 1 do
+      sink := !sink lxor f (i * 7919 mod n)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    if words > 0. then Alcotest.failf "Index.%s: %.0f minor words over %d calls" name words k
+  in
+  let r_new = Index.rank ix id in
+  probe "rank" (fun r -> Index.rank ix (Index.id_of_rank ix r));
+  probe "id_of_rank" (Index.id_of_rank ix);
+  probe "entry_of_rank" (fun r -> Entry.id (Index.entry_of_rank ix r));
+  probe "parent_rank" (Index.parent_rank ix);
+  probe "depth_of_rank" (Index.depth_of_rank ix);
+  probe "extent_of_rank" (Index.extent_of_rank ix);
+  check "the insert's rank round-trips" true (Index.id_of_rank ix r_new = id)
+
 (* A session driven through several random accepted transactions stays
    extensionally equal to a from-scratch rebuild: same index encoding,
    and its own (memoized) audit still finds nothing. *)
@@ -384,6 +454,8 @@ let () =
             test_deep_version_chain;
           Alcotest.test_case "light edits share ≥90% of chunks" `Quick
             test_chunk_sharing;
+          Alcotest.test_case "a write and its first read stay out of the major heap" `Quick
+            test_version_read_cost;
         ] );
       ( "directory",
         [

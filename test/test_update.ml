@@ -331,11 +331,20 @@ let prop_incremental_delete =
         | Ok v -> v
         | Error m -> failwith m
       in
+      (* the class counts a monitor keeps, taken from [base] *)
+      let class_count cls =
+        Instance.fold (fun e k -> if Entry.has_class e cls then k + 1 else k) base 0
+      in
+      let counted =
+        match Incremental.check_delete ~class_count wp_schema ~base ~root with
+        | Ok v -> v
+        | Error m -> failwith m
+      in
       let full =
         Legality.check ~extensions:false wp_schema
           (Result.get_ok (Instance.remove_subtree root base))
       in
-      (inc = []) = (full = []))
+      (inc = []) = (full = []) && inc = counted)
 
 (* --- Monitor ----------------------------------------------------------------- *)
 
