@@ -1,4 +1,4 @@
-.PHONY: all test bench bench-smoke bench-scale bench-write fault-smoke fuzz-smoke fuzz-index serve-smoke replica-smoke doc clean
+.PHONY: all test bench bench-smoke shapes bench-scale bench-write fault-smoke fuzz-smoke fuzz-index serve-smoke replica-smoke doc clean
 
 all:
 	dune build
@@ -10,14 +10,29 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Tiny-quota sanity run of the perf experiments (P1-P9); leaves
-# BENCH_legality.json, BENCH_query.json, BENCH_session.json,
-# BENCH_store.json, BENCH_ingest.json, BENCH_serve.json,
-# BENCH_scale.json, BENCH_write.json and BENCH_replicate.json in
-# _build/default/bench.  --force because the json is a side effect of
-# the alias action, which dune would otherwise cache.
+BENCH_JSON = BENCH_legality.json BENCH_query.json BENCH_session.json \
+  BENCH_store.json BENCH_ingest.json BENCH_serve.json BENCH_scale.json \
+  BENCH_write.json BENCH_replicate.json
+
+# Tiny-quota sanity run of the perf experiments P1-P9 (a few seconds),
+# which leaves the nine $(BENCH_JSON) files in _build/default/bench;
+# then each must parse and list the key paths of the committed file of
+# the same name, in the same order.  --force because the json is a side
+# effect of the alias action, which dune would otherwise cache; the
+# check runs here, before the next dune build deletes those undeclared
+# outputs.
 bench-smoke:
 	dune build --force @bench-smoke
+	python3 bench/json_keys.py _build/default/bench . $(BENCH_JSON)
+
+# The theorem claims as a gate: T31, T42, T52, Q9 and C31 at full quota
+# (about 40 s).  bench/main.exe exits 1 when a series that declares
+# itself flat or linear, measured at four sizes or more, has a log-log
+# slope above its margin: 0.38 (1.3x per doubling) for flat, 1.38 (2.6x)
+# for linear.  Quadratic and polynomial series are recorded only.  Add
+# --json to the same run to write BENCH_theorems.json.
+shapes:
+	dune exec bench/main.exe -- T31 T42 T52 Q9 C31
 
 # The full P7 scale sweep (10^4 .. 10^6 entries): one store lifecycle
 # per size - bulk load, queries, transactions, delta + full checkpoint,

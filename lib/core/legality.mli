@@ -13,16 +13,14 @@ open Bounds_query
 (** All violations: typing, content, structure — and, when [extensions]
     is [true] (default), the Section 6.1 single-valued and key checks.
 
-    [memoize] (default [true]) routes the structure obligations through
-    the shared-subquery memo of {!Structure_legality.check}; [memo]
-    supplies a session's migrated cache to reuse instead of building a
-    fresh one. *)
+    The structure obligations go through the shared-subquery memo of
+    {!Structure_legality.check}; [memo] supplies a session's migrated
+    cache to reuse instead of building a fresh one. *)
 val check :
   ?extensions:bool ->
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
-  ?memoize:bool ->
   Schema.t ->
   Instance.t ->
   Violation.t list
@@ -32,7 +30,6 @@ val is_legal :
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
-  ?memoize:bool ->
   Schema.t ->
   Instance.t ->
   bool

@@ -57,14 +57,14 @@ let key_values_of_instance schema inst =
         m (entry_key_values schema e))
     inst Smap.empty
 
-let create ?(extensions = true) ?index ?vindex ?memo ?memoize schema inst =
+let create ?(extensions = true) ?index ?vindex ?memo schema inst =
   (* Build the admission-scan index up front if the caller has none: it
      doubles as the live index the monitor maintains from here on. *)
   let index =
     match index with Some ix -> ix | None -> Index.create inst
   in
   match
-    Legality.check ~extensions ~index ?vindex ?memo ?memoize schema inst
+    Legality.check ~extensions ~index ?vindex ?memo schema inst
   with
   | [] ->
       Ok

@@ -18,7 +18,7 @@ type t
     indexes.  [extensions] (default [true]) also enforces single-valued
     attributes and keys.  The initial full check is the O(|D|) admission
     scan; subsequent incremental checks are O(|Δ|).
-    [index]/[vindex]/[memo]/[memoize] are passed through to
+    [index]/[vindex]/[memo] are passed through to
     {!Legality.check} for the admission scan — an
     existing evaluation-index snapshot of [inst] is reused rather than
     rebuilt, and a caller-supplied memo comes back prewarmed with the
@@ -28,7 +28,6 @@ val create :
   ?index:Bounds_query.Index.t ->
   ?vindex:Bounds_query.Vindex.t ->
   ?memo:Bounds_query.Plan.memo ->
-  ?memoize:bool ->
   Schema.t ->
   Instance.t ->
   (t, Violation.t list) result

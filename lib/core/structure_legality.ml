@@ -11,37 +11,29 @@ let find_targets inst f cj src =
   | Structure_schema.F_descendant ->
       List.filter has_class (Instance.descendants inst src)
 
-let check ?index ?vindex ?memo ?(memoize = true) (schema : Schema.t) inst =
+let check ?index ?vindex ?memo (schema : Schema.t) inst =
   let ix = match index with Some ix -> ix | None -> Index.create inst in
   let obligations = Translate.all schema.structure in
-  let eval_q =
-    if memoize || memo <> None then begin
-      (* Hash-consed memo over this (index, vindex) snapshot: the
-         obligation queries share their class selections and χ frames
-         heavily (σ−(s_i, χ(ax, s_i, s_j)) alone names s_i twice), so the
-         shared subqueries are evaluated-and-cached once, then every
-         obligation reads the cache without writing it.  Only shared
-         work is cached, so a session's memo — which [Plan.memo_apply]
-         carries across every update, and which the server's reader
-         threads read concurrently — stays small.  A caller-supplied
-         [memo] (e.g. a session's cache migrated across updates) is used
-         as is: prewarm only tops up what migration dropped. *)
-      let memo =
-        match memo with
-        | Some m -> m
-        | None ->
-            let vx =
-              match vindex with Some vx -> vx | None -> Vindex.create ix
-            in
-            Plan.memo_create vx
-      in
-      Plan.prewarm memo (List.map (fun (_, q, _) -> q) obligations);
-      fun q -> Plan.memo_eval_ro memo q
-    end
-    else fun q -> Eval.eval ?vindex ix q
+  (* Hash-consed memo over this (index, vindex) snapshot: the obligation
+     queries share their class selections and χ frames heavily
+     (σ−(s_i, χ(ax, s_i, s_j)) alone names s_i twice), so the shared
+     subqueries are evaluated-and-cached once, then every obligation
+     reads the cache without writing it.  Only shared work is cached, so
+     a session's memo — which [Plan.memo_apply] carries across every
+     update, and which the server's reader threads read concurrently —
+     stays small.  A caller-supplied [memo] (e.g. a session's cache
+     migrated across updates) is used as is: prewarm only tops up what
+     migration dropped. *)
+  let memo =
+    match memo with
+    | Some m -> m
+    | None ->
+        let vx = match vindex with Some vx -> vx | None -> Vindex.create ix in
+        Plan.memo_create vx
   in
+  Plan.prewarm memo (List.map (fun (_, q, _) -> q) obligations);
   let viols_of (oblig, q, expect) =
-    let result = eval_q q in
+    let result = Plan.memo_eval_ro memo q in
     let viols = ref [] in
     let add v = viols := v :: !viols in
     (match (expect, oblig) with
@@ -70,5 +62,5 @@ let check ?index ?vindex ?memo ?(memoize = true) (schema : Schema.t) inst =
   in
   List.concat_map viols_of obligations
 
-let is_legal ?index ?vindex ?memo ?memoize schema inst =
-  check ?index ?vindex ?memo ?memoize schema inst = []
+let is_legal ?index ?vindex ?memo schema inst =
+  check ?index ?vindex ?memo schema inst = []

@@ -15,15 +15,13 @@ open Bounds_query
     supplied to reuse work across calls on the same instance version.
     Violations come in the obligation order of [Translate.all].
 
-    When [memoize] is [true] (default), the obligation queries evaluate
-    through a {!Bounds_query.Plan} memo scoped to this snapshot: shared
-    subqueries (class selections, χ frames) are computed exactly once,
-    before the obligations read the cache.  A vindex is built
-    automatically if none is supplied.  [memoize:false] restores the
-    direct per-obligation {!Eval.eval} path (the benchmark baseline).
+    The obligation queries evaluate through a {!Bounds_query.Plan} memo
+    scoped to this snapshot: shared subqueries (class selections, χ
+    frames) are computed exactly once, before the obligations read the
+    cache.  A vindex is built automatically if none is supplied.
 
-    [memo], when given, is used instead of a fresh memo (overriding
-    [memoize:false]): a live session passes the cache it migrated across
+    [memo], when given, is used instead of a fresh memo: a live session
+    passes the cache it migrated across
     the last update with {!Bounds_query.Plan.memo_apply}, so only the
     entries migration dropped are re-evaluated by the prewarm.  The memo
     must be scoped to an (index, vindex) snapshot of [inst]. *)
@@ -31,7 +29,6 @@ val check :
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
-  ?memoize:bool ->
   Schema.t ->
   Instance.t ->
   Violation.t list
@@ -40,7 +37,6 @@ val is_legal :
   ?index:Index.t ->
   ?vindex:Vindex.t ->
   ?memo:Plan.memo ->
-  ?memoize:bool ->
   Schema.t ->
   Instance.t ->
   bool

@@ -362,13 +362,6 @@ let prop_vindex_agrees =
       List.sort Violation.compare (Legality.check ~index:ix ~vindex:vx schema inst)
       = List.sort Violation.compare (Legality.check schema inst))
 
-let prop_memoize_agrees =
-  QCheck.Test.make
-    ~name:"memoized structure check = direct per-obligation check" ~count:100
-    arb_si (fun (schema, inst) ->
-      sorted_structure schema inst (Structure_legality.check ~memoize:true)
-      = sorted_structure schema inst (Structure_legality.check ~memoize:false))
-
 let () =
   Alcotest.run "legality"
     [
@@ -413,6 +406,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_fast_eq_naive;
           QCheck_alcotest.to_alcotest prop_full_checkers_agree;
           QCheck_alcotest.to_alcotest prop_vindex_agrees;
-          QCheck_alcotest.to_alcotest prop_memoize_agrees;
         ] );
     ]
