@@ -1,4 +1,4 @@
-.PHONY: all test bench bench-smoke shapes bench-scale bench-write fault-smoke fuzz-smoke fuzz-index serve-smoke replica-smoke doc clean
+.PHONY: all test bench bench-smoke shapes bench-scale bench-write fault-smoke fuzz-smoke fuzz-index fuzz-store serve-smoke replica-smoke doc clean
 
 all:
 	dune build
@@ -187,6 +187,14 @@ fuzz-index:
 	  --oracle index-apply-vs-rebuild --oracle plan-vs-naive \
 	  --oracle query-vs-naive --oracle search-vs-naive \
 	  --oracle monitor-vs-recheck
+
+# The store-format gate: the differential oracles that write a store,
+# recover it (checkpoint body plus log) or ship it to a replica, and
+# check interning across recovery, at budget 500.
+fuzz-store:
+	dune exec -- ldapschema fuzz --budget 500 \
+	  --oracle store-roundtrip --oracle trusted-replay \
+	  --oracle replica-convergence --oracle intern-transparency
 
 # API documentation (requires odoc; dune reports a clear error if the
 # toolchain lacks it).

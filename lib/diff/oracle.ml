@@ -1045,9 +1045,10 @@ let query_vs_naive =
   }
 
 (* The persisted session and its in-memory twin run the same transactions;
-   after a mid-run compaction and a full recovery the store must agree with
-   the twin on every observable: acceptance verdicts, the instance itself,
-   legality, and the memoized obligation answers. *)
+   after a mid-run collapse, a later segment marker and a full recovery
+   the store must agree with the twin on every observable: acceptance
+   verdicts, the instance itself, legality, and the memoized obligation
+   answers. *)
 let store_roundtrip =
   {
     name = "store-roundtrip";
@@ -1072,9 +1073,11 @@ let store_roundtrip =
                   | Ok _, Error _ ->
                       Disagree "store accepted what the session refuses"
                   | Ok st, Ok twin0 -> (
-                      (* split the ops into two transactions with a
-                         compaction between them, so recovery always
-                         crosses a checkpoint boundary *)
+                      (* split the ops into two transactions, with a full
+                         checkpoint after the first and a soft one after
+                         the second, so recovery reads a checkpoint
+                         written from a spliced instance, then replays
+                         past a segment marker *)
                       let txns =
                         match c.Case.ops with
                         | [] -> [ [] ]
@@ -1090,7 +1093,7 @@ let store_roundtrip =
                         | ops :: rest -> (
                             let store_v = Store.apply st ops in
                             let twin', twin_v = Directory.apply twin ops in
-                            if accepted = 0 then Store.checkpoint st;
+                            Store.checkpoint ~full:(rest <> []) st;
                             match (store_v, twin_v) with
                             | Admission.Accepted _, Admission.Accepted _ ->
                                 (* an empty transaction takes no lsn *)

@@ -14,8 +14,10 @@ open Bounds_model
 module Codec = Bounds_store.Codec
 
 (* Bump on any wire-visible change: peers compare it in the hello
-   handshake and fail fast instead of mis-decoding each other. *)
-let version = 1
+   handshake and fail fast instead of mis-decoding each other.  2: a
+   boot package carries a checkpoint whose body is a {!Codec}
+   transaction. *)
+let version = 2
 
 type role = Reader | Replica
 

@@ -6,38 +6,21 @@ type meta = {
   applied : int;
   rejected : int;
   queries : int;
-  memo_hits : int;
-  memo_misses : int;
-  memo_entries : int;
 }
 
-let format_tag = "bounds-store checkpoint v1"
+let format_tag = "bounds-store checkpoint v2"
 
+(* A text header ended by a blank line, then the body: the insert-only
+   transaction that rebuilds the instance, at the header's lsn.  The
+   body is copied once, into the frame. *)
 let write io path meta inst =
-  let ids = ref [] in
-  Instance.iter_preorder (fun ~depth:_ e -> ids := Entry.id e :: !ids) inst;
-  let ids = List.rev !ids in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (format_tag ^ "\n");
-  Buffer.add_string buf (Printf.sprintf "lsn: %d\n" meta.lsn);
-  Buffer.add_string buf (Printf.sprintf "entries: %d\n" meta.entries);
-  Buffer.add_string buf
-    (Printf.sprintf "stats: applied %d rejected %d queries %d\n" meta.applied
-       meta.rejected meta.queries);
-  Buffer.add_string buf
-    (Printf.sprintf "memo: hits %d misses %d entries %d\n" meta.memo_hits
-       meta.memo_misses meta.memo_entries);
-  Buffer.add_string buf "ids:";
-  List.iter
-    (fun id ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int id))
-    ids;
-  Buffer.add_string buf "\n\n";
+  let header =
+    Printf.sprintf "%s\nlsn: %d\nentries: %d\nstats: applied %d rejected %d queries %d\n\n"
+      format_tag meta.lsn meta.entries meta.applied meta.rejected meta.queries
+  in
   let tmp = path ^ ".new" in
-  (* the LDIF body, the bulk of the payload, is copied once: into the frame *)
   io.Io.write tmp
-    (Frame.encode_parts [ Buffer.contents buf; Bounds_codec.Ldif.to_string inst ]);
+    (Frame.encode_parts [ header; Codec.encode_inserts ~lsn:meta.lsn inst ]);
   io.Io.rename tmp path
 
 (* --- reading ------------------------------------------------------------ *)
@@ -56,127 +39,53 @@ let unframe io path =
             Error "trailing bytes after checkpoint frame"
           else Ok payload)
 
-(* header lines end at the first blank line; the rest is the LDIF body *)
+(* The header's lines, and the offset of the body after the blank line
+   that ends them. *)
 let split_header payload =
   let rec go start acc =
     match String.index_from_opt payload start '\n' with
     | None -> Error "checkpoint header has no terminating blank line"
-    | Some j ->
-        let line = String.sub payload start (j - start) in
-        if line = "" then
-          Ok (List.rev acc, String.sub payload (j + 1) (String.length payload - j - 1))
-        else go (j + 1) (line :: acc)
+    | Some j when j = start -> Ok (List.rev acc, j + 1)
+    | Some j -> go (j + 1) (String.sub payload start (j - start) :: acc)
   in
   go 0 []
 
-let field name line =
-  let prefix = name ^ ":" in
-  let n = String.length prefix in
-  if String.length line >= n && String.sub line 0 n = prefix then
-    Some (String.trim (String.sub line n (String.length line - n)))
-  else None
+let scan what line fmt f =
+  Option.to_result ~none:(Printf.sprintf "bad %s line %S" what line)
+    (Scanf.sscanf_opt line fmt f)
 
-let int_field name line =
-  match field name line with
-  | None -> None
-  | Some v -> int_of_string_opt v
-
-let parse_header lines =
-  match lines with
-  | tag :: lsn :: entries :: stats :: memo :: ids :: [] ->
-      if tag <> format_tag then Error (Printf.sprintf "unknown checkpoint format %S" tag)
-      else
-        let* lsn =
-          Option.to_result ~none:"bad lsn line" (int_field "lsn" lsn)
-        in
-        let* entries =
-          Option.to_result ~none:"bad entries line" (int_field "entries" entries)
-        in
-        let* applied, rejected, queries =
-          match field "stats" stats with
-          | Some s -> (
-              match String.split_on_char ' ' s with
-              | [ "applied"; a; "rejected"; r; "queries"; q ] -> (
-                  match
-                    (int_of_string_opt a, int_of_string_opt r, int_of_string_opt q)
-                  with
-                  | Some a, Some r, Some q -> Ok (a, r, q)
-                  | _ -> Error "bad stats line")
-              | _ -> Error "bad stats line")
-          | None -> Error "bad stats line"
-        in
-        let* memo_hits, memo_misses, memo_entries =
-          match field "memo" memo with
-          | Some s -> (
-              match String.split_on_char ' ' s with
-              | [ "hits"; h; "misses"; m; "entries"; e ] -> (
-                  match
-                    (int_of_string_opt h, int_of_string_opt m, int_of_string_opt e)
-                  with
-                  | Some h, Some m, Some e -> Ok (h, m, e)
-                  | _ -> Error "bad memo line")
-              | _ -> Error "bad memo line")
-          | None -> Error "bad memo line"
-        in
-        let* ids =
-          match field "ids" ids with
-          | None -> Error "bad ids line"
-          | Some s ->
-              let parts =
-                List.filter (fun p -> p <> "") (String.split_on_char ' ' s)
-              in
-              let rec to_ints acc = function
-                | [] -> Ok (List.rev acc)
-                | p :: rest -> (
-                    match int_of_string_opt p with
-                    | Some i -> to_ints (i :: acc) rest
-                    | None -> Error (Printf.sprintf "bad id %S" p))
-              in
-              to_ints [] parts
-        in
-        if List.length ids <> entries then
-          Error
-            (Printf.sprintf "id list has %d entries, header says %d"
-               (List.length ids) entries)
-        else
-          Ok
-            ( {
-                lsn;
-                entries;
-                applied;
-                rejected;
-                queries;
-                memo_hits;
-                memo_misses;
-                memo_entries;
-              },
-              Array.of_list ids )
+(* The tag first: a header of another format is refused by its name. *)
+let parse_header = function
+  | tag :: _ when tag <> format_tag ->
+      Error (Printf.sprintf "unknown checkpoint format %S" tag)
+  | [ _; lsn; entries; stats ] ->
+      let* lsn = scan "lsn" lsn "lsn: %d%!" Fun.id in
+      let* entries = scan "entries" entries "entries: %d%!" Fun.id in
+      scan "stats" stats "stats: applied %d rejected %d queries %d%!"
+        (fun applied rejected queries -> { lsn; entries; applied; rejected; queries })
   | _ -> Error "checkpoint header is incomplete"
 
-let read_meta io path =
+let header io path =
   let* payload = unframe io path in
-  let* lines, _ldif = split_header payload in
-  let* meta, _ids = parse_header lines in
-  Ok meta
+  let* lines, body = split_header payload in
+  let* meta = parse_header lines in
+  Ok (meta, payload, body)
+
+let read_meta io path = Result.map (fun (meta, _, _) -> meta) (header io path)
 
 let read io path ~typing =
-  let* payload = unframe io path in
-  let* lines, ldif = split_header payload in
-  let* meta, ids = parse_header lines in
-  let id_of k =
-    if k >= Array.length ids then -1 (* caught below as an entry-count mismatch *)
-    else ids.(k)
+  let* meta, payload, body = header io path in
+  let start ~lsn ~count =
+    if lsn <> meta.lsn then
+      Error (Printf.sprintf "body at lsn %d, header says %d" lsn meta.lsn)
+    else if count <> meta.entries then
+      Error (Printf.sprintf "body has %d entries, header says %d" count meta.entries)
+    else Ok Instance.empty
   in
-  match
-    Bounds_codec.Ldif.fold_entries ~typing ~id_of
-      (fun ~parent e inst ->
-        Result.map_error Instance.error_to_string (Instance.add ~parent e inst))
-      Instance.empty ldif
-  with
-  | Error e -> Error ("checkpoint body: " ^ Bounds_codec.Ldif.error_to_string e)
-  | Ok inst ->
-      if Instance.size inst <> meta.entries then
-        Error
-          (Printf.sprintf "checkpoint body has %d entries, header says %d"
-             (Instance.size inst) meta.entries)
-      else Ok (meta, inst)
+  let step inst = function
+    | Update.Delete id -> Error (Printf.sprintf "delete of %d, not an insert" id)
+    | op -> Update.apply_op inst op
+  in
+  match Codec.fold_txn ~typing payload ~off:body ~start step with
+  | Error m -> Error ("checkpoint body: " ^ m)
+  | Ok inst -> Ok (meta, inst)

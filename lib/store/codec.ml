@@ -39,25 +39,37 @@ let put_entry buf e =
       put_value buf v)
     pairs
 
+let put_insert buf parent entry =
+  Buffer.add_char buf '\000';
+  (match parent with
+  | None -> Buffer.add_char buf '\000'
+  | Some p ->
+      Buffer.add_char buf '\001';
+      put_i64 buf p);
+  put_entry buf entry
+
 let put_op buf = function
-  | Update.Insert { parent; entry } ->
-      Buffer.add_char buf '\000';
-      (match parent with
-      | None -> Buffer.add_char buf '\000'
-      | Some p ->
-          Buffer.add_char buf '\001';
-          put_i64 buf p);
-      put_entry buf entry
+  | Update.Insert { parent; entry } -> put_insert buf parent entry
   | Update.Delete id ->
       Buffer.add_char buf '\001';
       put_i64 buf id
 
-let encode_txn ~lsn ops =
+(* A transaction is its lsn, its op count, then the ops. *)
+let encode ~lsn ~count put_ops =
   let buf = Buffer.create 256 in
   put_i64 buf lsn;
-  Buffer.add_int32_le buf (Int32.of_int (List.length ops));
-  List.iter (put_op buf) ops;
+  Buffer.add_int32_le buf (Int32.of_int count);
+  put_ops buf;
   Buffer.contents buf
+
+let encode_txn ~lsn ops =
+  encode ~lsn ~count:(List.length ops) (fun buf -> List.iter (put_op buf) ops)
+
+let encode_inserts ~lsn inst =
+  encode ~lsn ~count:(Instance.size inst) (fun buf ->
+      Instance.iter_preorder
+        (fun ~depth:_ e -> put_insert buf (Instance.parent inst (Entry.id e)) e)
+        inst)
 
 (* --- reader ------------------------------------------------------------- *)
 
@@ -107,7 +119,7 @@ let get_value c =
   | 3 -> Value.Dn (get_str c)
   | t -> bad at "unknown value tag %d" t
 
-let get_entry c =
+let get_entry typing c =
   let id = get_i64 c in
   let rdn = get_str c in
   let n_classes = get_count c "class" in
@@ -126,12 +138,19 @@ let get_entry c =
     let name = get_str c in
     match Attr.of_string_opt name with
     | None -> bad at "invalid attribute name %S" name
-    | Some a -> pairs := (a, get_value c) :: !pairs
+    | Some a ->
+        let v = get_value c in
+        (match typing with
+        | Some typing when not (Value.has_type (Typing.find typing a) v) ->
+            bad at "attribute %s: value is not of type %s" name
+              (Atype.to_string (Typing.find typing a))
+        | _ -> ());
+        pairs := (a, v) :: !pairs
   done;
   try Entry.make ~id ~rdn ~classes:!classes (List.rev !pairs)
   with Invalid_argument m -> bad c.pos "malformed entry: %s" m
 
-let get_op c =
+let get_op typing c =
   let at = c.pos in
   match get_u8 c with
   | 0 ->
@@ -142,22 +161,31 @@ let get_op c =
         | 1 -> Some (get_i64 c)
         | t -> bad at "unknown parent tag %d" t
       in
-      Update.Insert { parent; entry = get_entry c }
+      Update.Insert { parent; entry = get_entry typing c }
   | 1 -> Update.Delete (get_i64 c)
   | t -> bad at "unknown op tag %d" t
 
-let decode_txn s =
+(* The one decoding loop: a log record, a shipped record and a
+   checkpoint body all come through here, one op at a time. *)
+let fold_txn ?typing s ~off ~start step =
+  let c = { s; pos = off } in
+  let ok at = function Ok v -> v | Error m -> bad at "%s" m in
   try
-    let c = { s; pos = 0 } in
     let lsn = get_i64 c in
-    if lsn < 0 then bad 0 "corrupt lsn %d" lsn;
-    let n = get_count c "op" in
-    let ops = ref [] in
-    for _ = 1 to n do
-      ops := get_op c :: !ops
+    if lsn < 0 then bad off "corrupt lsn %d" lsn;
+    let count = get_count c "op" in
+    let acc = ref (ok off (start ~lsn ~count)) in
+    for _ = 1 to count do
+      let at = c.pos in
+      acc := ok at (step !acc (get_op typing c))
     done;
-    let ops = List.rev !ops in
     if c.pos <> String.length s then
       bad c.pos "%d trailing bytes" (String.length s - c.pos);
-    Ok (lsn, ops)
+    Ok !acc
   with Bad m -> Error m
+
+let decode_txn s =
+  fold_txn s ~off:0
+    ~start:(fun ~lsn ~count:_ -> Ok (lsn, []))
+    (fun (lsn, ops) op -> Ok (lsn, op :: ops))
+  |> Result.map (fun (lsn, ops) -> (lsn, List.rev ops))

@@ -20,13 +20,14 @@ let tmp_name name =
   Printf.sprintf "%s.tmp.%d.%d" name (Unix.getpid ())
     (Atomic.fetch_and_add tmp_counter 1)
 
+(* Exactly the names [tmp_name] makes, [<name>.tmp.<pid>.<k>]: what an
+   interrupted writer may have left, and nothing a user put there. *)
 let is_tmp name =
-  (* [base.tmp.pid.k] — anything an interrupted writer may have left *)
-  let rec has_sub i =
-    i + 4 <= String.length name
-    && (String.sub name i 4 = ".tmp" || has_sub (i + 1))
-  in
-  has_sub 0
+  let number s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s in
+  match List.rev (String.split_on_char '.' name) with
+  | k :: pid :: "tmp" :: (_ :: _ as base) ->
+      number k && number pid && String.concat "." base <> ""
+  | _ -> false
 
 (* fsync a directory so a just-renamed or just-created entry survives
    power loss (POSIX durability requires syncing the parent too).  Some

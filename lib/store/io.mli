@@ -33,7 +33,9 @@ type t = {
 (** {1 Real files} *)
 
 (** [real ~root] resolves paths under the directory [root] (created if
-    missing); stale temp files from interrupted writers are removed.
+    missing); stale temp files from interrupted writers are removed:
+    only names of the form [<name>.tmp.<pid>.<k>], the ones [write]
+    makes, so no other file in [root] is touched.
 
     [write] goes through a uniquely-named temporary file (pid +
     counter, so concurrent writers never corrupt each other) and

@@ -108,18 +108,14 @@ let stats t =
     applied = t.applied;
     rejected = t.rejected;
     queries = t.queries0 + s.Directory.queries;
-    memo_hits = s.Directory.memo_hits;
-    memo_misses = s.Directory.memo_misses;
-    memo_entries = s.Directory.memo_entries;
   }
 
-(* Collapse: rewrite the whole snapshot (atomic temp+rename), then drop
-   an older build's [delta.log] and reset the log.  A crash after the
-   rename leaves log records with lsn ≤ the new checkpoint's, which
-   recovery skips as duplicates — every intermediate state recovers. *)
+(* Collapse: rewrite the whole snapshot (atomic temp+rename), then reset
+   the log.  A crash after the rename leaves log records with lsn ≤ the
+   new checkpoint's, which recovery skips as duplicates — every
+   intermediate state recovers. *)
 let full_checkpoint t =
   Checkpoint.write t.io checkpoint_file (stats t) (Directory.instance t.dir);
-  t.io.Io.remove delta_file;
   Wal.reset t.io wal_file;
   t.segments_v <- 0;
   t.since_mark <- 0;
@@ -315,23 +311,18 @@ let init ?(auto_checkpoint = 0) io schema inst =
     match Directory.open_ schema inst with
     | Error vs -> Error (Illegal vs)
     | Ok dir ->
-        let s = Directory.stats dir in
         let meta =
           {
             Checkpoint.lsn = 0;
-            entries = s.Directory.entries;
+            entries = Directory.size dir;
             applied = 0;
             rejected = 0;
             queries = 0;
-            memo_hits = s.Directory.memo_hits;
-            memo_misses = s.Directory.memo_misses;
-            memo_entries = s.Directory.memo_entries;
           }
         in
         Checkpoint.write io checkpoint_file meta inst;
         (* clear any stale log left behind by an earlier store in the
            same directory (the marker was removed, not the data) *)
-        io.Io.remove delta_file;
         Wal.reset io wal_file;
         (* the schema is the store marker, written last: a crash anywhere
            during init leaves a directory [open_] refuses as Not_a_store *)
@@ -355,11 +346,11 @@ type replay_state = {
    and log-reset) and is skipped; lsn = current+1 is applied; anything
    else — a gap, or a record that no longer applies — marks the damage
    point and ends replay.  Segment markers (lsn 0, no ops) are counted,
-   not replayed.  Returns where the file's valid prefix ends and the
+   not replayed.  Returns where the log's valid prefix ends and the
    damage past it, if any. *)
-let replay_file st ~apply_record io file =
+let replay_log st ~apply_record io =
   let folded =
-    Wal.fold io file
+    Wal.fold io wal_file
       (fun () (r : Wal.record) ->
         if st.broke <> None then ()
         else if r.lsn = 0 && r.ops = [] then begin
@@ -458,31 +449,17 @@ let recover ~engine ?(auto_checkpoint = 0) io =
       at_mark = 0;
     }
   in
-  (* An older build kept closed segments in [delta.log]: they precede
-     the log.  A torn segment there may be bridged by the log, which
-     that build reset only after the append. *)
-  let legacy = Option.map String.length (io.Io.read delta_file) in
-  let delta_broke =
-    if legacy = None then None
-    else begin
-      let _, broke = replay_file st ~apply_record:engine.add io delta_file in
-      st.broke <- None;
-      broke
-    end
-  in
-  let valid_end, broke = replay_file st ~apply_record:engine.add io wal_file in
+  let valid_end, broke = replay_log st ~apply_record:engine.add io in
   (* an illegal recovered instance fails the open before any log is cut *)
   let* dir = Result.map_error illegal (engine.finish ()) in
   let tail =
-    match (broke, delta_broke) with
-    | Some { Wal.offset; reason }, _ ->
+    match broke with
+    | Some { Wal.offset; reason } ->
         (* cut the log back to the durable prefix so the next append
            extends valid records, not junk *)
         Wal.truncate io wal_file ~keep:offset;
         Recovered_at { offset; reason }
-    | None, Some { Wal.offset; reason } ->
-        Recovered_at { offset; reason = delta_file ^ ": " ^ reason }
-    | None, None -> Clean
+    | None -> Clean
   in
   let report =
     {
@@ -493,25 +470,18 @@ let recover ~engine ?(auto_checkpoint = 0) io =
       segments = st.segments;
     }
   in
-  let t =
-    {
-      (make io schema ~auto_checkpoint dir meta) with
-      lsn_v = st.cur;
-      wal_bytes_v = valid_end;
-      wal_records_v = st.replayed + st.skipped;
-      segments_v = st.segments;
-      since_mark = st.replayed + st.skipped - st.at_mark;
-      applied = meta.Checkpoint.applied + st.replayed;
-      recovery_v = Some report;
-    }
-  in
-  (* the older build's file goes: a collapse folds what it held into
-     the snapshot, and an empty one is just removed *)
-  (match legacy with
-  | None -> ()
-  | Some 0 -> io.Io.remove delta_file
-  | Some _ -> full_checkpoint t);
-  Ok (t, report)
+  Ok
+    ( {
+        (make io schema ~auto_checkpoint dir meta) with
+        lsn_v = st.cur;
+        wal_bytes_v = valid_end;
+        wal_records_v = st.replayed + st.skipped;
+        segments_v = st.segments;
+        since_mark = st.replayed + st.skipped - st.at_mark;
+        applied = meta.Checkpoint.applied + st.replayed;
+        recovery_v = Some report;
+      },
+      report )
 
 let open_ ?auto_checkpoint io = recover ~engine:trusted ?auto_checkpoint io
 
@@ -567,7 +537,6 @@ let install_snapshot io ~schema ~checkpoint =
       | Error m -> Error ("boot checkpoint: " ^ m)
       | Ok _ ->
           io.Io.write checkpoint_file checkpoint;
-          io.Io.remove delta_file;
           Wal.reset io wal_file;
           io.Io.write schema_file schema;
           Ok ())

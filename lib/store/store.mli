@@ -6,8 +6,9 @@
     - [schema.spec] — the bounding-schema, written once at {!init} (its
       presence is the store marker: it is the last file [init] writes);
     - [checkpoint.ckpt] — one {!Frame}-wrapped snapshot of the instance
-      at some log sequence number, replaced atomically only by a {e full}
-      {!checkpoint} (collapse) or a bulk {!load};
+      at some log sequence number ({!Checkpoint}: a text header, then the
+      {!Codec} transaction that inserts every entry), replaced atomically
+      only by a {e full} {!checkpoint} (collapse) or a bulk {!load};
     - [wal.log] — the write-ahead transaction log: every transaction
       accepted since the last full snapshot, appended as one CRC-framed
       record {e before} {!apply} acknowledges it, cut into segments by
@@ -30,11 +31,6 @@
     what makes the collapse (snapshot-rewrite-then-reset) crash-safe at
     every intermediate point.
 
-    Stores written by older builds may also hold [delta.log], a chain of
-    segments copied out of the log.  Recovery folds it before the log
-    under the same lsn discipline, then collapses, which removes it; no
-    code path writes it any more.
-
     All I/O goes through an {!Io.t}, so the same code runs against real
     files ({!Io.real}) and against the fault-injecting harness
     ({!Io.faulty}) used by the crash-recovery tests. *)
@@ -47,6 +43,9 @@ open Bounds_core
 val schema_file : string
 val checkpoint_file : string
 val wal_file : string
+
+(** A file name no store reads or writes any more; kept for callers
+    that still name it. *)
 val delta_file : string
 
 type t
@@ -54,7 +53,9 @@ type t
 type error =
   | Not_a_store of string  (** missing [schema.spec]: never initialized *)
   | Already_a_store  (** {!init} refuses to clobber an existing store *)
-  | Corrupt of string  (** unreadable schema or checkpoint *)
+  | Corrupt of string
+      (** unreadable schema or checkpoint, or a checkpoint of another
+          format (an older build's [v1] among them), named by its tag *)
   | Illegal of Violation.t list
       (** the initial instance ({!init}), the recovered instance
           ({!open_}: checkpoint plus logged tail), or the result of an
@@ -76,10 +77,7 @@ type report = {
   checkpoint_lsn : int;  (** lsn of the loaded base checkpoint *)
   replayed : int;  (** log tail records re-applied *)
   skipped : int;  (** duplicate log records (lsn already covered) skipped *)
-  tail : tail;
-      (** how the log ended; a damaged end of an older build's
-          [delta.log] shows here, with the file named in [reason], when
-          the log itself is clean *)
+  tail : tail;  (** how the log ended *)
   segments : int;  (** segment markers folded *)
 }
 

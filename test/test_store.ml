@@ -171,9 +171,18 @@ let test_codec_roundtrip () =
           check_string "reencode" s (Codec.encode_txn ~lsn ops))
     sample_ops;
   let s = Codec.encode_txn ~lsn:7 sample_ops in
-  match Codec.decode_txn s with
+  (match Codec.decode_txn s with
   | Error m -> Alcotest.failf "txn does not decode: %s" m
-  | Ok (lsn, ops) -> check_string "txn reencode" s (Codec.encode_txn ~lsn ops)
+  | Ok (lsn, ops) -> check_string "txn reencode" s (Codec.encode_txn ~lsn ops));
+  (* a checkpoint body: the preorder inserts, written from the walk *)
+  let s = Codec.encode_inserts ~lsn:7 WP.instance in
+  match Codec.decode_txn s with
+  | Error m -> Alcotest.failf "inserts do not decode: %s" m
+  | Ok (lsn, ops) ->
+      check_string "inserts = txn of the preorder inserts" s
+        (Codec.encode_txn ~lsn (Update.ops_of_subtree ~parent:None WP.instance));
+      check "inserts rebuild the instance" true
+        (Instance.equal WP.instance (Result.get_ok (Update.apply Instance.empty ops)))
 
 let test_codec_total () =
   (* every single-bit corruption decodes to Ok or Error, never raises;
@@ -318,8 +327,7 @@ let test_duplicate_tail () =
   let fs, st0 = fresh_store () in
   ignore st0;
   (* script ops: 0 append, 1 append, then full checkpoint = 2 tmp write,
-     3 rename, 4 delta.log removal, 5 log reset; crash before the last
-     two *)
+     3 rename, 4 log reset; crash before the last *)
   let faulty = Io.faulty ~faults:[ Io.Crash_at 4 ] (Io.mem fs) in
   let st, _ = get_store "open faulty" (Store.open_ faulty) in
   let _ = get_apply "t1" (Store.apply st txn1) in
@@ -413,7 +421,6 @@ let test_soft_checkpoint () =
     Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
   in
   check_int "base lsn" 0 meta.Checkpoint.lsn;
-  check "no delta.log" true (Io.read_fs fs Store.delta_file = None);
   check "records_from 0 is complete" true
     (all_records st = [ rec_ 1 txn1; rec_ 2 txn2; rec_ 3 txn3 ]);
   let st', report = reopen "marked reopen" fs in
@@ -485,55 +492,6 @@ let test_torn_marker () =
   check "healed clean" true (report'.Store.tail = Store.Clean);
   check_int "healed segments" 1 report'.Store.segments;
   check_state "healed" st'' (after [ txn1; txn2 ])
-
-(* A store as an older build left it: [delta.log] and [wal.log] written
-   byte for byte, the segment marker heading each copied segment.  Both
-   recovery engines must open it at [lsn] on [txns], collapse it (no
-   [delta.log] left, the snapshot at [lsn]), and reopen clean. *)
-let check_legacy what ~delta ~wal ~lsn txns =
-  let fs, st0 = fresh_store () in
-  ignore st0;
-  Io.write_fs fs Store.delta_file delta;
-  Io.write_fs fs Store.wal_file wal;
-  let st_c, _ =
-    get_store (what ^ ": checked") (Store.Private.open_checked (Io.mem (Io.copy_fs fs)))
-  in
-  check_int (what ^ ": checked lsn") lsn (Store.lsn st_c);
-  check_state (what ^ ": checked") st_c (after txns);
-  let st, _ = reopen what fs in
-  check_int (what ^ ": lsn") lsn (Store.lsn st);
-  check_state what st (after txns);
-  check (what ^ ": no delta.log") true (Io.read_fs fs Store.delta_file = None);
-  let meta =
-    Result.get_ok (Checkpoint.read_meta (Io.mem fs) Store.checkpoint_file)
-  in
-  check_int (what ^ ": collapsed") lsn meta.Checkpoint.lsn;
-  check_int (what ^ ": applied carried") lsn meta.Checkpoint.applied;
-  let st', report = reopen (what ^ ": reopen") fs in
-  check (what ^ ": reopen clean") true (report.Store.tail = Store.Clean);
-  check_int (what ^ ": reopen lsn") lsn (Store.lsn st');
-  check_state (what ^ ": reopen") st' (after txns)
-
-let test_legacy_segment () =
-  (* two copied segments, then a log tail *)
-  check_legacy "legacy segments"
-    ~delta:(marker ^ rec_ 1 txn1 ^ rec_ 2 txn2 ^ marker ^ rec_ 3 txn3)
-    ~wal:(rec_ 4 txn4) ~lsn:4 [ txn1; txn2; txn3; txn4 ]
-
-let test_legacy_torn_segment () =
-  (* the segment append tore inside its second record; the log, not yet
-     reset, still holds both records *)
-  let segment = marker ^ rec_ 1 txn1 ^ rec_ 2 txn2 in
-  check_legacy "legacy torn segment"
-    ~delta:(String.sub segment 0 (String.length marker + r1 + 10))
-    ~wal:(rec_ 1 txn1 ^ rec_ 2 txn2) ~lsn:2 [ txn1; txn2 ]
-
-let test_legacy_duplicate_log () =
-  (* a crash between the segment append and the log reset: both files
-     hold the same lsns, applied once and skipped once *)
-  check_legacy "legacy duplicate log"
-    ~delta:(marker ^ rec_ 1 txn1 ^ rec_ 2 txn2)
-    ~wal:(rec_ 1 txn1 ^ rec_ 2 txn2) ~lsn:2 [ txn1; txn2 ]
 
 let test_auto_checkpoint () =
   let fs = Io.fresh_fs () in
@@ -665,7 +623,7 @@ let test_init_guards () =
    segment marker) in the middle, more transactions, and a full
    (collapse) checkpoint at the end — so the crash points cover every
    intermediate state of both compactions (the marker append, and
-   snapshot-rewrite + delta.log removal + log-reset over a marked log).
+   snapshot-rewrite + log-reset over a marked log).
    [run] drives it against any handle, counting the transactions
    acknowledged before a crash (if any). *)
 type script = {
@@ -1038,6 +996,147 @@ let test_bulk_load () =
   check "trusted load voided the invariant" false
     (Directory.validate (Store.directory st') = [])
 
+(* --- checkpoint format ------------------------------------------------------ *)
+
+(* No structure rules, one class whose attributes are typed int, bool
+   and dn: every forest of its entries is legal. *)
+let typed_schema =
+  let node = Oclass.of_string "node" in
+  Schema.make_exn
+    ~typing:
+      (Result.get_ok
+         (Typing.of_list
+            [ (a "n", Atype.T_int); (a "flag", Atype.T_bool); (a "ref", Atype.T_dn) ]))
+    ~classes:(Class_schema.add_core_exn node ~parent:Oclass.top Class_schema.empty)
+    ~attributes:
+      (Attribute_schema.add_class_exn node ~allowed:[ a "n"; a "flag"; a "ref" ]
+         Attribute_schema.empty)
+    ()
+
+let node id =
+  Entry.make ~id ~rdn:(Printf.sprintf "n=%d" id)
+    ~classes:(Oclass.set_of_list [ "node"; "top" ])
+    [
+      (a "n", Value.Int (id - 20));
+      (a "flag", Value.Bool (id mod 2 = 0));
+      (a "ref", Value.Dn (Printf.sprintf "n=%d" (id / 2)));
+    ]
+
+let add_node ?parent id = [ Update.Insert { parent; entry = node id } ]
+
+let ranks st =
+  let index = Directory.Snapshot.Private.index (Directory.snapshot (Store.directory st)) in
+  List.init (Bounds_query.Index.n index) (Bounds_query.Index.id_of_rank index)
+
+(* A full checkpoint of an instance splices made (ids with gaps,
+   children added after their siblings' subtrees, a second root, typed
+   values) reads back as the same instance with the same preorder
+   ranks, so replies keep their order across a restart. *)
+let test_checkpoint_same_state () =
+  let seed =
+    List.fold_left
+      (fun inst (parent, id) -> Result.get_ok (Instance.add ~parent (node id) inst))
+      Instance.empty
+      [ (None, 0); (Some 0, 1); (Some 0, 2); (Some 0, 3); (Some 1, 4); (Some 1, 5) ]
+  in
+  let fs = Io.fresh_fs () in
+  let st = get_store "init" (Store.init (Io.mem fs) typed_schema seed) in
+  List.iter
+    (fun txn -> ignore (get_apply "splice" (Store.apply st txn)))
+    [
+      add_node ~parent:0 10; [ Update.Delete 2 ]; add_node ~parent:1 11;
+      add_node ~parent:10 12; [ Update.Delete 4 ]; add_node 13; add_node ~parent:3 14;
+    ];
+  Store.checkpoint ~full:true st;
+  let st', report = reopen "spliced checkpoint" fs in
+  check_int "read from the checkpoint" 7 report.Store.checkpoint_lsn;
+  check_int "nothing replayed" 0 report.Store.replayed;
+  check_state "spliced checkpoint" st' (Directory.instance (Store.directory st));
+  check "same preorder ranks" true (ranks st' = ranks st)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let v2_header ~lsn ~entries =
+  Printf.sprintf
+    "bounds-store checkpoint v2\nlsn: %d\nentries: %d\nstats: applied 0 rejected 0 queries 0\n\n"
+    lsn entries
+
+(* An older build's checkpoint of a one-entry instance: the id list,
+   then LDIF. *)
+let v1_checkpoint =
+  Frame.encode
+    "bounds-store checkpoint v1\nlsn: 0\nentries: 1\n\
+     stats: applied 0 rejected 0 queries 0\nmemo: hits 0 misses 0 entries 0\n\
+     ids: 0\n\ndn: o=att\nobjectClass: organization\nobjectClass: orggroup\n\
+     objectClass: top\no: att\n\n"
+
+(* CRC-valid checkpoints that must not load, each with what its refusal
+   names: [open_] says [Corrupt] and [install_snapshot] refuses, and
+   neither touches a file. *)
+let test_checkpoint_refused () =
+  let n = Instance.size WP.instance in
+  let body = Codec.encode_inserts ~lsn:0 WP.instance in
+  let inserts = Update.ops_of_subtree ~parent:None WP.instance in
+  let ckpt ?(lsn = 0) ?(entries = n) body = Frame.encode (v2_header ~lsn ~entries ^ body) in
+  let txn ops = Codec.encode_txn ~lsn:0 ops in
+  let ill_typed =
+    Entry.make ~id:0 ~rdn:"o=att"
+      ~classes:(Oclass.set_of_list [ "organization"; "orggroup"; "top" ])
+      [ (a "o", Value.Int 7) ]
+  in
+  List.iter
+    (fun (what, blob, named) ->
+      let fs, st = fresh_store () in
+      let _ = get_apply what (Store.apply st txn1) in
+      Io.write_fs fs Store.checkpoint_file blob;
+      let before = store_files fs in
+      (match Store.open_ (Io.mem fs) with
+      | Error (Store.Corrupt m) ->
+          if not (contains m named) then Alcotest.failf "%s: %S does not name %S" what m named;
+          if blob != v1_checkpoint && not (contains m "byte ") then
+            Alcotest.failf "%s: %S gives no byte offset" what m
+      | Ok _ -> Alcotest.failf "%s: opened" what
+      | Error e -> Alcotest.failf "%s: %s" what (Store.error_to_string e));
+      check (what ^ ": open touched no file") true (store_files fs = before);
+      (match
+         Store.install_snapshot (Io.mem fs)
+           ~schema:(Spec_printer.to_string WP.schema) ~checkpoint:blob
+       with
+      | Error _ -> ()
+      | Ok () -> Alcotest.failf "%s: installed" what);
+      check (what ^ ": install touched no file") true (store_files fs = before))
+    [
+      ("older format", v1_checkpoint, {|unknown checkpoint format "bounds-store checkpoint v1"|});
+      ("cut mid-entry", ckpt (String.sub body 0 (String.length body - 9)), "truncated payload");
+      ("trailing bytes", ckpt (body ^ "xyz"), "3 trailing bytes");
+      ( "delete",
+        ckpt (txn (List.filteri (fun i _ -> i < n - 1) inserts @ [ Update.Delete 0 ])),
+        "delete of 0, not an insert" );
+      ("parent not read", ckpt (txn (List.rev inserts)), "no such entry");
+      ("entry count", ckpt ~entries:(n + 1) body, Printf.sprintf "body has %d entries, header says %d" n (n + 1));
+      ("lsn", ckpt ~lsn:3 body, "body at lsn 0, header says 3");
+      ( "value type",
+        ckpt ~entries:1 (txn [ Update.Insert { parent = None; entry = ill_typed } ]),
+        "attribute o: value is not of type string" );
+    ];
+  (* every bit flip of a body, framed with a valid CRC, loads or is
+     refused: it never raises *)
+  let fs = Io.fresh_fs () in
+  for i = 0 to String.length body - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string body in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+      Io.write_fs fs Store.checkpoint_file (ckpt (Bytes.to_string b));
+      match Checkpoint.read (Io.mem fs) Store.checkpoint_file ~typing:WP.schema.Schema.typing with
+      | Ok _ | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "read raised on bit %d of body byte %d: %s" bit i (Printexc.to_string e)
+    done
+  done
+
 (* --- real files ------------------------------------------------------------ *)
 
 let test_real_io () =
@@ -1047,7 +1146,18 @@ let test_real_io () =
     Array.iter
       (fun f -> Sys.remove (Filename.concat root f))
       (Sys.readdir root);
+  if not (Sys.file_exists root) then Sys.mkdir root 0o755;
+  (* the sweep of interrupted writers' temp files takes only those *)
+  let others = [ "keep.tmpl"; "draft.tmp.txt"; "plain.txt" ] in
+  List.iter
+    (fun f -> Out_channel.with_open_bin (Filename.concat root f) ignore)
+    ("wal.log.tmp.12.3" :: others);
   let io = Io.real ~root () in
+  List.iter
+    (fun f -> check (f ^ " kept") true (Sys.file_exists (Filename.concat root f)))
+    others;
+  check "temp file swept" false
+    (Sys.file_exists (Filename.concat root "wal.log.tmp.12.3"));
   let st = get_store "init" (Store.init io WP.schema WP.instance) in
   let _ = get_apply "t1" (Store.apply st txn1) in
   let _ = get_apply "t2" (Store.apply st txn2) in
@@ -1090,11 +1200,6 @@ let () =
           Alcotest.test_case "delta checkpoint" `Quick test_soft_checkpoint;
           Alcotest.test_case "delta collapse" `Quick test_collapse;
           Alcotest.test_case "torn marker" `Quick test_torn_marker;
-          Alcotest.test_case "legacy segments" `Quick test_legacy_segment;
-          Alcotest.test_case "delta torn segment" `Quick
-            test_legacy_torn_segment;
-          Alcotest.test_case "delta duplicate log" `Quick
-            test_legacy_duplicate_log;
           Alcotest.test_case "auto checkpoint" `Quick test_auto_checkpoint;
           Alcotest.test_case "failed write not counted" `Quick
             test_failed_write_not_counted;
@@ -1111,6 +1216,13 @@ let () =
           Alcotest.test_case "illegal tail" `Quick test_illegal_tail;
           Alcotest.test_case "trusted load then write" `Quick
             test_trusted_load_then_write;
+        ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "same state after a restart" `Quick
+            test_checkpoint_same_state;
+          Alcotest.test_case "damaged or older checkpoints refused" `Quick
+            test_checkpoint_refused;
         ] );
       ( "recovery",
         [
