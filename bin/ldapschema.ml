@@ -115,6 +115,11 @@ let open_store ?(ppf = Format.std_formatter) ?auto_checkpoint dir =
   | Error e ->
       or_die (Error (Printf.sprintf "%s: %s" dir (Store.error_to_string e)))
 
+(* recover the store in [dir], run [f] on it, close it *)
+let with_store ?ppf dir f =
+  let st = open_store ?ppf dir in
+  Fun.protect ~finally:(fun () -> Store.close st) (fun () -> f st)
+
 (* --- validate ----------------------------------------------------------- *)
 
 (* one plan per Figure-4 obligation query, with est/actual columns *)
@@ -135,35 +140,25 @@ let report_viols what entries = function
       1
 
 let validate schema_path data_path naive no_extensions explain store =
+  let check what schema snap =
+    let extensions = not no_extensions in
+    let inst = Directory.Snapshot.instance snap in
+    if explain then explain_obligations snap schema;
+    report_viols what (Instance.size inst)
+      (if naive then Naive_legality.check ~extensions schema inst
+       else Directory.Snapshot.validate ~extensions schema snap)
+  in
   match store with
   | Some dir ->
       (* the store's admission scan already vouches for the instance;
          this re-runs the full check on the recovered state *)
-      let st = open_store dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          let d = Store.directory st in
-          if explain then explain_obligations (Directory.snapshot d) (Store.schema st);
-          report_viols dir (Directory.size d) (Directory.validate d))
+      with_store dir (fun st ->
+          check dir (Store.schema st) (Directory.snapshot (Store.directory st)))
   | None ->
       let schema = or_die (load_schema (required_arg "-s/--schema" schema_path)) in
       let data_path = required_arg "-d/--data" data_path in
       let inst = or_die (load_data ~typing:schema.Schema.typing data_path) in
-      let extensions = not no_extensions in
-      let viols =
-        if naive then begin
-          if explain then
-            explain_obligations (Directory.Snapshot.of_instance inst) schema;
-          Naive_legality.check ~extensions schema inst
-        end
-        else begin
-          let snap = Directory.Snapshot.of_instance inst in
-          if explain then explain_obligations snap schema;
-          Directory.Snapshot.validate ~extensions schema snap
-        end
-      in
-      report_viols data_path (Instance.size inst) viols
+      check data_path schema (Directory.Snapshot.of_instance inst)
 
 let validate_cmd =
   let naive =
@@ -245,46 +240,32 @@ let query schema_path data_path expr explain store =
     | Ok q -> q
     | Error e -> or_die (Error ("query: " ^ Parse_error.to_string e))
   in
+  let answer snap =
+    let ids =
+      if explain then begin
+        let plan, ids = Directory.Snapshot.explain snap q in
+        Format.printf "%a@." Profile.pp_plan_explain (Profile.explain_plan plan);
+        ids
+      end
+      else Directory.Snapshot.query_ids snap q
+    in
+    print_ids (Directory.Snapshot.instance snap) ids;
+    0
+  in
   match store with
   | Some dir ->
       (* recovery notes go to stderr: stdout is the result set *)
-      let st = open_store ~ppf:Format.err_formatter dir in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          let d = Store.directory st in
-          let ids =
-            if explain then begin
-              let plan, result = Directory.explain d q in
-              Format.printf "%a@." Profile.pp_plan_explain
-                (Profile.explain_plan plan);
-              Bounds_query.Index.ids_of
-                (Directory.Snapshot.Private.index (Directory.snapshot d))
-                result
-            end
-            else Directory.query_ids d q
-          in
-          print_ids (Directory.instance d) ids;
-          0)
+      with_store ~ppf:Format.err_formatter dir (fun st ->
+          answer (Directory.snapshot (Store.directory st)))
   | None ->
       let typing =
         match schema_path with
         | Some p -> (or_die (load_schema p)).Schema.typing
         | None -> Typing.default
       in
-      let inst = or_die (load_data ~typing (required_arg "-d/--data" data_path)) in
-      let snap = Directory.Snapshot.of_instance inst in
-      let ids =
-        if explain then begin
-          let plan, result = Directory.Snapshot.explain snap q in
-          Format.printf "%a@." Profile.pp_plan_explain
-            (Profile.explain_plan plan);
-          Bounds_query.Index.ids_of (Directory.Snapshot.Private.index snap) result
-        end
-        else Directory.Snapshot.query_ids snap q
-      in
-      print_ids inst ids;
-      0
+      answer
+        (Directory.Snapshot.of_instance
+           (or_die (load_data ~typing (required_arg "-d/--data" data_path))))
 
 let query_cmd =
   let schema_opt =
@@ -536,10 +517,7 @@ let update_cmd =
 (* --- load (streaming bulk ingest) --------------------------------------- *)
 
 let load_bulk ldif_path trust dir =
-  let st = open_store dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close st)
-    (fun () ->
+  with_store dir (fun st ->
       let typing = (Store.schema st).Schema.typing in
       let text = read_file ldif_path in
       (* fresh ids for the streamed records; parents resolve among
@@ -943,10 +921,7 @@ let log_cmd =
     Term.(const log_ $ store_pos_arg)
 
 let checkpoint_verb dir full =
-  let st = open_store dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close st)
-    (fun () ->
+  with_store dir (fun st ->
       Store.checkpoint ~full st;
       if Store.segments st = 0 then
         Printf.printf "checkpointed at lsn %d (%d entries); log reset\n"
@@ -979,10 +954,7 @@ let checkpoint_cmd =
    the interesting figure is how many duplicate strings the load would
    otherwise have held. *)
 let stats_verb dir =
-  let st = open_store dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close st)
-    (fun () ->
+  with_store dir (fun st ->
       Format.printf "%a@." Directory.pp_stats
         (Directory.stats (Store.directory st));
       0)
@@ -1035,10 +1007,7 @@ let stop_on_signals start stop =
   daemon
 
 let serve dir host port batch_max max_clients replicate =
-  let st = open_store dir in
-  Fun.protect
-    ~finally:(fun () -> Store.close st)
-    (fun () ->
+  with_store dir (fun st ->
       let srv =
         stop_on_signals
           (fun () ->

@@ -1,36 +1,12 @@
 open Bounds_model
 
 type result =
-  | Accepted of {
-      lsn : int option;
-      ops : Update.op list;
-      entries_before : int;
-      entries_after : int;
-    }
+  | Accepted of { lsn : int option; ops : Update.op list }
   | Rejected of { reason : Monitor.rejection; ops : Update.op list }
 
 let accepted = function Accepted _ -> true | Rejected _ -> false
-let ops = function Accepted { ops; _ } | Rejected { ops; _ } -> ops
 let lsn = function Accepted { lsn; _ } -> lsn | Rejected _ -> None
-let reason = function Accepted _ -> None | Rejected { reason; _ } -> Some reason
-
-let entries_delta = function
-  | Accepted { entries_before; entries_after; _ } ->
-      entries_after - entries_before
-  | Rejected _ -> 0
 
 let with_lsn l = function
   | Accepted a -> Accepted { a with lsn = Some l }
   | Rejected _ as r -> r
-
-let pp ppf = function
-  | Accepted { lsn; ops; entries_before; entries_after } ->
-      Format.fprintf ppf "accepted %d op(s)%a (%d -> %d entries)"
-        (List.length ops)
-        (fun ppf -> function
-          | None -> ()
-          | Some l -> Format.fprintf ppf " at lsn %d" l)
-        lsn entries_before entries_after
-  | Rejected { reason; ops } ->
-      Format.fprintf ppf "rejected %d op(s): %a" (List.length ops)
-        Monitor.pp_rejection reason

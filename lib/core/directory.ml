@@ -9,29 +9,26 @@ module Search = Bounds_query.Search
 module Snapshot = struct
   type t = { index : Index.t; vindex : Vindex.t; memo : Plan.memo }
 
-  let of_index index =
+  let of_instance inst =
+    let index = Index.create inst in
     let vindex = Vindex.create index in
     { index; vindex; memo = Plan.memo_create vindex }
 
-  let of_instance inst = of_index (Index.create inst)
   let index s = s.index
   let vindex s = s.vindex
   let memo s = s.memo
   let instance s = Index.instance s.index
+
+  (* [Plan.memo_eval] never writes the memo, so any number of reader
+     threads may evaluate over one published snapshot — the lock-free
+     read path of the network server's snapshot isolation. *)
   let query s q = Plan.memo_eval s.memo q
   let query_ids s q = Index.ids_of s.index (query s q)
-
-  (* Read-only twins: never write the snapshot's memo, so any number of
-     concurrent reader threads may evaluate over one published snapshot
-     — the lock-free read path of the network server's
-     snapshot-isolation discipline. *)
-  let query_ro s q = Plan.memo_eval_ro s.memo q
-  let query_ids_ro s q = Index.ids_of s.index (query_ro s q)
+  let query_ids_ro = query_ids
 
   let explain s q =
     let plan = Plan.plan s.vindex q in
-    let result = Plan.exec plan in
-    (plan, result)
+    (plan, Index.ids_of s.index (Plan.exec plan))
 
   let search s ~base scope filter =
     Search.search ~vindex:s.vindex s.index ~base scope filter
@@ -70,8 +67,10 @@ type t = {
 
 let open_ schema inst =
   let { Snapshot.index; vindex; memo } = Snapshot.of_instance inst in
-  (* The admission scan prewarms [memo] with the Figure-4 obligation
-     queries, so the session's first [validate] is all cache hits. *)
+  (* The admission scan prewarms [memo] with every subquery of the
+     Figure-4 obligations, before anything else holds it: later
+     versions get their memo from [Plan.memo_apply], and reads never
+     write one. *)
   Monitor.create ~index ~vindex ~memo schema inst
   |> Result.map (fun monitor ->
          {
@@ -88,25 +87,19 @@ let instance t = Monitor.instance t.monitor
 let index t = Monitor.index t.monitor
 let size t = Instance.size (instance t)
 
-let query t q =
+let snapshot t =
+  { Snapshot.index = index t; vindex = t.vindex; memo = t.memo }
+
+(* Every session read is its snapshot's, counted. *)
+let counted t =
   t.counters.queries <- t.counters.queries + 1;
-  Plan.memo_eval t.memo q
+  snapshot t
 
-let query_ids t q = Index.ids_of (index t) (query t q)
-
-let explain t q =
-  t.counters.queries <- t.counters.queries + 1;
-  let plan = Plan.plan t.vindex q in
-  let result = Plan.exec plan in
-  (plan, result)
-
-let search t ~base scope filter =
-  t.counters.queries <- t.counters.queries + 1;
-  Search.search ~vindex:t.vindex (index t) ~base scope filter
-
-let validate t =
-  Legality.check ~index:(index t) ~vindex:t.vindex ~memo:t.memo t.schema
-    (instance t)
+let query t q = Snapshot.query (counted t) q
+let query_ids t q = Snapshot.query_ids (counted t) q
+let explain t q = Snapshot.explain (counted t) q
+let search t ~base scope filter = Snapshot.search (counted t) ~base scope filter
+let validate t = Snapshot.validate t.schema (snapshot t)
 
 (* The one carry behind [apply] and [replay]: the monitor already
    spliced the Δs into its live index; carry the value tables across the
@@ -119,16 +112,11 @@ let carry t ops (monitor, splices) =
   { t with monitor; vindex; memo }
 
 let apply t ops =
-  let entries_before = size t in
   match Monitor.apply ops t.monitor with
   | Error reason ->
       t.counters.rejected <- t.counters.rejected + 1;
       (t, Admission.Rejected { reason; ops })
-  | Ok step ->
-      let t' = carry t ops step in
-      ( t',
-        Admission.Accepted
-          { lsn = None; ops; entries_before; entries_after = size t' } )
+  | Ok step -> (carry t ops step, Admission.Accepted { lsn = None; ops })
 
 let replay t ops = Result.map (carry t ops) (Monitor.replay ops t.monitor)
 
@@ -157,9 +145,6 @@ module Bulk = struct
     { b.session with monitor; vindex; memo }
 end
 
-let snapshot t =
-  { Snapshot.index = index t; vindex = t.vindex; memo = t.memo }
-
 (* --- stats -------------------------------------------------------------- *)
 
 type stats = {
@@ -167,8 +152,6 @@ type stats = {
   queries : int;
   applied : int;
   rejected : int;
-  memo_hits : int;
-  memo_misses : int;
   memo_entries : int;
   memo_migrated : int;
   memo_dropped : int;
@@ -176,16 +159,13 @@ type stats = {
 }
 
 let stats t =
-  let memo_hits, memo_misses, memo_entries = Plan.memo_stats t.memo in
   let memo_migrated, memo_dropped = Plan.memo_migration_stats t.memo in
   {
     entries = size t;
     queries = t.counters.queries;
     applied = t.counters.applied;
     rejected = t.counters.rejected;
-    memo_hits;
-    memo_misses;
-    memo_entries;
+    memo_entries = Plan.memo_size t.memo;
     memo_migrated;
     memo_dropped;
     intern = Intern.stats ();
@@ -194,7 +174,6 @@ let stats t =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>entries: %d@ queries: %d@ updates: %d applied, %d rejected@ memo: \
-     %d entries (%d hits, %d misses; migration carried %d, dropped %d)@ \
-     intern:@   %a@]"
-    s.entries s.queries s.applied s.rejected s.memo_entries s.memo_hits
-    s.memo_misses s.memo_migrated s.memo_dropped Intern.pp_stats s.intern
+     %d entries (migration carried %d, dropped %d)@ intern:@   %a@]"
+    s.entries s.queries s.applied s.rejected s.memo_entries s.memo_migrated
+    s.memo_dropped Intern.pp_stats s.intern

@@ -17,7 +17,9 @@
     - the {!Bounds_query.Plan} memo is migrated ({!Bounds_query.Plan.memo_apply}):
       pointwise cache entries survive the update — their bitsets are
       spliced along the same rank-space edits the index performed — and
-      only χ-dependent ones are re-evaluated on demand.
+      χ-dependent ones are dropped.  A version's memo is written only
+      before anything reads it: by the admission scan's prewarm, or by
+      the migration that builds it.  Reads never write it.
 
     Like the underlying {!Monitor}, a session value is persistent: a
     rejected {!apply} leaves the previous value usable, and superseded
@@ -45,30 +47,24 @@ module Snapshot : sig
   (** Build every auxiliary structure for [inst]. *)
   val of_instance : Instance.t -> t
 
-  (** Wrap an existing evaluation index. *)
-  val of_index : Bounds_query.Index.t -> t
-
   val instance : t -> Instance.t
 
-  (** Evaluate through the snapshot's memo (caching — sequential use
-      only). *)
+  (** Evaluate through the snapshot's memo, reading it and never
+      writing it ({!Bounds_query.Plan.memo_eval}): any number of
+      concurrent readers may evaluate over one snapshot — the lock-free
+      read path of {!Bounds_net.Front}'s snapshot isolation. *)
   val query : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
 
   val query_ids : t -> Bounds_query.Query.t -> Entry.id list
 
-  (** Read-only evaluation: hits the snapshot's memo but never writes
-      it, so any number of concurrent readers may evaluate over one
-      snapshot (cold subqueries are recomputed rather than cached) —
-      the lock-free read path of {!Bounds_net.Server}'s snapshot
-      isolation. *)
-  val query_ro : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
+  (** Another name for {!query_ids}. *)
   val query_ids_ro : t -> Bounds_query.Query.t -> Entry.id list
 
   (** Evaluate through the cost-based planner, returning the executed
-      plan (with actual cardinalities recorded) alongside the result —
-      the [--explain] path. *)
+      plan (with actual cardinalities recorded) alongside the answer's
+      ids — the [--explain] path. *)
   val explain :
-    t -> Bounds_query.Query.t -> Bounds_query.Plan.t * Bounds_query.Bitset.t
+    t -> Bounds_query.Query.t -> Bounds_query.Plan.t * Entry.id list
 
   (** LDAP-style scoped search over the snapshot. *)
   val search :
@@ -79,7 +75,9 @@ module Snapshot : sig
     Entry.id list
 
   (** Full legality check of the snapshot's instance, reusing its index,
-      vindex and memo. *)
+      vindex and memo.  Its prewarm tops up the memo with the
+      obligation subqueries the memo lacks, so validate a snapshot
+      before it is shared with reader threads, never after. *)
   val validate : ?extensions:bool -> Schema.t -> t -> Violation.t list
 
   (** Escape hatch to the raw per-version structures, for differential
@@ -101,9 +99,9 @@ type t
 (** [open_ schema inst] runs the full admission scan (via
     {!Monitor.create}, with the Section 6.1 single-valued and key
     extensions enforced) and builds the session's index, value tables
-    and memo; the scan prewarms the memo with the Figure-4 obligation
-    queries, and the memo is carried across every update.  [Error]
-    carries the violations of an illegal [inst]. *)
+    and memo; the scan prewarms the memo with every subquery of the
+    Figure-4 obligation queries, and the memo is carried across every
+    update.  [Error] carries the violations of an illegal [inst]. *)
 val open_ : Schema.t -> Instance.t -> (t, Violation.t list) result
 
 val schema : t -> Schema.t
@@ -113,16 +111,15 @@ val instance : t -> Instance.t
 (** Number of entries in the current version. *)
 val size : t -> int
 
-(** Evaluate a hierarchical selection query through the session memo.
-    Caching — call sequentially. *)
+(** {2 Reads}
+
+    Each read is the {!Snapshot} read of the current version
+    ({!snapshot}); all but {!validate} count one query in {!stats}. *)
+
 val query : t -> Bounds_query.Query.t -> Bounds_query.Bitset.t
-
 val query_ids : t -> Bounds_query.Query.t -> Entry.id list
+val explain : t -> Bounds_query.Query.t -> Bounds_query.Plan.t * Entry.id list
 
-(** Like {!Snapshot.explain}, against the current version. *)
-val explain : t -> Bounds_query.Query.t -> Bounds_query.Plan.t * Bounds_query.Bitset.t
-
-(** LDAP-style scoped search over the current version. *)
 val search :
   t ->
   base:Entry.id option ->
@@ -130,9 +127,9 @@ val search :
   Bounds_query.Filter.t ->
   Entry.id list
 
-(** Re-run the full legality check on the current version, reusing the
-    session's index, value tables and migrated memo.  Always [[]] after
-    a successful {!open_}/{!apply} — exposed for auditing and testing. *)
+(** {!Snapshot.validate} under the session's schema, reusing its index,
+    value tables and migrated memo.  Always [[]] after a successful
+    {!open_}/{!apply} — exposed for auditing and testing. *)
 val validate : t -> Violation.t list
 
 (** [apply t ops] — the whole transaction atomically under incremental
@@ -195,9 +192,7 @@ type stats = {
       (** transactions accepted or replayed by any version of the
           session; {!Bounds_store.Store.stats} counts only durable ones *)
   rejected : int;  (** rejected transactions *)
-  memo_hits : int;
-  memo_misses : int;
-  memo_entries : int;
+  memo_entries : int;  (** cached queries ({!Bounds_query.Plan.memo_size}) *)
   memo_migrated : int;  (** cache entries carried across updates *)
   memo_dropped : int;  (** χ-dependent entries re-evaluated instead *)
   intern : Intern.stat list;

@@ -160,88 +160,81 @@ let bump_keys delta_sign sub m kv =
         kv (entry_key_values m.schema e))
     sub kv
 
-(* The two splice halves also hand back the rank-space edits the builder
-   recorded ({!Index.Builder.splices}) — {!run} accumulates them across
-   steps so {!Directory} can migrate cached bitsets by word-level
-   splicing instead of per-member rank translation. *)
+(* The counting and key tables after a step that added ([sign] 1) or
+   removed ([sign] -1) the subtree [sub]. *)
+let retable sign sub m =
+  {
+    m with
+    counts = bump sign sub m.counts;
+    key_values =
+      (if m.extensions then bump_keys sign sub m m.key_values else m.key_values);
+  }
 
-let graft_indexed ~parent ~delta_index delta m =
-  let b = Index.Builder.of_version m.index in
-  Index.Builder.graft b ~parent ~delta_index delta;
+(* One subtree step, spliced into [b], the builder every step of the
+   transaction shares.  [m] carries the counting and key tables as the
+   earlier steps left them, and [b] the instance.  With [check] the
+   Figure-5 Δ-checks (and the key check) run first against them and any
+   violation rejects the step; without, the step is spliced as is —
+   trusted replay.  Either way [b] is patched and the tables are bumped
+   identically, so a replayed monitor is indistinguishable from one that
+   re-checked. *)
+let step ~check b m = function
+  | Transaction.Insert_subtree { parent; subtree = delta } -> (
+      (* one Δ index per step: the incremental check evaluates its
+         Figure-5 Δ-queries on it, and the accepted subtree is then
+         spliced into the builder from the very same encoding *)
+      let delta_index = Index.create delta in
+      let viols =
+        if not check then []
+        else
+          match
+            Incremental.check_insert ~extensions:m.extensions ~delta_index m.schema
+              ~base:(Index.Builder.instance b) ~parent ~delta
+          with
+          | Error msg -> failwith msg
+          | Ok viols -> if m.extensions then viols @ key_violations m delta else viols
+      in
+      match viols with
+      | _ :: _ -> Error viols
+      | [] ->
+          Index.Builder.graft b ~parent ~delta_index delta;
+          Ok (retable 1 delta m))
+  | Transaction.Delete_subtree { root } -> (
+      let base = Index.Builder.instance b in
+      let viols =
+        if not check then []
+        else
+          match
+            Incremental.check_delete ~class_count:(class_count m) m.schema ~base ~root
+          with
+          | Error msg -> failwith msg
+          | Ok viols -> viols
+      in
+      match viols with
+      | _ :: _ -> Error viols
+      | [] -> (
+          match Instance.subtree base root with
+          | Error e -> failwith (Instance.error_to_string e)
+          | Ok sub ->
+              Index.Builder.prune b root;
+              Ok (retable (-1) sub m)))
+
+(* The transaction's one version, with the rank-space edits that made
+   it ({!Index.Builder.splices}), for {!Directory} to migrate cached
+   bitsets by word-level splicing. *)
+let seal b m =
   let splices = Index.Builder.splices b in
   let index = Index.Builder.seal b in
-  ( {
-      m with
-      inst = Index.instance index;
-      index;
-      counts = bump 1 delta m.counts;
-      key_values =
-        (if m.extensions then bump_keys 1 delta m m.key_values
-         else m.key_values);
-    },
-    splices )
+  ({ m with inst = Index.instance index; index }, splices)
 
-let prune_indexed root sub m =
+let single s m =
   let b = Index.Builder.of_version m.index in
-  Index.Builder.prune b root;
-  let splices = Index.Builder.splices b in
-  let index = Index.Builder.seal b in
-  ( {
-      m with
-      inst = Index.instance index;
-      index;
-      counts = bump (-1) sub m.counts;
-      key_values =
-        (if m.extensions then bump_keys (-1) sub m m.key_values
-         else m.key_values);
-    },
-    splices )
+  Result.map (seal b) (step ~check:true b m s)
 
-(* One subtree step.  With [check] the Figure-5 Δ-checks (and the key
-   check) run first and any violation rejects the step; without, the
-   step is spliced as is — trusted replay.  Either way the index is
-   patched and the counting/key tables are bumped identically, so a
-   replayed monitor is indistinguishable from one that re-checked. *)
+let insert_subtree ~parent delta m =
+  single (Transaction.Insert_subtree { parent; subtree = delta }) m
 
-let insert_step ~check ~parent delta m =
-  (* one Δ index per step: the incremental check evaluates its Figure-5
-     Δ-queries on it, and the accepted subtree is then spliced into the
-     live index from the very same encoding *)
-  let delta_index = Index.create delta in
-  let viols =
-    if not check then []
-    else
-      match
-        Incremental.check_insert ~extensions:m.extensions ~delta_index m.schema
-          ~base:m.inst ~parent ~delta
-      with
-      | Error msg -> failwith msg
-      | Ok viols -> if m.extensions then viols @ key_violations m delta else viols
-  in
-  match viols with
-  | _ :: _ -> Error viols
-  | [] -> Ok (graft_indexed ~parent ~delta_index delta m)
-
-let delete_step ~check root m =
-  let viols =
-    if not check then []
-    else
-      match
-        Incremental.check_delete ~class_count:(class_count m) m.schema
-          ~base:m.inst ~root
-      with
-      | Error msg -> failwith msg
-      | Ok viols -> viols
-  in
-  match viols with
-  | _ :: _ -> Error viols
-  | [] -> (
-      match Instance.subtree m.inst root with
-      | Error e -> failwith (Instance.error_to_string e)
-      | Ok sub -> Ok (prune_indexed root sub m))
-
-let insert_subtree ~parent delta m = insert_step ~check:true ~parent delta m
-let delete_subtree root m = delete_step ~check:true root m
+let delete_subtree root m = single (Transaction.Delete_subtree { root }) m
 
 let modify_entry id f m =
   let old_entry =
@@ -304,28 +297,23 @@ let pp_rejection ppf = function
         (Format.pp_print_list Violation.pp)
         violations
 
-(* The one decomposition loop behind {!apply} and {!replay}.  Per-step
-   splices concatenate in application order: each step's splices are
-   expressed against the version the previous step produced, which is
-   exactly the order a sequential bitset migration replays them in. *)
+(* The one decomposition loop behind {!apply} and {!replay}: every step
+   splices into one builder on [m]'s index, sealed once at the end, so
+   a transaction of k steps makes one version.  A rejected step drops
+   the builder, and [m] is untouched. *)
 let run ~check ops m =
   match Transaction.decompose m.inst ops with
   | Error msg -> Error (Bad_ops msg)
-  | Ok updates ->
-      let rec go step m acc = function
-        | [] -> Ok (m, List.concat (List.rev acc))
-        | u :: rest -> (
-            let stepped =
-              match u with
-              | Transaction.Insert_subtree { parent; subtree } ->
-                  insert_step ~check ~parent subtree m
-              | Transaction.Delete_subtree { root } -> delete_step ~check root m
-            in
-            match stepped with
-            | Ok (m, sps) -> go (step + 1) m (sps :: acc) rest
-            | Error violations -> Error (Illegal { step; violations }))
+  | Ok steps ->
+      let b = Index.Builder.of_version m.index in
+      let rec go i m' = function
+        | [] -> Ok (seal b m')
+        | s :: rest -> (
+            match step ~check b m' s with
+            | Ok m' -> go (i + 1) m' rest
+            | Error violations -> Error (Illegal { step = i; violations }))
       in
-      go 1 m [] updates
+      go 1 m steps
 
 let apply ops m = run ~check:true ops m
 

@@ -21,8 +21,8 @@ type t
     [index]/[vindex]/[memo] are passed through to
     {!Legality.check} for the admission scan — an
     existing evaluation-index snapshot of [inst] is reused rather than
-    rebuilt, and a caller-supplied memo comes back prewarmed with the
-    obligation queries (see {!Directory.open_}). *)
+    rebuilt, and a caller-supplied memo comes back prewarmed with every
+    subquery of the obligation queries (see {!Directory.open_}). *)
 val create :
   ?extensions:bool ->
   ?index:Bounds_query.Index.t ->
@@ -48,17 +48,18 @@ val schema : t -> Schema.t
 
 (** The live evaluation index of {!instance}: seeded by the admission
     scan (or taken from [create]'s [index] argument) and then patched
-    across every accepted update with {!Bounds_query.Index.graft} /
-    [prune] / [replace_entry] — each Δ is indexed once and spliced by
-    interval shifting, never re-traversed.  Old monitor versions keep
-    their own index snapshot. *)
+    across every accepted update on one {!Bounds_query.Index.Builder}
+    per transaction — each Δ is indexed once and spliced by interval
+    shifting, never re-traversed, and the builder is sealed once.  Old
+    monitor versions keep their own index snapshot. *)
 val index : t -> Bounds_query.Index.t
 
 (** Number of entries currently belonging to the class. *)
 val class_count : t -> Oclass.t -> int
 
 (** [insert_subtree ~parent delta m] — Δ must be single-rooted with ids
-    fresh for the monitored instance.  On acceptance, the new monitor
+    fresh for the monitored instance.  The one-step transaction of
+    {!apply}, through the same code: on acceptance, the new monitor
     comes with the rank-space edits the graft performed on the live
     index ({!Bounds_query.Index.Builder.splices}), for callers migrating
     rank-indexed caches alongside. *)
@@ -87,10 +88,14 @@ type rejection =
 val pp_rejection : Format.formatter -> rejection -> unit
 
 (** Whole transaction, atomically: decomposed with {!Transaction}, each
-    subtree step checked incrementally; on rejection the monitor is
-    unchanged.  On acceptance, the accompanying splice list concatenates
-    the per-step rank-space edits in application order — the exact
-    input {!Bounds_query.Plan.memo_apply} replays over cached bitsets. *)
+    subtree step checked incrementally against the instance and the
+    counting and key tables the earlier steps left, then spliced into
+    one {!Bounds_query.Index.Builder}, which is sealed once: a
+    transaction makes one index version however many steps it has.  On
+    rejection the monitor is unchanged.  On acceptance, the accompanying
+    splice list is the builder's rank-space edits in application order —
+    the exact input {!Bounds_query.Plan.memo_apply} replays over cached
+    bitsets. *)
 val apply :
   Update.op list -> t -> (t * Bounds_query.Index.splice list, rejection) result
 

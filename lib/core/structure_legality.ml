@@ -16,14 +16,11 @@ let check ?index ?vindex ?memo (schema : Schema.t) inst =
   let obligations = Translate.all schema.structure in
   (* Hash-consed memo over this (index, vindex) snapshot: the obligation
      queries share their class selections and χ frames heavily
-     (σ−(s_i, χ(ax, s_i, s_j)) alone names s_i twice), so the shared
-     subqueries are evaluated-and-cached once, then every obligation
-     reads the cache without writing it.  Only shared work is cached, so
-     a session's memo — which [Plan.memo_apply] carries across every
-     update, and which the server's reader threads read concurrently —
-     stays small.  A caller-supplied [memo] (e.g. a session's cache
-     migrated across updates) is used as is: prewarm only tops up what
-     migration dropped. *)
+     (σ−(s_i, χ(ax, s_i, s_j)) alone names s_i twice), so the prewarm
+     evaluates and caches every subquery once, children first, and then
+     every obligation is read from the cache.  A caller-supplied [memo]
+     (e.g. a session's cache migrated across updates) is used as is:
+     prewarm only tops up what migration dropped. *)
   let memo =
     match memo with
     | Some m -> m
@@ -33,7 +30,7 @@ let check ?index ?vindex ?memo (schema : Schema.t) inst =
   in
   Plan.prewarm memo (List.map (fun (_, q, _) -> q) obligations);
   let viols_of (oblig, q, expect) =
-    let result = Plan.memo_eval_ro memo q in
+    let result = Plan.memo_eval memo q in
     let viols = ref [] in
     let add v = viols := v :: !viols in
     (match (expect, oblig) with

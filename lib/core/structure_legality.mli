@@ -16,9 +16,10 @@ open Bounds_query
     Violations come in the obligation order of [Translate.all].
 
     The obligation queries evaluate through a {!Bounds_query.Plan} memo
-    scoped to this snapshot: shared subqueries (class selections, χ
-    frames) are computed exactly once, before the obligations read the
-    cache.  A vindex is built automatically if none is supplied.
+    scoped to this snapshot: {!Bounds_query.Plan.prewarm} computes every
+    subquery (class selections, χ frames, the obligations themselves)
+    exactly once, before the obligations read the cache.  A vindex is
+    built automatically if none is supplied.
 
     [memo], when given, is used instead of a fresh memo: a live session
     passes the cache it migrated across

@@ -51,6 +51,8 @@ let connect ?(host = "127.0.0.1") ~port ?(retries = 0) ?(hello = true)
   in
   go 0
 
+let fd t = t.fd
+
 let close t =
   if not t.closed then begin
     t.closed <- true;

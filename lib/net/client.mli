@@ -31,4 +31,9 @@ val request : t -> Proto.request -> (Proto.response, string) result
 (** {!request}, with transport failure raised as [Failure]. *)
 val request_exn : t -> Proto.request -> Proto.response
 
+(** The connection's socket, for a caller that takes the stream over
+    after its last request — a replica reads its feed's frames from
+    it, and shuts it down to wake that read. *)
+val fd : t -> Unix.file_descr
+
 val close : t -> unit

@@ -80,7 +80,7 @@ type answer = (Instance.t * Entry.id list, string) result
 let query_answer snap text =
   match Bounds_query.Query_parser.parse text with
   | Error e -> Error ("query: " ^ Parse_error.to_string e)
-  | Ok q -> Ok (Directory.Snapshot.instance snap, Directory.Snapshot.query_ids_ro snap q)
+  | Ok q -> Ok (Directory.Snapshot.instance snap, Directory.Snapshot.query_ids snap q)
 
 let search_answer snap ~base ~scope ~filter =
   let ( let* ) = Result.bind in

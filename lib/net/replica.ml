@@ -49,7 +49,7 @@ type t = {
   m : Mutex.t;
   sleep : (float -> unit) option;  (* injectable for deterministic tests *)
   mutable store : Store.t option;  (* owned by the feeder thread *)
-  mutable pfd : Unix.file_descr option;  (* live primary connection *)
+  mutable primary : Client.t option;  (* live primary connection *)
   mutable stopping : bool;
   mutable feeder : Thread.t option;
   (* feed progress, guarded by [m] (plain ints — readers only report) *)
@@ -115,34 +115,12 @@ let fail t msg = Mutex.protect t.m (fun () -> t.last_error <- msg)
 
 (* One request/response exchange on the primary connection (the feed
    protocol starts as ordinary request/response before it goes
-   one-way). *)
-let exchange fd req =
-  match Conn.send fd (Proto.encode_request req) with
-  | exception Unix.Unix_error (err, _, _) ->
-      Error ("send: " ^ Unix.error_message err)
-  | () -> (
-      match Conn.recv_or_error fd with
-      | exception Unix.Unix_error (err, _, _) ->
-          Error ("recv: " ^ Unix.error_message err)
-      | Error _ as e -> e
-      | Ok payload -> (
-          match Proto.decode_response payload with
-          | Ok (Proto.Reply body) -> Ok body
-          | Ok (Proto.Failed msg) -> Error msg
-          | Error e -> Error e))
-
-let connect_primary t =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  match
-    Unix.connect fd
-      (Unix.ADDR_INET (Unix.inet_addr_of_string t.primary_host, t.primary_port))
-  with
-  | () -> Ok fd
-  | exception Unix.Unix_error (err, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error
-        (Printf.sprintf "connect %s:%d: %s" t.primary_host t.primary_port
-           (Unix.error_message err))
+   one-way); a [Failed] reply is an [Error] of its message. *)
+let exchange c req =
+  match Client.request c req with
+  | Ok (Proto.Reply body) -> Ok body
+  | Ok (Proto.Failed msg) -> Error msg
+  | Error _ as e -> e
 
 (* Install a shipped bootstrap package: close whatever store we had,
    write the snapshot as a fresh store directory, re-open it through
@@ -212,20 +190,20 @@ let feeder_loop t =
     if !attempt > 0 then pause t (backoff ~attempt:(!attempt - 1));
     if not (Mutex.protect t.m (fun () -> t.stopping)) then begin
       incr attempt;
-      match connect_primary t with
+      match Client.connect ~host:t.primary_host ~port:t.primary_port ~hello:false () with
       | Error e ->
           fail t e;
           Mutex.protect t.m (fun () -> t.n_reconnects <- t.n_reconnects + 1)
-      | Ok fd -> (
-          Mutex.protect t.m (fun () -> t.pfd <- Some fd);
+      | Ok c -> (
+          Mutex.protect t.m (fun () -> t.primary <- Some c);
           let close () =
             Mutex.protect t.m (fun () ->
-                t.pfd <- None;
+                t.primary <- None;
                 t.connected <- false);
-            try Unix.close fd with Unix.Unix_error _ -> ()
+            Client.close c
           in
           match
-            exchange fd
+            exchange c
               (Proto.Hello { version = Proto.version; role = Proto.Replica })
           with
           | Error e ->
@@ -239,7 +217,7 @@ let feeder_loop t =
                 if !force_boot then -1
                 else match t.store with Some s -> Store.lsn s | None -> -1
               in
-              match exchange fd (Proto.Subscribe { from_lsn }) with
+              match exchange c (Proto.Subscribe { from_lsn }) with
               | Error e ->
                   fail t ("subscribe: " ^ e);
                   close ();
@@ -248,7 +226,7 @@ let feeder_loop t =
                   attempt := 0;
                   force_boot := false;
                   Mutex.protect t.m (fun () -> t.connected <- true);
-                  let outcome = drain t fd in
+                  let outcome = drain t (Client.fd c) in
                   close ();
                   match outcome with
                   | `Stop -> ()
@@ -277,7 +255,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(max_clients = 16) ?sleep
       m = Mutex.create ();
       sleep;
       store = None;
-      pfd = None;
+      primary = None;
       stopping = false;
       feeder = None;
       applied_lsn = -1;
@@ -313,9 +291,10 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(max_clients = 16) ?sleep
       Mutex.protect t.m (fun () ->
           t.stopping <- true;
           Option.iter
-            (fun fd ->
-              try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-            t.pfd));
+            (fun c ->
+              try Unix.shutdown (Client.fd c) Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            t.primary));
   t
 
 let stop t = Front.stop t.front

@@ -188,9 +188,9 @@ let plan vx query =
 
 (* {1 Execution}
 
-   One evaluator runs every plan, with or without a memo: [exec] and the
-   memo evaluator behind [memo_eval]/[memo_eval_ro] share it, and so the
-   frame-first rule below.  Every branch returns a freshly allocated
+   One evaluator runs every plan, with or without a memo: [exec] and
+   [memo_eval] share it, and so the frame-first rule below.  It reads a
+   memo and never writes one.  Every branch returns a freshly allocated
    bitset or a cached one that is never edited, so in-place residual
    filtering and [_into] accumulation never alias a caller-visible set.
    [f_actual]/[q_actual] are recorded as nodes complete. *)
@@ -204,23 +204,14 @@ type memo = {
   m_vx : Vindex.t;
   m_ix : Index.t;
   cache : (Query.t, Bitset.t) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
   mutable migrated : int;
   mutable dropped : int;
 }
 
-(* [rw]: the memo is filled and its counters move; otherwise it is only
-   read, so reader threads may share it. *)
-type ctx = { vx : Vindex.t; ix : Index.t; memo : memo option; rw : bool }
-
-let lookup m ~rw q =
-  let r = Hashtbl.find_opt m.cache q in
-  (match r with Some _ when rw -> m.hits <- m.hits + 1 | _ -> ());
-  r
+type ctx = { vx : Vindex.t; ix : Index.t; memo : memo option }
 
 let cached c node =
-  match c.memo with None -> None | Some m -> lookup m ~rw:c.rw node.q_query
+  match c.memo with None -> None | Some m -> Hashtbl.find_opt m.cache node.q_query
 
 let verify_into ix pred cand =
   (* [Bitset.iter] reads one byte ahead of the bits it visits, so
@@ -287,11 +278,6 @@ let rec exec_q c node =
         | Q_chi (ax, a, b) -> chi c node ax a b
       in
       node.q_actual <- Bitset.count bs;
-      (match c.memo with
-      | Some m when c.rw ->
-          m.misses <- m.misses + 1;
-          Hashtbl.add m.cache node.q_query bs
-      | Some _ | None -> ());
       bs
 
 (* [cands] keeps the members on which the selection [sel] of filter [f]
@@ -362,7 +348,7 @@ and chi c node ax a b =
           Eval.chi c.ix ax sa sb
         end
 
-let exec (t : t) = exec_q { vx = t.vx; ix = t.ix; memo = None; rw = false } t.root
+let exec (t : t) = exec_q { vx = t.vx; ix = t.ix; memo = None } t.root
 let query (t : t) = t.query
 
 let prefers_verify (t : t) ~candidates =
@@ -459,56 +445,45 @@ let pp_explain ppf t =
    up before evaluating it.  Cached bitsets are shared — callers must
    treat results as immutable (all combinators here are persistent).
 
-   Concurrency contract: [memo_eval] writes the cache and must run
-   sequentially; [memo_eval_ro] never writes, so the server's and the
-   replica's reader threads may call it over a shared snapshot's memo
-   concurrently ([Hashtbl] reads are safe when no writer runs, and each
-   call plans its own nodes).  The hit/miss counters move only under
-   [memo_eval] for the same reason. *)
+   Write contract: only [prewarm] and [memo_apply] write a memo.
+   [prewarm] fills the memo of a snapshot nobody else holds yet (the
+   admission scan, a [validate]); [memo_apply] builds the next
+   version's memo from scratch.  [memo_eval] never writes, so once a
+   snapshot is published any number of reader threads may evaluate
+   through its memo ([Hashtbl] reads are safe when no writer runs, and
+   each call plans its own nodes). *)
 
 let memo_create vx =
   {
     m_vx = vx;
     m_ix = Vindex.index vx;
     cache = Hashtbl.create 256;
-    hits = 0;
-    misses = 0;
     migrated = 0;
     dropped = 0;
   }
 
 (* A cached root answers before anything is planned. *)
-let memo_eval_gen ~rw m q =
-  match lookup m ~rw q with
+let memo_eval m q =
+  match Hashtbl.find_opt m.cache q with
   | Some bs -> bs
   | None ->
-      exec_q { vx = m.m_vx; ix = m.m_ix; memo = Some m; rw } (plan_q m.m_vx (Index.n m.m_ix) q)
+      exec_q { vx = m.m_vx; ix = m.m_ix; memo = Some m } (plan_q m.m_vx (Index.n m.m_ix) q)
 
-let memo_eval m q = memo_eval_gen ~rw:true m q
-let memo_eval_ro m q = memo_eval_gen ~rw:false m q
-
+(* Every subquery, children before parents (reversed preorder), so each
+   one is evaluated over the cached results of the ones inside it.  All
+   of them, not only the shared ones: a pointwise subquery cached here
+   is what [memo_apply] carries to the next version, where reads would
+   otherwise recompute it on every call. *)
 let prewarm m qs =
-  (* Occurrence counts over every subquery node; anything shared
-     (count ≥ 2) is evaluated-and-cached up front — the Figure-4
-     obligation set shares its class selections and χ frames heavily,
-     and even a single obligation like σ−(s_i, χ(ax, s_i, s_j)) names
-     s_i twice. *)
-  let counts = Hashtbl.create 256 in
-  let subs = List.map Query.subqueries qs in
   List.iter
-    (List.iter (fun sq ->
-         Hashtbl.replace counts sq
-           (1 + Option.value ~default:0 (Hashtbl.find_opt counts sq))))
-    subs;
-  List.iter
-    (List.iter (fun sq ->
-         if
-           Option.value ~default:0 (Hashtbl.find_opt counts sq) >= 2
-           && not (Hashtbl.mem m.cache sq)
-         then ignore (memo_eval m sq)))
-    subs
+    (fun q ->
+      List.iter
+        (fun sq ->
+          if not (Hashtbl.mem m.cache sq) then Hashtbl.add m.cache sq (memo_eval m sq))
+        (List.rev (Query.subqueries q)))
+    qs
 
-let memo_stats m = (m.hits, m.misses, Hashtbl.length m.cache)
+let memo_size m = Hashtbl.length m.cache
 
 (* {2 Memo migration across an update}
 
@@ -576,8 +551,6 @@ let memo_apply ~vindex ~splices ops m =
       m_vx = vindex;
       m_ix = new_ix;
       cache = Hashtbl.create (max 16 (Hashtbl.length m.cache));
-      hits = m.hits;
-      misses = m.misses;
       migrated = m.migrated;
       dropped = m.dropped;
     }

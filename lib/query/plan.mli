@@ -53,9 +53,13 @@
     answers a cached query before planning it; otherwise it runs the
     query's plan through the memo: one evaluator, and so one
     frame-first rule, serves {!exec} and the memo.
-    {!memo_eval} caches and must run sequentially; {!memo_eval_ro} never
-    writes, so reader threads that share a snapshot may call it
-    concurrently.  Cached bitsets are shared: treat them as immutable. *)
+
+    Only {!prewarm} and {!memo_apply} write a memo.  {!prewarm} fills a
+    memo before its snapshot is shared (the admission scan, a
+    validation); {!memo_apply} builds the next version's memo.
+    {!memo_eval} never writes, so reader threads that share a snapshot
+    may call it concurrently.  Cached bitsets are shared: treat them as
+    immutable. *)
 
 type t
 
@@ -98,23 +102,22 @@ type memo
 
 val memo_create : Vindex.t -> memo
 
-(** Evaluate through the cache, filling it.  Sequential use only. *)
+(** Evaluate through the cache without writing it: a cached query, or
+    cached subquery, is read; anything else is computed and discarded.
+    Safe to call concurrently from several threads once no writer
+    runs. *)
 val memo_eval : memo -> Query.t -> Bitset.t
 
-(** Evaluate through the cache without writing it: cache misses are
-    recomputed on the fly and discarded.  Safe to call concurrently from
-    several threads once the writers are done. *)
-val memo_eval_ro : memo -> Query.t -> Bitset.t
-
-(** [prewarm m qs] evaluates-and-caches every subquery occurring at least
-    twice across [qs] (by canonical rendering), so subsequent
-    [memo_eval_ro] calls over [qs] hit the cache for all shared work
-    while the cache holds only the shared subqueries. *)
+(** [prewarm m qs] evaluates and caches every subquery of [qs] that [m]
+    does not hold yet, children before parents, so each is evaluated
+    over the cached results of the ones inside it.  Every subquery, not
+    only the shared ones: the pointwise ones are what {!memo_apply}
+    carries to the next version.  Sequential use only, before the memo
+    is shared. *)
 val prewarm : memo -> Query.t list -> unit
 
-(** [(hits, misses, entries)] — hits/misses count {!memo_eval} lookups
-    only. *)
-val memo_stats : memo -> int * int * int
+(** Number of cached queries. *)
+val memo_size : memo -> int
 
 (** [memo_apply ~vindex ~splices ops m] — carry the cache across an
     update instead of discarding it: [vindex] is the post-transaction
@@ -129,7 +132,7 @@ val memo_stats : memo -> int * int * int
     inserted by [ops] is admitted by one direct membership test.
     χ-containing entries are dropped — an insertion perturbs χ
     membership of arbitrary relatives of the insertion point, so only a
-    rebuild is sound for them.  Hit/miss counters carry over. *)
+    rebuild is sound for them.  The argument memo is not written. *)
 val memo_apply :
   vindex:Vindex.t ->
   splices:Index.splice list ->

@@ -39,6 +39,5 @@ val equal : t -> t -> bool
 val select_class : Oclass.t -> t
 
 (** All subquery nodes of [q], including [q] itself, in preorder.
-    Occurrence counts over these nodes (structurally compared) drive the
-    shared-subquery prewarm of {!Plan}'s memo tables. *)
+    {!Plan.prewarm} caches them in reverse, children before parents. *)
 val subqueries : t -> t list

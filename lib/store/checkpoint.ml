@@ -13,31 +13,29 @@ let format_tag = "bounds-store checkpoint v2"
 (* A text header ended by a blank line, then the body: the insert-only
    transaction that rebuilds the instance, at the header's lsn.  The
    body is copied once, into the frame. *)
-let write io path meta inst =
+let encode meta inst =
   let header =
     Printf.sprintf "%s\nlsn: %d\nentries: %d\nstats: applied %d rejected %d queries %d\n\n"
       format_tag meta.lsn meta.entries meta.applied meta.rejected meta.queries
   in
+  Frame.encode_parts [ header; Codec.encode_inserts ~lsn:meta.lsn inst ]
+
+let write io path meta inst =
   let tmp = path ^ ".new" in
-  io.Io.write tmp
-    (Frame.encode_parts [ header; Codec.encode_inserts ~lsn:meta.lsn inst ]);
+  io.Io.write tmp (encode meta inst);
   io.Io.rename tmp path
 
 (* --- reading ------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let unframe io path =
-  match io.Io.read path with
-  | None -> Error "no checkpoint"
-  | Some raw -> (
-      match Frame.read raw 0 with
-      | Frame.End -> Error "empty checkpoint file"
-      | Frame.Torn { reason; _ } -> Error ("damaged checkpoint: " ^ reason)
-      | Frame.Record { payload; next } ->
-          if next <> String.length raw then
-            Error "trailing bytes after checkpoint frame"
-          else Ok payload)
+let unframe raw =
+  match Frame.read raw 0 with
+  | Frame.End -> Error "empty checkpoint file"
+  | Frame.Torn { reason; _ } -> Error ("damaged checkpoint: " ^ reason)
+  | Frame.Record { payload; next } ->
+      if next <> String.length raw then Error "trailing bytes after checkpoint frame"
+      else Ok payload
 
 (* The header's lines, and the offset of the body after the blank line
    that ends them. *)
@@ -65,16 +63,20 @@ let parse_header = function
         (fun applied rejected queries -> { lsn; entries; applied; rejected; queries })
   | _ -> Error "checkpoint header is incomplete"
 
-let header io path =
-  let* payload = unframe io path in
+let header raw =
+  let* payload = unframe raw in
   let* lines, body = split_header payload in
   let* meta = parse_header lines in
   Ok (meta, payload, body)
 
-let read_meta io path = Result.map (fun (meta, _, _) -> meta) (header io path)
+let file io path = Option.to_result ~none:"no checkpoint" (io.Io.read path)
 
-let read io path ~typing =
-  let* meta, payload, body = header io path in
+let read_meta io path =
+  let* raw = file io path in
+  Result.map (fun (meta, _, _) -> meta) (header raw)
+
+let decode ~typing raw =
+  let* meta, payload, body = header raw in
   let start ~lsn ~count =
     if lsn <> meta.lsn then
       Error (Printf.sprintf "body at lsn %d, header says %d" lsn meta.lsn)
@@ -89,3 +91,5 @@ let read io path ~typing =
   match Codec.fold_txn ~typing payload ~off:body ~start step with
   | Error m -> Error ("checkpoint body: " ^ m)
   | Ok inst -> Ok (meta, inst)
+
+let read io path ~typing = Result.bind (file io path) (decode ~typing)

@@ -22,6 +22,12 @@ type meta = {
   queries : int;
 }
 
+(** The checkpoint of [inst] as bytes: one frame, as {!write} stores it
+    and a replica's bootstrap ships it. *)
+val encode : meta -> Instance.t -> string
+
+(** {!encode} into [path], through [path ^ ".new"] and an atomic
+    rename. *)
 val write : Io.t -> string -> meta -> Instance.t -> unit
 
 (** Header only — enough for [ldapschema log] to describe a store
@@ -29,12 +35,15 @@ val write : Io.t -> string -> meta -> Instance.t -> unit
     (an older build's [v1] among them) is [Error] naming its tag. *)
 val read_meta : Io.t -> string -> (meta, string) result
 
-(** Full load: the body folds op by op through {!Codec.fold_txn} into
-    {!Instance.empty} with {!Update.apply_op}, as recovery folds the
-    log.  Besides {!read_meta}'s errors, [Error] with the byte offset
-    (counted from the start of the frame's payload) of a body that is
-    damaged, that holds an op other than an insert or an insert under
-    a parent not read yet, whose lsn or entry count is not the
-    header's, or that holds a value whose type is not its attribute's
-    under [typing].  Never raises. *)
+(** Full load of a checkpoint's bytes: the body folds op by op through
+    {!Codec.fold_txn} into {!Instance.empty} with {!Update.apply_op}, as
+    recovery folds the log.  Besides {!read_meta}'s errors, [Error] with
+    the byte offset (counted from the start of the frame's payload) of a
+    body that is damaged, that holds an op other than an insert or an
+    insert under a parent not read yet, whose lsn or entry count is not
+    the header's, or that holds a value whose type is not its
+    attribute's under [typing].  Never raises. *)
+val decode : typing:Typing.t -> string -> (meta * Instance.t, string) result
+
+(** {!decode} of the file at [path]. *)
 val read : Io.t -> string -> typing:Typing.t -> (meta * Instance.t, string) result

@@ -507,15 +507,9 @@ let records_from t ~lsn:from_lsn =
    {!Checkpoint} codec the store trusts on disk.  O(|D|). *)
 let boot_blob t =
   if t.pending <> None then invalid_arg "Store.boot_blob: inside a batch";
-  let meta = stats t in
-  let scratch = Io.mem (Io.fresh_fs ()) in
-  Checkpoint.write scratch checkpoint_file meta (Directory.instance t.dir);
-  let blob =
-    match scratch.Io.read checkpoint_file with
-    | Some b -> b
-    | None -> assert false
-  in
-  (Spec_printer.to_string t.schema_v, blob, t.lsn_v)
+  ( Spec_printer.to_string t.schema_v,
+    Checkpoint.encode (stats t) (Directory.instance t.dir),
+    t.lsn_v )
 
 (* Install a shipped bootstrap package as a store directory, replacing
    whatever was there.  The blob is validated against the shipped schema
@@ -529,11 +523,7 @@ let install_snapshot io ~schema ~checkpoint =
   | Error e ->
       Error ("boot schema: " ^ Spec_parser.error_to_string e)
   | Ok parsed -> (
-      let scratch = Io.mem (Io.fresh_fs ()) in
-      scratch.Io.write checkpoint_file checkpoint;
-      match
-        Checkpoint.read scratch checkpoint_file ~typing:parsed.Schema.typing
-      with
+      match Checkpoint.decode ~typing:parsed.Schema.typing checkpoint with
       | Error m -> Error ("boot checkpoint: " ^ m)
       | Ok _ ->
           io.Io.write checkpoint_file checkpoint;
@@ -559,17 +549,13 @@ let replica_apply t ~lsn ops =
     Error
       (Printf.sprintf "lsn gap: expected %d, shipped %d" (t.lsn_v + 1) lsn)
   else
-    let entries_before = Directory.size t.dir in
     match Directory.replay t.dir ops with
     | Error rej ->
         Error
           (Format.asprintf "shipped record %d rejected: %a" lsn
              Monitor.pp_rejection rej)
     | Ok dir ->
-        let res =
-          Admission.Accepted
-            { lsn = None; ops; entries_before; entries_after = Directory.size dir }
-        in
+        let res = Admission.Accepted { lsn = None; ops } in
         ignore (write t (fun p -> stage t p dir res));
         Ok `Applied
 

@@ -498,15 +498,18 @@ let test_plan_memo () =
   let q =
     Query.Minus (sel "org", Query.Chi (Query.Descendant, sel "org", sel "person"))
   in
-  (* q's own subqueries repeat [sel "org"], so the prewarm caches it *)
+  (* every distinct subquery: q, its χ, [sel "org"] (named twice) and
+     [sel "person"] *)
   Plan.prewarm m [ q ];
-  let r1 = Plan.memo_eval m q in
-  let r2 = Plan.memo_eval_ro m q in
-  check "memo = plain planner" true (Bitset.equal r1 (Plan.eval vx q));
-  check "ro = rw" true (Bitset.equal r1 r2);
-  let hits, _, entries = Plan.memo_stats m in
-  check "cache populated" true (entries > 0);
-  check "shared subqueries hit" true (hits > 0)
+  check "every subquery cached" true (Plan.memo_size m = 4);
+  let fresh = Plan.memo_eval (Plan.memo_create vx) q in
+  check "memo = plain planner" true (Bitset.equal (Plan.memo_eval m q) (Plan.eval vx q));
+  check "fresh memo = plain planner" true (Bitset.equal fresh (Plan.eval vx q));
+  let other = Query.Chi (Query.Child, sel "person", sel "org") in
+  check "an uncached read" true (Bitset.equal (Plan.memo_eval m other) (Plan.eval vx other));
+  check "reads write nothing" true (Plan.memo_size m = 4);
+  Plan.prewarm m [ q ];
+  check "a second prewarm adds nothing" true (Plan.memo_size m = 4)
 
 (* --- property: linear evaluator ≡ naive reference ----------------------- *)
 

@@ -7,6 +7,8 @@ open Bounds_model
 open Bounds_core
 module Index = Bounds_query.Index
 module Query = Bounds_query.Query
+module Query_parser = Bounds_query.Query_parser
+module Plan = Bounds_query.Plan
 module Gen = Bounds_workload.Gen
 module WP = Bounds_workload.White_pages
 
@@ -196,6 +198,46 @@ let test_session_snapshot () =
     (List.length (Directory.Snapshot.query_ids snap persons));
   check "snapshot validates" true
     (Directory.Snapshot.validate WP.schema snap = [])
+
+(* The memo's write contract.  The admission scan caches every subquery
+   of the Figure-4 obligations (five class selections, two minus and
+   three χ nodes on white pages); after that no read writes it, so
+   reader threads may share a published snapshot. *)
+let memo_size dir = Plan.memo_size (Directory.Snapshot.Private.memo (Directory.snapshot dir))
+
+let obligation_subqueries () =
+  Translate.all WP.schema.Schema.structure
+  |> List.concat_map (fun (_, q, _) -> Query.subqueries q)
+  |> List.sort_uniq compare
+
+let test_memo_reads_write_nothing () =
+  let dir = open_wp () in
+  let snap = Directory.snapshot dir in
+  let before = memo_size dir in
+  let text = "(minus (chi d (objectClass=orgUnit) (uid=u1)) (ou=unit1))" in
+  let q = Result.get_ok (Query_parser.parse text) in
+  check "the read is not an obligation" false (List.mem q (obligation_subqueries ()));
+  ignore (Directory.Snapshot.query_ids snap q);
+  ignore (Directory.Snapshot.query_ids_ro snap q);
+  ignore (Directory.query dir q);
+  ignore
+    (Directory.search dir ~base:None Bounds_query.Search.Subtree
+       (Result.get_ok (Bounds_query.Filter_parser.parse "(uid=u1)")));
+  ignore (Bounds_net.Front.serve_query snap text);
+  check_int "reads leave the memo as it was" before (memo_size dir)
+
+let test_memo_migration () =
+  let dir = open_wp () in
+  check_int "white pages has 10 obligation subqueries" 10
+    (List.length (obligation_subqueries ()));
+  check_int "open caches every one" 10 (memo_size dir);
+  let ops = [ Update.Insert { parent = Some 3; entry = person ~id:100 ~uid:"s3" () } ] in
+  let dir', _ = Directory.apply dir ops in
+  let s = Directory.stats dir' in
+  check_int "the class selections are carried" 5 s.Directory.memo_migrated;
+  check_int "the χ-dependent nodes are dropped" 5 s.Directory.memo_dropped;
+  check_int "the new version's memo" 5 s.Directory.memo_entries;
+  check_int "the old version's memo is untouched" 10 (memo_size dir)
 
 (* --- properties ------------------------------------------------------------ *)
 
@@ -462,6 +504,8 @@ let () =
           Alcotest.test_case "lifecycle" `Quick test_session_lifecycle;
           Alcotest.test_case "rejection" `Quick test_session_rejection;
           Alcotest.test_case "snapshot" `Quick test_session_snapshot;
+          Alcotest.test_case "reads write no memo" `Quick test_memo_reads_write_nothing;
+          Alcotest.test_case "memo migration" `Quick test_memo_migration;
           QCheck_alcotest.to_alcotest prop_session_apply;
         ] );
     ]
